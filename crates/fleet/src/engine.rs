@@ -5,21 +5,26 @@
 //! Three phases, arranged so the result is byte-identical at any worker
 //! count (the [`msc_par`] contract):
 //!
-//! 1. **Carrier timelines** — one [`par_map_indexed`] item per carrier
-//!    draws that carrier's packet arrival times from its [`Arrivals`]
-//!    process, seeded by `derive_seed(seed, CELL_CARRIER, carrier)`.
-//! 2. **Tag setup** — one item per tag draws its placement, energy
-//!    phase, and sensor-reading times, seeded by
+//! 1. **Carrier streams** — each carrier owns an RNG seeded by
+//!    `derive_seed(seed, CELL_CARRIER, carrier)` and draws its next
+//!    packet arrival from its [`Arrivals`] process only when the sweep
+//!    consumes the current one. Nothing is materialized: a carrier's
+//!    timeline costs one pending arrival, not one `f64` per packet.
+//! 2. **Tag setup** — one [`par_map_indexed`] item per tag draws its
+//!    placement, energy phase, and sensor-reading times, seeded by
 //!    `derive_seed(seed, CELL_TAG, tag)`, and precomputes its
 //!    per-carrier loss probabilities and goodput ranking from the
-//!    calibrated [`LinkTable`](crate::link::LinkTable).
-//! 3. **MAC resolution** — a single *sequential* sweep over the merged
-//!    event stream resolves contention: readings arrive, tags pick
-//!    carriers through the [`MacPolicy`], back off in carrier-packet
-//!    slots, collide when two tags modulate the same packet, and retry
-//!    up to the [`Backoff`] budget. The sweep consumes one RNG whose
-//!    draw order depends only on the (deterministic) event order, so it
-//!    too is independent of `--threads`.
+//!    calibrated [`LinkTable`](crate::link::LinkTable). The readings of
+//!    all tags are gathered into one `(time, tag)`-sorted vector.
+//! 3. **MAC resolution** — a single *sequential* sweep over a k-way
+//!    merge of the readings and the carrier streams resolves contention:
+//!    readings arrive, tags pick carriers through the [`MacPolicy`],
+//!    back off in carrier-packet slots, collide when two tags modulate
+//!    the same packet, and retry up to the [`Backoff`] budget. The merge
+//!    order is total (time, then readings before carrier packets, then
+//!    the lower tag or carrier index), and the sweep consumes one RNG
+//!    whose draw order depends only on that order, so it too is
+//!    independent of `--threads`.
 //!
 //! [`par_map_indexed`]: msc_par::par_map_indexed
 
@@ -33,7 +38,7 @@ use msc_phy::protocol::Protocol;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Seed-derivation cell for carrier timeline generation (phase 1).
+/// Seed-derivation cell for the carrier arrival streams (phase 1).
 const CELL_CARRIER: u64 = 0x66c4_71e5_11fe_e7ca;
 /// Seed-derivation cell for per-tag setup (phase 2).
 const CELL_TAG: u64 = 0x7a61_f1ee_7000_0001;
@@ -235,24 +240,72 @@ struct TagSetup {
 /// Merged event stream entry. Readings sort before carrier packets at
 /// equal times so a reading can ride the very next packet; within a
 /// kind, ties break on the id for a total, thread-independent order.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 enum Event {
     Reading { time: f64, tag: u32 },
     Carrier { time: f64, carrier: u16 },
 }
 
-impl Event {
-    fn time(&self) -> f64 {
-        match *self {
-            Event::Reading { time, .. } | Event::Carrier { time, .. } => time,
-        }
-    }
+/// One carrier's lazily drawn arrival stream: the pending arrival plus
+/// the RNG that draws the one after it.
+struct CarrierStream {
+    arrivals: Arrivals,
+    rng: StdRng,
+    head: Option<f64>,
+}
 
-    /// (kind, id) tiebreak key.
-    fn key(&self) -> (u8, u32) {
-        match *self {
-            Event::Reading { tag, .. } => (0, tag),
-            Event::Carrier { carrier, .. } => (1, carrier as u32),
+/// K-way merge of the sorted readings and the carrier streams, in
+/// [`Event`] order. A carrier draws its next arrival only when its head
+/// is consumed, so each carrier's RNG sees exactly the draw sequence of
+/// generating its whole timeline up front.
+struct EventMerge {
+    readings: std::iter::Peekable<std::vec::IntoIter<(f64, u32)>>,
+    carriers: Vec<CarrierStream>,
+    horizon: f64,
+}
+
+impl EventMerge {
+    /// `readings` must be sorted by `(time, tag)`.
+    fn new(carriers: &[Stream], seed: u64, horizon: f64, readings: Vec<(f64, u32)>) -> Self {
+        let carriers = carriers
+            .iter()
+            .enumerate()
+            .map(|(c, s)| {
+                let mut rng = StdRng::seed_from_u64(derive_seed(seed, CELL_CARRIER, c as u64));
+                let head = s.arrivals.next_after(&mut rng, 0.0, horizon);
+                CarrierStream { arrivals: s.arrivals, rng, head }
+            })
+            .collect();
+        EventMerge { readings: readings.into_iter().peekable(), carriers, horizon }
+    }
+}
+
+impl Iterator for EventMerge {
+    type Item = Event;
+
+    fn next(&mut self) -> Option<Event> {
+        // Earliest carrier head; strict `<` keeps the lower index on ties.
+        let mut best: Option<(f64, usize)> = None;
+        for (c, s) in self.carriers.iter().enumerate() {
+            if let Some(t) = s.head {
+                if best.is_none_or(|(bt, _)| t.total_cmp(&bt).is_lt()) {
+                    best = Some((t, c));
+                }
+            }
+        }
+        match (self.readings.peek(), best) {
+            (Some(&(time, tag)), best)
+                if best.is_none_or(|(bt, _)| time.total_cmp(&bt).is_le()) =>
+            {
+                self.readings.next();
+                Some(Event::Reading { time, tag })
+            }
+            (_, Some((time, c))) => {
+                let s = &mut self.carriers[c];
+                s.head = s.arrivals.next_after(&mut s.rng, time, self.horizon);
+                Some(Event::Carrier { time, carrier: c as u16 })
+            }
+            (_, None) => None,
         }
     }
 }
@@ -293,23 +346,11 @@ where
     assert!(n_carriers <= u16::MAX as usize, "carrier index is u16");
     assert!(cfg.tags <= u32::MAX as usize, "tag index is u32");
 
-    // Phase 1: carrier packet timelines, one parallel item per carrier.
-    let carrier_times: Vec<Vec<f64>> = par_map_indexed(n_carriers, |c| {
-        let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_CARRIER, c as u64));
-        let s = &cfg.carriers[c];
-        let mut times = Vec::new();
-        let mut t = 0.0;
-        while let Some(next) = s.arrivals.next_after(&mut rng, t, cfg.horizon_s) {
-            times.push(next);
-            t = next;
-        }
-        times
-    });
-
     // Phase 2: per-tag placement, energy phase, readings, and ranking.
+    // (Phase 1, the carrier streams, draws lazily inside the merge.)
     let energy_period = cfg.energy.map(|e| e.period_s()).unwrap_or(1.0);
     let mean_interval = 1.0 / cfg.readings.mean_rate().max(1e-12);
-    let tags: Vec<TagSetup> = par_map_indexed(cfg.tags, |g| {
+    let mut tags: Vec<TagSetup> = par_map_indexed(cfg.tags, |g| {
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_TAG, g as u64));
         let place_u: f64 = rng.gen_range(0.0..1.0);
         // Always consume the draw so adding/removing the energy model
@@ -344,19 +385,18 @@ where
         TagSetup { place_u, energy_phase, readings, ranked, p_loss }
     });
 
-    // Merge both event kinds into one time-ordered stream.
-    let n_events: usize = carrier_times.iter().map(Vec::len).sum::<usize>()
-        + tags.iter().map(|t| t.readings.len()).sum::<usize>();
-    let mut events: Vec<Event> = Vec::with_capacity(n_events);
-    for (c, times) in carrier_times.iter().enumerate() {
-        events.extend(times.iter().map(|&time| Event::Carrier { time, carrier: c as u16 }));
+    // Gather every tag's readings into one `(time, tag)`-ordered list;
+    // the keys are unique, so an unstable sort gives the same order.
+    let mut readings: Vec<(f64, u32)> =
+        Vec::with_capacity(tags.iter().map(|t| t.readings.len()).sum());
+    for (g, tag) in tags.iter_mut().enumerate() {
+        readings.extend(std::mem::take(&mut tag.readings).into_iter().map(|t| (t, g as u32)));
     }
-    for (g, tag) in tags.iter().enumerate() {
-        events.extend(tag.readings.iter().map(|&time| Event::Reading { time, tag: g as u32 }));
-    }
-    events.sort_by(|a, b| a.time().total_cmp(&b.time()).then(a.key().cmp(&b.key())));
+    readings.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    let events = EventMerge::new(&cfg.carriers, cfg.seed, cfg.horizon_s, readings);
 
     // Phase 3: sequential MAC sweep.
+    let _sweep = msc_obs::profile::scope("fleet.sweep");
     let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_MAC, 0));
     let mut out = FleetResult {
         per_carrier: vec![CarrierTally::default(); n_carriers],
@@ -392,8 +432,8 @@ where
     };
 
     let mut drained: Vec<u32> = Vec::new();
-    for ev in &events {
-        match *ev {
+    for ev in events {
+        match ev {
             Event::Reading { time, tag } => {
                 out.offered += 1;
                 out.per_tag_offered[tag as usize] += 1;
@@ -740,6 +780,92 @@ mod tests {
         let b = run(&cfg, &link, snr);
         msc_par::set_threads(0);
         assert_eq!(format!("{a:?}"), format!("{b:?}"), "byte-identical across widths");
+    }
+
+    /// The materialize-then-sort event order the streaming merge must
+    /// reproduce: every carrier timeline drawn up front from its derived
+    /// seed, then one stable sort on `(time, kind, id)`.
+    fn materialized(
+        carriers: &[Stream],
+        seed: u64,
+        horizon: f64,
+        readings: &[(f64, u32)],
+    ) -> Vec<Event> {
+        let mut events: Vec<Event> = Vec::new();
+        for (c, s) in carriers.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(derive_seed(seed, CELL_CARRIER, c as u64));
+            let mut t = 0.0;
+            while let Some(next) = s.arrivals.next_after(&mut rng, t, horizon) {
+                events.push(Event::Carrier { time: next, carrier: c as u16 });
+                t = next;
+            }
+        }
+        events.extend(readings.iter().map(|&(time, tag)| Event::Reading { time, tag }));
+        let key = |e: &Event| match *e {
+            Event::Reading { time, tag } => (time, 0u8, tag),
+            Event::Carrier { time, carrier } => (time, 1, carrier as u32),
+        };
+        events.sort_by(|a, b| {
+            let (ta, ka, ia) = key(a);
+            let (tb, kb, ib) = key(b);
+            ta.total_cmp(&tb).then(ka.cmp(&kb)).then(ia.cmp(&ib))
+        });
+        events
+    }
+
+    fn stream(protocol: Protocol, arrivals: Arrivals) -> Stream {
+        Stream { protocol, arrivals, airtime_s: 1e-4, tag_bits_per_packet: 8 }
+    }
+
+    #[test]
+    fn streaming_merge_matches_materialized_sort() {
+        let horizon = 2.0;
+        let carriers = vec![
+            // Two identical periodic carriers tie at every instant.
+            stream(Protocol::WifiN, Arrivals::Periodic { rate: 100.0 }),
+            stream(Protocol::Ble, Arrivals::Poisson { rate: 700.0 }),
+            stream(Protocol::WifiB, Arrivals::Periodic { rate: 100.0 }),
+            // First arrival at 10 s, past the horizon: an empty stream.
+            stream(Protocol::ZigBee, Arrivals::Periodic { rate: 0.1 }),
+        ];
+        // Readings for tags 3 and 1 land exactly on the periodic carrier
+        // instants (same arithmetic), tag 2 reads at its own rate.
+        let mut readings = Vec::new();
+        let on_instants = Arrivals::Periodic { rate: 100.0 };
+        let mut rng = StdRng::seed_from_u64(0);
+        for tag in [3u32, 1] {
+            let mut t = 0.0;
+            while let Some(next) = on_instants.next_after(&mut rng, t, horizon) {
+                readings.push((next, tag));
+                t = next;
+            }
+        }
+        let mut t = 0.0;
+        while let Some(next) = (Arrivals::Poisson { rate: 40.0 }).next_after(&mut rng, t, horizon) {
+            readings.push((next, 2));
+            t = next;
+        }
+        readings.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let want = materialized(&carriers, 42, horizon, &readings);
+        let got: Vec<Event> = EventMerge::new(&carriers, 42, horizon, readings).collect();
+        assert_eq!(got.len(), want.len());
+        assert_eq!(got, want);
+        // The forced ties really happened: a reading and both periodic
+        // carriers share an instant.
+        let ties = got
+            .windows(3)
+            .filter(|w| match (w[0], w[1], w[2]) {
+                (
+                    Event::Reading { time: a, .. },
+                    Event::Carrier { time: b, carrier: 0 },
+                    Event::Carrier { time: c, carrier: 2 },
+                ) => a == b && b == c,
+                _ => false,
+            })
+            .count();
+        assert!(ties > 10, "expected reading/carrier/carrier ties, found {ties}");
+        assert!(!got.iter().any(|e| matches!(e, Event::Carrier { carrier: 3, .. })));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //!   interpolated per packet so the engine can resolve millions of
 //!   outcomes per second.
 //! - [`engine`] — the event-driven fleet engine ([`engine::run`]):
-//!   carrier timelines and tag setup fan out through `msc-par` with
-//!   per-item derived seeds, a sequential MAC sweep resolves contention,
+//!   tag setup fans out through `msc-par` with per-item derived seeds,
+//!   carriers draw their arrivals lazily from their own derived seeds,
+//!   a sequential MAC sweep over the merged stream resolves contention,
 //!   and the result is byte-identical at any `--threads`.
 //! - [`obs`] — MAC event tracing: [`engine::run_with`] feeds every
 //!   sweep event to a [`obs::MacObserver`]; [`obs::MacTrace`]

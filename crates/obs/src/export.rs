@@ -68,7 +68,7 @@ pub fn record_to_json(rec: &Record) -> String {
                 out,
                 ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"mean\":{},\"p50\":{},\"p90\":{},\"p99\":{}",
                 h.count,
-                json_num(h.sum),
+                json_num(h.sum()),
                 json_num(h.min),
                 json_num(h.max),
                 json_num(h.mean()),
@@ -146,7 +146,7 @@ pub fn to_csv(records: &[Record]) -> String {
             Value::Gauge(g) => row(rec.key.name, "gauge", rec, "value", format!("{g}")),
             Value::Histogram(h) => {
                 row(rec.key.name, "histogram", rec, "count", h.count.to_string());
-                row(rec.key.name, "histogram", rec, "sum", format!("{}", h.sum));
+                row(rec.key.name, "histogram", rec, "sum", format!("{}", h.sum()));
                 row(rec.key.name, "histogram", rec, "min", format!("{}", h.min));
                 row(rec.key.name, "histogram", rec, "max", format!("{}", h.max));
                 row(rec.key.name, "histogram", rec, "mean", format!("{}", h.mean()));
@@ -423,7 +423,7 @@ mod tests {
                 }
                 crate::metrics::Value::Histogram(h) => {
                     assert_eq!(v.get("count").unwrap().as_f64().unwrap() as u64, h.count);
-                    assert_eq!(v.get("sum").unwrap().as_f64().unwrap(), h.sum);
+                    assert_eq!(v.get("sum").unwrap().as_f64().unwrap(), h.sum());
                     assert_eq!(v.get("p50").unwrap().as_f64().unwrap(), h.quantile(0.5));
                     assert_eq!(v.get("p90").unwrap().as_f64().unwrap(), h.quantile(0.9));
                     assert_eq!(v.get("p99").unwrap().as_f64().unwrap(), h.quantile(0.99));

@@ -81,13 +81,21 @@ pub struct Histogram {
     pub counts: Vec<u64>,
     /// Number of observations.
     pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
+    /// Sum of observations in fixed point ([`SUM_SCALE`] units per 1.0).
+    /// Integer addition is associative, so the sum — unlike an `f64`
+    /// accumulator — does not depend on the order concurrent workers
+    /// observed in. Read it through [`Histogram::sum`].
+    sum_fixed: i128,
     /// Smallest observation (0 when empty).
     pub min: f64,
     /// Largest observation (0 when empty).
     pub max: f64,
 }
+
+/// Fixed-point scale of [`Histogram::sum_fixed`]: 2^32 units per 1.0,
+/// so each observation is rounded to ~2.3e-10 and the sum saturates only
+/// past ~4e28.
+const SUM_SCALE: f64 = 4_294_967_296.0;
 
 impl Histogram {
     fn new(edges: &'static [f64]) -> Self {
@@ -95,10 +103,15 @@ impl Histogram {
             edges,
             counts: vec![0; edges.len() + 1],
             count: 0,
-            sum: 0.0,
+            sum_fixed: 0,
             min: 0.0,
             max: 0.0,
         }
+    }
+
+    /// Sum of observations.
+    pub fn sum(&self) -> f64 {
+        self.sum_fixed as f64 / SUM_SCALE
     }
 
     fn observe(&mut self, v: f64) {
@@ -112,7 +125,8 @@ impl Histogram {
             self.max = self.max.max(v);
         }
         self.count = self.count.saturating_add(1);
-        self.sum += v;
+        // `as` saturates (and maps NaN to 0), so the sum never wraps.
+        self.sum_fixed = self.sum_fixed.saturating_add((v * SUM_SCALE).round() as i128);
     }
 
     /// Mean observation (0 when empty).
@@ -120,7 +134,7 @@ impl Histogram {
         if self.count == 0 {
             0.0
         } else {
-            self.sum / self.count as f64
+            self.sum() / self.count as f64
         }
     }
 
@@ -462,6 +476,36 @@ mod tests {
         assert!(p50 < p90 && p90 < p99, "quantiles ordered: {p50} {p90} {p99}");
         assert_eq!(h.quantile(0.0), h.min);
         assert_eq!(h.quantile(1.0), h.max);
+    }
+
+    #[test]
+    fn histogram_sum_is_independent_of_observation_order() {
+        // Values whose f64 running sum depends on the order: mixed
+        // magnitudes and non-representable fractions.
+        let values: Vec<f64> =
+            (0..2_000).map(|i| (i as f64 * 0.731).sin() * 10f64.powi(i % 7 - 3)).collect();
+        let mut shuffled = values.clone();
+        // Fisher–Yates with a fixed LCG.
+        let mut s: u64 = 0x9e37_79b9_7f4a_7c15;
+        for i in (1..shuffled.len()).rev() {
+            s = s.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            shuffled.swap(i, (s >> 33) as usize % (i + 1));
+        }
+        assert_ne!(values, shuffled);
+        let float_sum = |v: &[f64]| v.iter().fold(0.0, |a, &x| a + x);
+        assert_ne!(
+            float_sum(&values).to_bits(),
+            float_sum(&shuffled).to_bits(),
+            "the values must exercise f64 order dependence"
+        );
+        let mut a = Histogram::new(buckets::SCORE);
+        let mut b = Histogram::new(buckets::SCORE);
+        values.iter().for_each(|&v| a.observe(v));
+        shuffled.iter().for_each(|&v| b.observe(v));
+        assert_eq!(a.sum().to_bits(), b.sum().to_bits());
+        assert_eq!(a.mean().to_bits(), b.mean().to_bits());
+        assert_eq!(a, b);
+        assert!((a.sum() - float_sum(&values)).abs() < 1e-6);
     }
 
     #[test]

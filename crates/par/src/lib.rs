@@ -214,6 +214,9 @@ mod tests {
 
     #[test]
     fn par_map_preserves_order() {
+        // Every pool call lands in the process-global pool stats, which
+        // `pool_reports_utilization_and_profile_frames` counts exactly.
+        let _guard = msc_obs::profile::tests_serial();
         let items: Vec<u64> = (0..1000).collect();
         let got = par_map(&items, |&x| x * 3);
         let want: Vec<u64> = items.iter().map(|&x| x * 3).collect();
@@ -222,6 +225,7 @@ mod tests {
 
     #[test]
     fn par_map_indexed_matches_sequential_at_any_width() {
+        let _guard = msc_obs::profile::tests_serial();
         let f = |i: usize| derive_seed(42, 7, i as u64);
         let want: Vec<u64> = (0..257).map(f).collect();
         for w in [1, 2, 3, 8] {
@@ -233,6 +237,7 @@ mod tests {
 
     #[test]
     fn par_map_handles_edge_sizes() {
+        let _guard = msc_obs::profile::tests_serial();
         set_threads(4);
         assert!(par_map_indexed(0, |i| i).is_empty());
         assert_eq!(par_map_indexed(1, |i| i), vec![0]);

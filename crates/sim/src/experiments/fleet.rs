@@ -154,6 +154,7 @@ pub fn place_snr_db(place_u: f64, p: Protocol) -> f64 {
 /// Calibrates the link abstraction: `n` full-pipeline trials per
 /// (protocol, distance) cell, keyed by the cell's uplink SNR.
 pub fn calibrate(n: usize, seed: u64) -> LinkTable {
+    let _frame = msc_obs::profile::scope("fleet.calibrate");
     let mut table = LinkTable::new();
     for p in Protocol::ALL {
         let link = AnyLink::new(p, Mode::Mode1);
@@ -479,31 +480,39 @@ pub fn run(n: usize, seed: u64) -> Report {
         &["policy", "power", "offered", "delivered", "collisions", "starved", "Jain", "kbps"],
     );
     let outdoor = EnergyModel::from_harvest(msc_analog::harvester::Light::paper_outdoor(), LOAD_W);
-    let mut total_packets = 0u64;
-    let mut best_mains: Option<(FleetConfig, FleetResult, Option<MacTrace>)> = None;
-    let traced = trace_on();
-    let det = detectors();
-    for policy in MacPolicy::ALL {
-        for (energy_label, energy) in [("mains", None), ("outdoor-harvest", Some(outdoor))] {
-            let cfg = paper_cfg(policy, energy, seed);
-            let (r, tr) = if traced {
+    let scenarios: Vec<(MacPolicy, &'static str, Option<EnergyModel>)> = MacPolicy::ALL
+        .iter()
+        .flat_map(|&policy| [(policy, "mains", None), (policy, "outdoor-harvest", Some(outdoor))])
+        .collect();
+    // The scenarios are independent, so they fan out across the pool;
+    // everything that emits (rows, gauges, window events, incident
+    // slugs) then runs on this thread in scenario order.
+    let traced = trace_on().then(detectors);
+    let runs = msc_par::par_map(&scenarios, |&(policy, _, energy)| {
+        let cfg = paper_cfg(policy, energy, seed);
+        let (r, tr) = match traced {
+            Some(det) => {
                 let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, det);
                 let r = run_with(&cfg, &table, place_snr_db, &mut tr);
                 tr.finish();
                 (r, Some(tr))
-            } else {
-                (msc_fleet::engine::run(&cfg, &table, place_snr_db), None)
-            };
-            total_packets += r.carrier_packets;
-            push_row(&mut report, policy, energy_label, &cfg.carriers, &r);
-            if let Some(tr) = &tr {
-                let key = format!("fleet/paper/{}/{}", policy.label(), energy_label);
-                export_windows(&key, &cfg.carriers, tr);
-                record_incidents(&key, &cfg, n, tr);
             }
-            if policy == MacPolicy::BestGoodput && energy.is_none() {
-                best_mains = Some((cfg, r, tr));
-            }
+            None => (msc_fleet::engine::run(&cfg, &table, place_snr_db), None),
+        };
+        (cfg, r, tr)
+    });
+    let mut total_packets = 0u64;
+    let mut best_mains: Option<(FleetConfig, FleetResult, Option<MacTrace>)> = None;
+    for (&(policy, energy_label, energy), (cfg, r, tr)) in scenarios.iter().zip(runs) {
+        total_packets += r.carrier_packets;
+        push_row(&mut report, policy, energy_label, &cfg.carriers, &r);
+        if let Some(tr) = &tr {
+            let key = format!("fleet/paper/{}/{}", policy.label(), energy_label);
+            export_windows(&key, &cfg.carriers, tr);
+            record_incidents(&key, &cfg, n, tr);
+        }
+        if policy == MacPolicy::BestGoodput && energy.is_none() {
+            best_mains = Some((cfg, r, tr));
         }
     }
     report.note(format!(
@@ -752,13 +761,16 @@ pub fn run_scale(n: usize, seed: u64) -> Report {
         format!("fleet-scale — best-goodput fleet vs deployment size ({horizon:.0} s horizon)"),
         &["tags", "offered", "delivered", "collisions", "Jain", "kbps", "pkts"],
     );
-    for tags in [100usize, 250, 500, 1000] {
+    let sizes = [100usize, 250, 500, 1000];
+    let runs = msc_par::par_map(&sizes, |&tags| {
         let cfg = FleetConfig {
             tags,
             horizon_s: horizon,
             ..paper_cfg(MacPolicy::BestGoodput, None, seed)
         };
-        let r = msc_fleet::engine::run(&cfg, &table, place_snr_db);
+        msc_fleet::engine::run(&cfg, &table, place_snr_db)
+    });
+    for (tags, r) in sizes.into_iter().zip(runs) {
         report.keyed_row(
             format!("fleet/scale/{tags}"),
             &[

@@ -100,17 +100,13 @@ fn batch_width_does_not_change_reports() {
     assert_eq!(four, eight, "fig13 output must not depend on batch width");
 }
 
-#[test]
-fn fleet_report_identical_at_1_4_8_threads() {
-    // The fleet engine fans carrier timelines and tag setup across the
-    // pool with per-item derived seeds and resolves the MAC in one
-    // sequential sweep, so the deployment report — calibration cells
-    // included — must be byte-identical at every thread count. The
-    // shortened horizon keeps the scenario rows cheap while still
-    // exercising contention and retries end-to-end.
+/// Asserts `paper <id> 8 42` prints the same report at 1, 4 and 8
+/// threads under a shortened fleet horizon, which keeps the scenarios
+/// cheap while still exercising contention and retries end-to-end.
+fn assert_fleet_runner_thread_invariant(id: &str, title: &str) {
     let run = |threads: &str| {
         let out = Command::new(env!("CARGO_BIN_EXE_paper"))
-            .args(["fleet", "8", "42", "--threads", threads])
+            .args([id, "8", "42", "--threads", threads])
             .env("MSC_FLEET_HORIZON_S", "3.0")
             .output()
             .expect("run paper binary");
@@ -118,9 +114,31 @@ fn fleet_report_identical_at_1_4_8_threads() {
         String::from_utf8(out.stdout).expect("utf8 stdout")
     };
     let one = run("1");
-    assert!(one.contains("fleet —"), "fleet produced no report:\n{one}");
-    assert_eq!(one, run("4"), "fleet output must not depend on thread count (1 vs 4)");
-    assert_eq!(one, run("8"), "fleet output must not depend on thread count (1 vs 8)");
+    assert!(one.contains(title), "{id} produced no report:\n{one}");
+    assert_eq!(one, run("4"), "{id} output must not depend on thread count (1 vs 4)");
+    assert_eq!(one, run("8"), "{id} output must not depend on thread count (1 vs 8)");
+}
+
+#[test]
+fn fleet_report_identical_at_1_4_8_threads() {
+    // The fleet runner fans its six scenarios across the pool; each
+    // scenario fans tag setup out with per-tag derived seeds and
+    // resolves the MAC in one sequential sweep over lazily drawn
+    // carrier streams. Rows are emitted in scenario order on the
+    // caller, so the report — calibration cells included — must be
+    // byte-identical at every thread count.
+    assert_fleet_runner_thread_invariant("fleet", "fleet —");
+}
+
+#[test]
+fn fleet_scale_report_identical_at_1_4_8_threads() {
+    // The four fleet sizes run in parallel and report in size order.
+    assert_fleet_runner_thread_invariant("fleet-scale", "fleet-scale —");
+}
+
+#[test]
+fn fleet_timeline_report_identical_at_1_4_8_threads() {
+    assert_fleet_runner_thread_invariant("fleet-timeline", "fleet-timeline —");
 }
 
 #[test]
