@@ -6,9 +6,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msc_dsp::corr::{
-    dc_estimate, normalized_corr, quantized_corr, sign_quantize, sliding_corr_direct,
-    sliding_corr_fft, PackedBits,
+    complex_sliding_corr, dc_estimate, normalized_corr, quantized_corr, sign_quantize,
+    sliding_corr_direct, sliding_corr_fft, PackedBits,
 };
+use msc_dsp::Complex64;
 
 /// Deterministic pseudo-random test signal (no rand dependency in the
 /// timed path).
@@ -27,6 +28,20 @@ fn test_signal(n: usize, seed: u64) -> Vec<f64> {
 fn sliding_corr_naive(signal: &[f64], template: &[f64]) -> Vec<f64> {
     let (n, l) = (signal.len(), template.len());
     (0..=n - l).map(|off| normalized_corr(&signal[off..off + l], template)).collect()
+}
+
+/// The pre-blocking complex direct path: one `acc + s * conj(p)` fold
+/// per offset.
+fn complex_corr_fold(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
+    let l = probe.len();
+    (0..=samples.len() - l)
+        .map(|off| {
+            samples[off..off + l]
+                .iter()
+                .zip(probe)
+                .fold(Complex64::ZERO, |acc, (&s, &p)| acc + s * p.conj())
+        })
+        .collect()
 }
 
 fn bench_packed(c: &mut Criterion) {
@@ -74,9 +89,33 @@ fn bench_fft_sliding(c: &mut Criterion) {
     group.finish();
 }
 
+/// The 802.11n sync search's shape: a 160-sample L-STF probe over a
+/// 5840-sample receive buffer, of which only the first 4000 offsets are
+/// scored. `fold_full_buffer` is the work before the search was sliced.
+fn bench_complex_sync(c: &mut Criterion) {
+    let mut group = c.benchmark_group("complex_sync_corr_5840x160");
+    let complex = |n: usize, seed: u64| -> Vec<Complex64> {
+        let (re, im) = (test_signal(n, seed), test_signal(n, seed + 1));
+        re.iter().zip(&im).map(|(&r, &i)| Complex64::new(r, i)).collect()
+    };
+    let samples = complex(5840, 7);
+    let probe = complex(160, 9);
+    let searched = &samples[..4000 + probe.len() - 1];
+    group.bench_function("fold_full_buffer", |bench| {
+        bench.iter(|| complex_corr_fold(black_box(&samples), black_box(&probe)))
+    });
+    group.bench_function("fold_first_4000", |bench| {
+        bench.iter(|| complex_corr_fold(black_box(searched), black_box(&probe)))
+    });
+    group.bench_function("dispatched_first_4000", |bench| {
+        bench.iter(|| complex_sliding_corr(black_box(searched), black_box(&probe)))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_packed, bench_sliding, bench_fft_sliding
+    targets = bench_packed, bench_sliding, bench_fft_sliding, bench_complex_sync
 }
 criterion_main!(benches);

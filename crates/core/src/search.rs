@@ -91,6 +91,7 @@ pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
         let cell = format!("id/{label}");
         let cellh = msc_par::hash_label(&cell);
         msc_par::par_map_indexed(traces.len(), |i| {
+            let _score = msc_obs::profile::scope("id.score");
             let t = &traces[i];
             msc_obs::flight::begin_trial(
                 &experiment,
@@ -118,6 +119,9 @@ pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
     } else {
         let n_chunks = traces.len().div_ceil(SCORE_CHUNK);
         let chunks: Vec<Vec<Option<LabeledScores>>> = msc_par::par_map_indexed(n_chunks, |c| {
+            // Opened per item, inside the pool worker, so scoring time
+            // lands here rather than in `par.worker`.
+            let _score = msc_obs::profile::scope("id.score");
             let lo = c * SCORE_CHUNK;
             let hi = (lo + SCORE_CHUNK).min(traces.len());
             let chunk = &traces[lo..hi];
@@ -396,6 +400,7 @@ pub fn search_ordered_rule(data: &[LabeledScores], grid: &[f64]) -> SearchResult
     // order, and the strictly-greater fold below picks the same winner
     // (earliest maximum) the sequential loop picked.
     let tuned: Vec<(OrderedRule, f64)> = msc_par::par_map(&permutations(), |order| {
+        let _search = msc_obs::profile::scope("id.search");
         TUNE_SCRATCH.with(|cell| tune_order(order, &views, &total, grid, &mut cell.borrow_mut()))
     });
     let mut best: Option<(OrderedRule, f64)> = None;

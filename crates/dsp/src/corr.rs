@@ -391,9 +391,9 @@ fn probe_spectrum(fft: &Fft, m: usize, probe: &[Complex64]) -> Rc<Vec<Complex64>
 /// Complex sliding cross-correlation: `out[off] = Σ_i samples[off+i] ·
 /// conj(probe[i])` for every full-overlap offset. This is the inner sum
 /// of a matched filter; callers normalize by energies themselves. Uses
-/// the FFT when the sizes justify it, a direct loop otherwise; the FFT
-/// path memoizes the probe's spectrum per thread (see
-/// [`probe_spectrum`]).
+/// the FFT when the sizes justify it, the blocked direct kernel
+/// ([`complex_sliding_corr_direct`]) otherwise; the FFT path memoizes
+/// the probe's spectrum per thread (see [`probe_spectrum`]).
 pub fn complex_sliding_corr(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
     if probe.is_empty() || samples.len() < probe.len() {
         return Vec::new();
@@ -401,14 +401,7 @@ pub fn complex_sliding_corr(samples: &[Complex64], probe: &[Complex64]) -> Vec<C
     let n = samples.len();
     let l = probe.len();
     if !fft_pays_off(n, l) {
-        return (0..=n - l)
-            .map(|off| {
-                samples[off..off + l]
-                    .iter()
-                    .zip(probe)
-                    .fold(Complex64::ZERO, |acc, (&s, &p)| acc + s * p.conj())
-            })
-            .collect();
+        return complex_sliding_corr_direct(samples, probe);
     }
     let m = next_pow2(n + l);
     let fft = plan::fft_plan(m);
@@ -421,6 +414,103 @@ pub fn complex_sliding_corr(samples: &[Complex64], probe: &[Complex64]) -> Vec<C
     }
     fft.inverse(&mut sa);
     sa[..=n - l].to_vec()
+}
+
+/// Offsets the blocked direct kernel computes per pass.
+const CORR_BLOCK: usize = 8;
+
+/// [`complex_sliding_corr`]'s direct O(N·L) path, whatever the sizes.
+///
+/// Every offset equals the reference fold
+/// `Σ acc + samples[off+i] · conj(probe[i])` bit for bit (`to_bits` on
+/// both parts). Full blocks of eight offsets run a runtime-gated AVX
+/// kernel that keeps eight independent accumulators and reads each
+/// probe tap once per block; it multiplies and adds separately (no FMA)
+/// in the fold's order, so each lane performs the fold's exact IEEE
+/// operations. Leftover offsets, and hosts without AVX, take the scalar
+/// fold ([`complex_sliding_corr_scalar`]).
+pub fn complex_sliding_corr_direct(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
+    if probe.is_empty() || samples.len() < probe.len() {
+        return Vec::new();
+    }
+    let n_off = samples.len() - probe.len() + 1;
+    let mut out = vec![Complex64::ZERO; n_off];
+    let mut blocked = 0;
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::avx_available() {
+        blocked = n_off - n_off % CORR_BLOCK;
+        // SAFETY: AVX support was just probed at runtime; the kernel
+        // asserts its own bounds.
+        unsafe { corr_blocks_avx(samples, probe, &mut out[..blocked]) };
+    }
+    corr_fold_into(samples, probe, blocked, &mut out[blocked..]);
+    out
+}
+
+/// [`complex_sliding_corr_direct`] with the AVX kernel switched off:
+/// the scalar reference fold at every offset.
+pub fn complex_sliding_corr_scalar(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
+    if probe.is_empty() || samples.len() < probe.len() {
+        return Vec::new();
+    }
+    let mut out = vec![Complex64::ZERO; samples.len() - probe.len() + 1];
+    corr_fold_into(samples, probe, 0, &mut out);
+    out
+}
+
+/// The reference fold for offsets `first..first + out.len()`.
+fn corr_fold_into(samples: &[Complex64], probe: &[Complex64], first: usize, out: &mut [Complex64]) {
+    for (k, o) in out.iter_mut().enumerate() {
+        let off = first + k;
+        *o = samples[off..off + probe.len()]
+            .iter()
+            .zip(probe)
+            .fold(Complex64::ZERO, |acc, (&s, &p)| acc + s * p.conj());
+    }
+}
+
+/// The first `out.len()` offsets of the correlation, in AVX blocks of
+/// [`CORR_BLOCK`] offsets. Panics unless `out.len()` is a multiple of
+/// the block and every block's window lies inside `samples`.
+///
+/// One `__m256d` holds two adjacent offsets' samples as
+/// `[re im re im]`. Per tap, with `p̄ = conj(p) = (c, d)`, the lanes
+/// compute `[re·c, im·c]` and, from the lane-swapped samples,
+/// `[im·d, re·d]`; `addsub` gives `(re·c − im·d, im·c + re·d)`, which is
+/// `Complex64`'s `s · p̄` (IEEE addition commutes), and a separate add
+/// accumulates it, as the fold's `acc + s · p̄` does.
+///
+/// # Safety
+///
+/// The CPU must support AVX (`simd::avx_available()`).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn corr_blocks_avx(samples: &[Complex64], probe: &[Complex64], out: &mut [Complex64]) {
+    use std::arch::x86_64::*;
+    // The last block reads samples[out.len() - 1 + probe.len() - 1].
+    assert!(out.len().is_multiple_of(CORR_BLOCK));
+    assert!(out.len() + probe.len() <= samples.len() + 1);
+    // repr(C) Complex64: (re, im) pairs are contiguous f64s.
+    let s = samples.as_ptr() as *const f64;
+    for (b, block) in out.chunks_exact_mut(CORR_BLOCK).enumerate() {
+        let mut acc = [_mm256_setzero_pd(); CORR_BLOCK / 2];
+        let base = s.add(2 * b * CORR_BLOCK);
+        for (i, p) in probe.iter().enumerate() {
+            let c = _mm256_set1_pd(p.re);
+            let d = _mm256_set1_pd(-p.im);
+            let at = base.add(2 * i);
+            for (j, a) in acc.iter_mut().enumerate() {
+                let v = _mm256_loadu_pd(at.add(4 * j));
+                let by_c = _mm256_mul_pd(v, c);
+                let swapped_by_d = _mm256_mul_pd(_mm256_permute_pd::<0b0101>(v), d);
+                *a = _mm256_add_pd(*a, _mm256_addsub_pd(by_c, swapped_by_d));
+            }
+        }
+        let o = block.as_mut_ptr() as *mut f64;
+        for (j, a) in acc.iter().enumerate() {
+            _mm256_storeu_pd(o.add(4 * j), *a);
+        }
+    }
 }
 
 /// Per-offset signal energies for a sliding window of length `l`:

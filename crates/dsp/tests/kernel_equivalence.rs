@@ -1,12 +1,14 @@
 //! Property-based equivalence between the fast correlation kernels and
 //! their reference formulations: whatever inputs arrive, the bit-packed,
-//! prefix-sum, and FFT paths must agree with the scalar / per-offset /
-//! direct code they replaced.
+//! prefix-sum, FFT and blocked complex paths must agree with the scalar /
+//! per-offset / direct code they replaced.
 
 use msc_dsp::corr::{
+    complex_sliding_corr, complex_sliding_corr_direct, complex_sliding_corr_scalar,
     normalized_corr, quantized_corr, sign_quantize, sliding_corr, sliding_corr_direct,
     sliding_corr_fft, PackedBits,
 };
+use msc_dsp::Complex64;
 use proptest::prelude::*;
 
 /// The pre-rewrite sliding correlation: a full `normalized_corr` per
@@ -14,6 +16,56 @@ use proptest::prelude::*;
 fn sliding_corr_naive(signal: &[f64], template: &[f64]) -> Vec<f64> {
     let l = template.len();
     (0..=signal.len() - l).map(|off| normalized_corr(&signal[off..off + l], template)).collect()
+}
+
+/// The pre-blocking complex direct path: one `acc + s * conj(p)` fold per
+/// offset.
+fn complex_corr_fold(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
+    let l = probe.len();
+    (0..=samples.len() - l)
+        .map(|off| {
+            samples[off..off + l]
+                .iter()
+                .zip(probe)
+                .fold(Complex64::ZERO, |acc, (&s, &p)| acc + s * p.conj())
+        })
+        .collect()
+}
+
+/// The first offset where two correlation outputs differ in a bit of
+/// either part, or a length mismatch.
+fn first_bit_mismatch(got: &[Complex64], want: &[Complex64]) -> Option<String> {
+    if got.len() != want.len() {
+        return Some(format!("length {} vs {}", got.len(), want.len()));
+    }
+    got.iter().zip(want).enumerate().find_map(|(off, (g, w))| {
+        (g.re.to_bits() != w.re.to_bits() || g.im.to_bits() != w.im.to_bits())
+            .then(|| format!("offset {off}: {g:?} vs {w:?}"))
+    })
+}
+
+/// Samples long enough for `n_off` offsets of an `l`-tap probe, cycled
+/// from `raw` with a slowly growing real-part scale.
+fn complex_samples(raw: &[(f64, f64)], n_off: usize, l: usize) -> Vec<Complex64> {
+    (0..n_off + l - 1)
+        .map(|k| {
+            let (r, i) = raw[k % raw.len()];
+            Complex64::new(r * (1.0 + k as f64 / 97.0), i)
+        })
+        .collect()
+}
+
+/// Checks the dispatched, direct and forced-scalar complex correlators
+/// against the reference fold, `to_bits`.
+fn check_complex_corr(samples: &[Complex64], probe: &[Complex64]) -> Option<String> {
+    let want = complex_corr_fold(samples, probe);
+    [
+        ("dispatched", complex_sliding_corr(samples, probe)),
+        ("direct", complex_sliding_corr_direct(samples, probe)),
+        ("scalar", complex_sliding_corr_scalar(samples, probe)),
+    ]
+    .into_iter()
+    .find_map(|(path, got)| first_bit_mismatch(&got, &want).map(|m| format!("{path} {m}")))
 }
 
 proptest! {
@@ -95,5 +147,49 @@ proptest! {
         for (off, (a, n)) in auto.iter().zip(&naive).enumerate() {
             prop_assert!((a - n).abs() <= 1e-9, "offset {}: {} vs {}", off, a, n);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn blocked_complex_corr_is_bit_identical_to_fold(
+        probe in prop::collection::vec((-2.0f64..2.0, -2.0f64..2.0), 1..=200),
+        raw in prop::collection::vec((-3.0f64..3.0, -3.0f64..3.0), 64..=256),
+        blocks in 0usize..6,
+    ) {
+        let probe: Vec<Complex64> = probe.iter().map(|&(r, i)| Complex64::new(r, i)).collect();
+        // Every residue of the offset count mod 8 (the AVX kernel's block
+        // size), plus a single offset (samples exactly as long as the
+        // probe); the one-tap prefix of the probe rides along.
+        for l in [probe.len(), 1] {
+            for n_off in std::iter::once(1).chain((0..8).map(|r| 8 * blocks + r)).filter(|&n| n > 0) {
+                let mismatch = check_complex_corr(&complex_samples(&raw, n_off, l), &probe[..l]);
+                prop_assert!(mismatch.is_none(), "l={} n_off={}: {:?}", l, n_off, mismatch);
+            }
+        }
+    }
+}
+
+#[test]
+fn complex_corr_edge_sizes() {
+    let raw: Vec<(f64, f64)> =
+        (0..173).map(|k| ((k as f64 * 0.37).sin(), (k as f64 * 1.13).cos())).collect();
+    let probe_of = |l: usize| -> Vec<Complex64> {
+        (0..l).map(|i| Complex64::new((i as f64 * 0.71).cos(), -(i as f64 * 0.29).sin())).collect()
+    };
+    // The longest probe the property draws, and the 802.11n L-STF length.
+    for l in [200, 160] {
+        for n_off in [1, 7, 8, 9, 8 * 5 + 3] {
+            let mismatch = check_complex_corr(&complex_samples(&raw, n_off, l), &probe_of(l));
+            assert!(mismatch.is_none(), "l={l} n_off={n_off}: {mismatch:?}");
+        }
+    }
+    let samples = complex_samples(&raw, 16, 1);
+    for corr in [complex_sliding_corr, complex_sliding_corr_direct, complex_sliding_corr_scalar] {
+        assert!(corr(&samples, &[]).is_empty(), "empty probe");
+        assert!(corr(&samples[..3], &samples[..4]).is_empty(), "samples shorter than probe");
+        assert!(corr(&[], &[]).is_empty(), "both empty");
     }
 }

@@ -101,13 +101,14 @@ impl WifiNConfig {
     }
 }
 
-/// A decoded 802.11n frame.
+/// An 802.11n frame demodulated to its data symbols: sync, channel
+/// estimate, HT-SIG and the per-symbol demap, before the BCC stage.
 #[derive(Clone, Debug)]
-pub struct WifiNDecoded {
+pub struct WifiNSymbols {
     /// MCS signaled in HT-SIG.
     pub mcs: Mcs,
-    /// Decoded (descrambled) PSDU bits.
-    pub psdu_bits: Vec<u8>,
+    /// PSDU length signaled in HT-SIG, in bits.
+    pub length: usize,
     /// Whether HT-SIG verified.
     pub htsig_ok: bool,
     /// Raw demapped coded bits per data symbol (pre-deinterleave), the
@@ -117,6 +118,16 @@ pub struct WifiNDecoded {
     pub symbol_points: Vec<Vec<Complex64>>,
     /// Index of the first data-symbol sample in the buffer.
     pub data_start: usize,
+}
+
+/// A decoded 802.11n frame: the demodulated symbols plus the PSDU the
+/// BCC stage recovers from them.
+#[derive(Clone, Debug)]
+pub struct WifiNDecoded {
+    /// Decoded (descrambled) PSDU bits.
+    pub psdu_bits: Vec<u8>,
+    /// The symbol-level demodulation the PSDU was decoded from.
+    pub symbols: WifiNSymbols,
 }
 
 /// Builds the deterministic preamble waveform (L-STF through HT-LTF) so
@@ -306,29 +317,37 @@ impl WifiNModulator {
 #[derive(Clone, Debug)]
 pub struct WifiNDemodulator {
     eng: OfdmEngine,
+    /// The legacy preamble (L-STF + L-LTF) sync matched-filters against,
+    /// built once.
+    preamble: Vec<Complex64>,
 }
+
+/// Sync offsets [`WifiNDemodulator`] searches, at most.
+const SYNC_SEARCH: usize = 4000;
 
 impl WifiNDemodulator {
     /// Creates a demodulator.
     pub fn new() -> Self {
-        WifiNDemodulator { eng: OfdmEngine::new() }
+        let eng = OfdmEngine::new();
+        let preamble = preamble_samples(&eng);
+        WifiNDemodulator { eng, preamble }
     }
 
     /// Matched-filter sync against the deterministic legacy preamble.
+    /// Scores the first `min(len − 320, 4000)` offsets, so only the
+    /// samples those windows cover are correlated.
     fn find_sync(&self, samples: &[Complex64]) -> Option<usize> {
-        let pre = preamble_samples(&self.eng);
-        let probe = &pre[..160]; // L-STF
-        if samples.len() < pre.len() + SYM_LEN {
+        let probe = &self.preamble[..160]; // L-STF
+        if samples.len() < self.preamble.len() + SYM_LEN {
             return None;
         }
         let probe_energy: f64 = probe.iter().map(|s| s.norm_sqr()).sum();
         let mut best = (0usize, 0.0f64);
-        let limit = (samples.len() - pre.len()).min(4000);
-        // FFT matched filter + prefix-sum energies (msc_dsp kernels)
-        // instead of the former O(N·L) per-offset loop.
-        let accs = msc_dsp::corr::complex_sliding_corr(samples, probe);
-        let energies = msc_dsp::corr::sliding_energy(samples, probe.len());
-        for (off, (acc, &sig_energy)) in accs.iter().zip(&energies).enumerate().take(limit) {
+        let limit = (samples.len() - self.preamble.len()).min(SYNC_SEARCH);
+        let searched = &samples[..limit + probe.len() - 1];
+        let accs = msc_dsp::corr::complex_sliding_corr(searched, probe);
+        let energies = msc_dsp::corr::sliding_energy(searched, probe.len());
+        for (off, (acc, &sig_energy)) in accs.iter().zip(&energies).enumerate() {
             let denom = (probe_energy * sig_energy).sqrt();
             if denom > 1e-20 {
                 let score = acc.abs() / denom;
@@ -421,8 +440,20 @@ impl WifiNDemodulator {
         phase * 20e6 / (std::f64::consts::TAU * lag as f64)
     }
 
-    /// Demodulates a frame, correcting carrier frequency offset first.
+    /// Demodulates a frame, correcting carrier frequency offset first:
+    /// [`Self::demodulate_symbols`], then the BCC stage (deinterleave,
+    /// depuncture + Viterbi, descramble) for the PSDU.
     pub fn demodulate(&self, buf: &IqBuf) -> Result<WifiNDecoded, DecodeError> {
+        let symbols = self.demodulate_symbols(buf)?;
+        let psdu_bits = decode_bcc(&symbols);
+        Ok(WifiNDecoded { psdu_bits, symbols })
+    }
+
+    /// Demodulates a frame up to its per-symbol demapped bits: CFO
+    /// correction, sync, channel estimate, HT-SIG, then equalize and
+    /// demap each data symbol. Readers of raw symbols (the overlay
+    /// decoder) stop here and skip the BCC stage.
+    pub fn demodulate_symbols(&self, buf: &IqBuf) -> Result<WifiNSymbols, DecodeError> {
         if buf.mean_power() < 1e-20 {
             return Err(DecodeError::SignalTooWeak);
         }
@@ -482,11 +513,9 @@ impl WifiNDemodulator {
         let total_bits = 16 + length as usize + 6;
         let n_syms = total_bits.div_ceil(n_dbps);
         let c = mcs.constellation();
-        let n_cbps = mcs.n_cbps();
 
         let mut raw_symbol_bits = Vec::with_capacity(n_syms);
         let mut symbol_points = Vec::with_capacity(n_syms);
-        let mut coded_stream = Vec::with_capacity(n_syms * n_cbps);
         // Continuous CPE tracking: the per-symbol pilot estimate folds to
         // (−π/2, π/2], so residual-CFO drift that crosses that boundary
         // would flip a whole symbol. Unwrap against the previous symbol's
@@ -512,28 +541,45 @@ impl WifiNDemodulator {
             let folded = self.eng.pilot_cpe(&pilots, 3 + s);
             cpe_track += fold_pi(folded - cpe_track);
             let cpe = cpe_track;
-            let raw = self.eng.demap(&data, cpe, c);
-            coded_stream.extend(deinterleave_stream(&raw, n_cbps, c.bits_per_symbol()));
-            raw_symbol_bits.push(raw);
+            raw_symbol_bits.push(self.eng.demap(&data, cpe, c));
             symbol_points.push(data);
         }
-        let decoded = match mcs.puncture() {
-            Puncture::R12 => viterbi_decode(&coded_stream),
-            p => {
-                // A rate-k/n puncture delivers k data bits per n kept
-                // coded bits, and the rate-1/2 mother stream is twice
-                // the data length: original = kept · 2k / n.
-                let (k, n2) = p.rate();
-                let original_len = coded_stream.len() * 2 * k / n2;
-                viterbi_decode_erasures(&depuncture(&coded_stream, p, original_len))
-            }
-        };
-        let descrambled = scramble_11a(&decoded, 0x5D);
-        let psdu_end = (16 + length as usize).min(descrambled.len());
-        let psdu_bits = descrambled[16.min(descrambled.len())..psdu_end].to_vec();
-
-        Ok(WifiNDecoded { mcs, psdu_bits, htsig_ok, raw_symbol_bits, symbol_points, data_start })
+        Ok(WifiNSymbols {
+            mcs,
+            length: length as usize,
+            htsig_ok,
+            raw_symbol_bits,
+            symbol_points,
+            data_start,
+        })
     }
+}
+
+/// The BCC stage of [`WifiNDemodulator::demodulate`]: deinterleaves the
+/// demapped symbols, depunctures and Viterbi-decodes them, descrambles,
+/// and cuts out the signaled PSDU.
+fn decode_bcc(symbols: &WifiNSymbols) -> Vec<u8> {
+    let mcs = symbols.mcs;
+    let n_cbps = mcs.n_cbps();
+    let bits_per_point = mcs.constellation().bits_per_symbol();
+    let mut coded_stream = Vec::with_capacity(symbols.raw_symbol_bits.len() * n_cbps);
+    for raw in &symbols.raw_symbol_bits {
+        coded_stream.extend(deinterleave_stream(raw, n_cbps, bits_per_point));
+    }
+    let decoded = match mcs.puncture() {
+        Puncture::R12 => viterbi_decode(&coded_stream),
+        p => {
+            // A rate-k/n puncture delivers k data bits per n kept
+            // coded bits, and the rate-1/2 mother stream is twice
+            // the data length: original = kept · 2k / n.
+            let (k, n2) = p.rate();
+            let original_len = coded_stream.len() * 2 * k / n2;
+            viterbi_decode_erasures(&depuncture(&coded_stream, p, original_len))
+        }
+    };
+    let descrambled = scramble_11a(&decoded, 0x5D);
+    let psdu_end = (16 + symbols.length).min(descrambled.len());
+    descrambled[16.min(descrambled.len())..psdu_end].to_vec()
 }
 
 impl Default for WifiNDemodulator {
@@ -561,22 +607,22 @@ mod tests {
     #[test]
     fn clean_round_trip_mcs0() {
         let (bits, dec) = round_trip(Mcs::Mcs0, 256, 31);
-        assert_eq!(dec.mcs, Mcs::Mcs0);
-        assert!(dec.htsig_ok);
+        assert_eq!(dec.symbols.mcs, Mcs::Mcs0);
+        assert!(dec.symbols.htsig_ok);
         assert_eq!(ber(&bits, &dec.psdu_bits), 0.0);
     }
 
     #[test]
     fn clean_round_trip_mcs1_qpsk() {
         let (bits, dec) = round_trip(Mcs::Mcs1, 512, 32);
-        assert_eq!(dec.mcs, Mcs::Mcs1);
+        assert_eq!(dec.symbols.mcs, Mcs::Mcs1);
         assert_eq!(ber(&bits, &dec.psdu_bits), 0.0);
     }
 
     #[test]
     fn clean_round_trip_mcs3_16qam() {
         let (bits, dec) = round_trip(Mcs::Mcs3, 1024, 33);
-        assert_eq!(dec.mcs, Mcs::Mcs3);
+        assert_eq!(dec.symbols.mcs, Mcs::Mcs3);
         assert_eq!(ber(&bits, &dec.psdu_bits), 0.0);
     }
 
@@ -621,13 +667,13 @@ mod tests {
         let ref_bits = random_bits(&mut rng, 48 * 2); // two reference symbols
         let tx = modu.modulate_overlay_carrier(&ref_bits, 4);
         let dec = WifiNDemodulator::new().demodulate(&tx).expect("decode");
-        assert_eq!(dec.raw_symbol_bits.len(), 8);
+        assert_eq!(dec.symbols.raw_symbol_bits.len(), 8);
         // Each group of 4 raw symbols must be identical and equal to the
         // reference bits.
         for g in 0..2 {
             for k in 0..4 {
                 assert_eq!(
-                    dec.raw_symbol_bits[g * 4 + k],
+                    dec.symbols.raw_symbol_bits[g * 4 + k],
                     ref_bits[g * 48..(g + 1) * 48].to_vec(),
                     "group {g} copy {k}"
                 );
@@ -642,7 +688,7 @@ mod tests {
             let bits = random_bits(&mut rng, n_bits);
             let tx = WifiNModulator::new(WifiNConfig { mcs }).modulate(&bits);
             let dec = WifiNDemodulator::new().demodulate(&tx).expect("decode");
-            assert_eq!(dec.mcs, mcs);
+            assert_eq!(dec.symbols.mcs, mcs);
             assert_eq!(ber(&bits, &dec.psdu_bits), 0.0, "{mcs:?}");
         }
     }
@@ -678,5 +724,122 @@ mod tests {
         let tx = WifiNModulator::new(WifiNConfig::default()).modulate(&bits);
         let want = (160 + 160 + 80 * 3 + 80 + 80 + 4 * 80) as f64 / 20e6;
         assert!((tx.duration() - want).abs() < 1e-9, "duration {}", tx.duration());
+    }
+
+    /// The pre-slicing sync search, kept as an oracle: it correlates the
+    /// whole buffer against a freshly built preamble and then scores
+    /// only the first `min(len − 320, 4000)` offsets.
+    fn find_sync_full_buffer(samples: &[Complex64]) -> Option<usize> {
+        let pre = preamble_samples(&OfdmEngine::new());
+        let probe = &pre[..160];
+        if samples.len() < pre.len() + SYM_LEN {
+            return None;
+        }
+        let probe_energy: f64 = probe.iter().map(|s| s.norm_sqr()).sum();
+        let mut best = (0usize, 0.0f64);
+        let limit = (samples.len() - pre.len()).min(4000);
+        let accs = msc_dsp::corr::complex_sliding_corr(samples, probe);
+        let energies = msc_dsp::corr::sliding_energy(samples, probe.len());
+        for (off, (acc, &sig_energy)) in accs.iter().zip(&energies).enumerate().take(limit) {
+            let denom = (probe_energy * sig_energy).sqrt();
+            if denom > 1e-20 {
+                let score = acc.abs() / denom;
+                if score > best.1 {
+                    best = (off, score);
+                }
+            }
+        }
+        if best.1 > 0.6 {
+            Some(best.0)
+        } else {
+            None
+        }
+    }
+
+    /// `frame` placed `at` samples into a `len`-sample buffer (truncated
+    /// at the end), plus uniform complex noise `snr_db` below the
+    /// frame's mean power.
+    fn noisy_buffer(
+        frame: &IqBuf,
+        at: usize,
+        len: usize,
+        snr_db: f64,
+        seed: u64,
+    ) -> Vec<Complex64> {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Uniform on (−a, a) per component has power 2a²/3.
+        let noise_power = frame.mean_power() / 10f64.powf(snr_db / 10.0);
+        let a = (1.5 * noise_power).sqrt();
+        let mut out = vec![Complex64::ZERO; len];
+        for (o, &s) in out[at.min(len)..].iter_mut().zip(frame.samples()) {
+            *o = s;
+        }
+        for o in &mut out {
+            *o += Complex64::new(rng.gen_range(-a..a), rng.gen_range(-a..a));
+        }
+        out
+    }
+
+    #[test]
+    fn sliced_sync_matches_full_buffer_search() {
+        let demod = WifiNDemodulator::new();
+        let frame = WifiNModulator::new(WifiNConfig::default())
+            .modulate(&random_bits(&mut StdRng::seed_from_u64(40), 320));
+        let mut found = 0;
+        for (k, snr_db) in [-5.0, 0.0, 5.0, 10.0, 15.0, 20.0].into_iter().enumerate() {
+            for at in [0usize, 37, 3990] {
+                let len = at + frame.len() + 300;
+                let buf = noisy_buffer(&frame, at, len, snr_db, 41 + k as u64 * 7 + at as u64);
+                let got = demod.find_sync(&buf);
+                assert_eq!(got, find_sync_full_buffer(&buf), "snr {snr_db} dB, frame at {at}");
+                found += usize::from(got == Some(at));
+            }
+        }
+        // The oracle comparison must not be vacuous: clean-enough frames
+        // sync exactly.
+        assert!(found >= 12, "only {found} of 18 exact syncs");
+
+        // Past the searched range: a clean frame at 4500 outscores the
+        // weak in-range copy at 120, yet both searches keep to the first
+        // 4000 offsets and pick the copy.
+        let mut buf = noisy_buffer(&frame, 4500, 4500 + frame.len(), 30.0, 50);
+        for (o, &s) in buf[120..].iter_mut().zip(frame.samples()) {
+            *o += s.scale(0.3);
+        }
+        assert!(buf.len() > 4000 + LEGACY_TRAIN_LEN);
+        let got = demod.find_sync(&buf);
+        assert_eq!(got, find_sync_full_buffer(&buf));
+        assert_eq!(got, Some(120));
+        // With no in-range copy at all, both report no sync.
+        let only_far = noisy_buffer(&frame, 4500, 4500 + frame.len(), 30.0, 51);
+        assert_eq!(demod.find_sync(&only_far), None);
+        assert_eq!(find_sync_full_buffer(&only_far), None);
+    }
+
+    #[test]
+    fn symbol_stage_matches_full_demodulation() {
+        let demod = WifiNDemodulator::new();
+        for (k, mcs) in
+            [Mcs::Mcs0, Mcs::Mcs1, Mcs::Mcs2, Mcs::Mcs3, Mcs::Mcs4].into_iter().enumerate()
+        {
+            let bits = random_bits(&mut StdRng::seed_from_u64(60 + k as u64), 432);
+            let frame = WifiNModulator::new(WifiNConfig { mcs }).modulate(&bits);
+            let noisy = noisy_buffer(&frame, 25, frame.len() + 80, 18.0, 70 + k as u64);
+            let rx = IqBuf::new(noisy, frame.rate());
+            let full = demod.demodulate(&rx).expect("decode").symbols;
+            let syms = demod.demodulate_symbols(&rx).expect("demodulate symbols");
+            assert_eq!(syms.mcs, mcs);
+            assert_eq!(
+                (syms.mcs, syms.length, syms.htsig_ok),
+                (full.mcs, full.length, full.htsig_ok)
+            );
+            assert_eq!(syms.data_start, full.data_start, "{mcs:?}");
+            assert_eq!(syms.raw_symbol_bits, full.raw_symbol_bits, "{mcs:?}");
+            let bits_of = |pts: &[Vec<Complex64>]| -> Vec<(u64, u64)> {
+                pts.iter().flatten().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits_of(&syms.symbol_points), bits_of(&full.symbol_points), "{mcs:?}");
+        }
     }
 }

@@ -100,7 +100,9 @@ impl WifiNOverlayLink {
     }
 
     fn decode_inner(&self, rx: &IqBuf) -> Result<OverlayDecoded, DecodeError> {
-        let decoded = self.demodulator.demodulate(rx)?;
+        // Overlay payloads are raw constellation bits, not BCC codewords:
+        // the demapped symbols are all the decoder reads.
+        let decoded = self.demodulator.demodulate_symbols(rx)?;
         let syms = &decoded.raw_symbol_bits;
         let kappa = self.params.kappa;
         let gamma = self.params.gamma;

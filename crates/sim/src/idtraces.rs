@@ -79,11 +79,17 @@ pub fn generate_traces_at(
     // n == 0 case returns above, so the division is well-defined and
     // the quotient stays in 0..4.)
     msc_par::par_map_indexed(n_per_protocol * 4, |i| {
+        // Frames open per item, inside the pool worker, so the time
+        // lands under these names rather than in `par.worker`.
+        let _gen = msc_obs::profile::scope("id.trace_gen");
         let p = Protocol::ALL[i / n_per_protocol];
         let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
         let wave = random_packet(p, &mut rng);
         let incident = rng.gen_range(incident_dbm.clone());
-        let acquired = front_end.acquire(&mut rng, &wave, incident);
+        let acquired = {
+            let _acq = msc_obs::profile::scope("id.acquire");
+            front_end.acquire(&mut rng, &wave, incident)
+        };
         let jitter = rng.gen_range(-max_jitter..=max_jitter);
         Trace { truth: p, acquired, jitter }
     })

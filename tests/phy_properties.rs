@@ -34,7 +34,7 @@ proptest! {
         let tx = WifiNModulator::new(WifiNConfig { mcs }).modulate(&bits);
         let rx = WifiNDemodulator::new().demodulate(&tx).unwrap();
         prop_assert_eq!(rx.psdu_bits, bits);
-        prop_assert_eq!(rx.mcs, mcs);
+        prop_assert_eq!(rx.symbols.mcs, mcs);
     }
 
     #[test]
