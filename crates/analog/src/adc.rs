@@ -36,12 +36,15 @@ impl Adc {
 
     /// Quantizes one voltage to a code (saturating).
     pub fn quantize(&self, v: f64) -> u32 {
-        let max_code = self.codes() - 1;
-        let x = (v / self.v_ref * self.codes() as f64).floor();
+        let codes = self.codes() as f64;
+        let x = v / self.v_ref * codes;
+        // `floor(x) < 0` iff `x < 0`, `floor(x) > codes − 1` iff
+        // `x >= codes`, and in between truncation is `floor`: the same
+        // codes as flooring first, without a libm call per sample.
         if x < 0.0 {
             0
-        } else if x > max_code as f64 {
-            max_code
+        } else if x >= codes {
+            self.codes() - 1
         } else {
             x as u32
         }
@@ -49,15 +52,20 @@ impl Adc {
 
     /// Code → reconstructed voltage (mid-rise).
     pub fn dequantize(&self, code: u32) -> f64 {
-        (code as f64 + 0.5) / self.codes() as f64 * self.v_ref
+        // `codes` is a power of two, so multiplying by its reciprocal is
+        // exactly the division by it, without a division per sample.
+        (code as f64 + 0.5) * (1.0 / self.codes() as f64) * self.v_ref
     }
 
     /// Samples an analog voltage sequence captured at `input_rate` down
     /// to the ADC rate and quantizes. Returns reconstructed voltages
     /// (quantization applied), which is what the FPGA matcher consumes.
     pub fn sample(&self, analog: &[f64], input_rate: SampleRate) -> Vec<f64> {
-        let resampled = resample_linear(analog, input_rate, self.rate);
-        resampled.into_iter().map(|v| self.dequantize(self.quantize(v))).collect()
+        let mut out = resample_linear(analog, input_rate, self.rate);
+        for v in &mut out {
+            *v = self.dequantize(self.quantize(*v));
+        }
+        out
     }
 
     /// Power draw in mW, scaling linearly with sample rate from the
@@ -107,6 +115,41 @@ mod tests {
         assert_eq!(adc.quantize(2.0), 15);
         assert_eq!(adc.quantize(0.1), 1); // 0.1/1.6*16 = 1.0
         assert!((adc.dequantize(1) - 0.15).abs() < 1e-12);
+    }
+
+    #[test]
+    fn dequantize_matches_division_bitwise() {
+        for bits in 1..=16 {
+            for v_ref in [1.0, 0.37, 1.1e-6, 3.3] {
+                let adc = Adc { rate: SampleRate::ADC_FULL, bits, v_ref };
+                for code in 0..adc.codes() {
+                    let divided = (code as f64 + 0.5) / adc.codes() as f64 * v_ref;
+                    assert_eq!(adc.dequantize(code).to_bits(), divided.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_floor_definition() {
+        let adc = Adc { rate: SampleRate::ADC_FULL, bits: 9, v_ref: 0.3 };
+        let floor_quantize = |v: f64| {
+            let max_code = adc.codes() - 1;
+            let x = (v / adc.v_ref * adc.codes() as f64).floor();
+            if x < 0.0 {
+                0
+            } else if x > max_code as f64 {
+                max_code
+            } else {
+                x as u32
+            }
+        };
+        let edges = [-1.0, -1e-300, -0.0, 0.0, 1e-300, 0.3, 0.3 * 511.0 / 512.0, 0.29999, 1.0];
+        let sweep = (0..10_000).map(|i| i as f64 * 4e-5 - 0.05);
+        for v in edges.into_iter().chain(sweep).chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
+        {
+            assert_eq!(adc.quantize(v), floor_quantize(v), "v {v}");
+        }
     }
 
     #[test]

@@ -95,6 +95,15 @@ impl Rectifier {
     /// Runs the rectifier over an envelope sequence at `rate`, returning
     /// the output voltage sequence. `rng` supplies ripple noise.
     pub fn run<R: Rng>(&self, rng: &mut R, envelope: &[f64], rate: SampleRate) -> Vec<f64> {
+        let mut out = envelope.to_vec();
+        self.run_in_place(rng, &mut out, rate);
+        out
+    }
+
+    /// [`Rectifier::run`] over a buffer that holds the envelope on entry
+    /// and the output voltages on return. Draws one ripple sample per
+    /// element, in order.
+    pub fn run_in_place<R: Rng>(&self, rng: &mut R, buf: &mut [f64], rate: SampleRate) {
         let dt = rate.period();
         // Per-step smoothing coefficients.
         let a_charge = 1.0 - (-dt / self.tau_charge).exp();
@@ -102,20 +111,17 @@ impl Rectifier {
         // Ripple fraction of the output voltage.
         let ripple = (1.0 / (self.f_carrier * self.tau)).min(0.2);
         let mut v = 0.0f64;
-        envelope
-            .iter()
-            .map(|&e| {
-                let drive = self.drive(e.max(0.0));
-                let target = (drive - self.v_on).max(0.0);
-                if target > v {
-                    v += (target - v) * a_charge;
-                } else {
-                    v -= v * a_dis;
-                }
-                let noise = v * ripple * rng.gen_range(-0.5..0.5);
-                (v + noise).max(0.0)
-            })
-            .collect()
+        for x in buf {
+            let drive = self.drive(x.max(0.0));
+            let target = (drive - self.v_on).max(0.0);
+            if target > v {
+                v += (target - v) * a_charge;
+            } else {
+                v -= v * a_dis;
+            }
+            let noise = v * ripple * rng.gen_range(-0.5..0.5);
+            *x = (v + noise).max(0.0);
+        }
     }
 
     /// Maximum steady-state output for a constant input envelope `e`.

@@ -191,7 +191,8 @@ fn bench_fleet(c: &mut Criterion) {
 fn bench_id_sweep(c: &mut Criterion) {
     // The batched identification engine, stage by stage at the fig7
     // operating point (10 Msps, hard traces): trace generation (the
-    // unit the trace cache memoizes), chunked batch scoring through
+    // unit the trace cache memoizes), one front-end acquisition per
+    // protocol, the packet-edge threshold, chunked batch scoring through
     // `score_acquired_many`, and the ordered-rule search — the
     // incremental prefix-count sweep against the pre-PR rescan.
     use msc_core::envelope::FrontEnd;
@@ -205,6 +206,23 @@ fn bench_id_sweep(c: &mut Criterion) {
     let n = 8; // per protocol → 32 traces, the fig7 smoke scale
     let mut group = c.benchmark_group("id_sweep");
     group.bench_function("trace_gen", |b| b.iter(|| generate_traces_hard(black_box(&fe), n, 42)));
+
+    // One acquisition per protocol (the unit inside `trace_gen`), and
+    // the detection threshold on the longest trace the identification
+    // runners see: a ZigBee packet at the full 20 Msps.
+    for p in Protocol::ALL {
+        let mut rng = StdRng::seed_from_u64(11);
+        let wave = msc_sim::idtraces::random_packet(p, &mut rng);
+        group.bench_with_input(BenchmarkId::new("acquire", p.label()), &wave, |b, wave| {
+            b.iter(|| fe.acquire(&mut rng, black_box(wave), -6.0))
+        });
+    }
+    let mut rng = StdRng::seed_from_u64(12);
+    let zigbee = msc_sim::idtraces::random_packet(Protocol::ZigBee, &mut rng);
+    let full = FrontEnd::prototype(SampleRate::ADC_FULL).acquire(&mut rng, &zigbee, -6.0);
+    group.bench_function("detect_start", |b| {
+        b.iter(|| msc_core::templates::detect_start(black_box(&full)))
+    });
 
     let traces = generate_traces_hard(&fe, n, 42);
     for (mode, label) in

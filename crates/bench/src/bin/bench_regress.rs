@@ -20,6 +20,7 @@
 //! is normalized away; only a kernel that got slower *relative to the
 //! suite and beyond both runs' spread* fails.
 
+use msc_obs::export::{parse_json, Json};
 use msc_obs::stats::Interval;
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -31,41 +32,36 @@ struct Row {
     median: f64,
 }
 
-/// Parses the compat-criterion JSON sink: an array of flat objects with
-/// `"name"`, `"low_ns"`, `"median_ns"`, `"high_ns"` fields, one object
-/// per line. Rows missing the spread fields fall back to a degenerate
-/// interval at the median (old baseline files stay comparable).
-fn parse_rows(path: &str) -> Result<BTreeMap<String, Row>, String> {
+/// Reads a `BENCH_*.json` file through [`parse_rows`].
+fn read_rows(path: &str) -> Result<BTreeMap<String, Row>, String> {
     let body = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    parse_rows(&body).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Parses the compat-criterion JSON sink: an array of objects with
+/// `"name"`, `"low_ns"`, `"median_ns"`, `"high_ns"` fields, in any key
+/// order and layout. Elements without a name or median are skipped.
+/// Rows missing the spread fields fall back to a degenerate interval at
+/// the median (old baseline files stay comparable).
+fn parse_rows(body: &str) -> Result<BTreeMap<String, Row>, String> {
+    let doc = parse_json(body)?;
+    let items = doc.as_arr().ok_or("expected a JSON array of benchmark rows")?;
     let mut rows = BTreeMap::new();
-    for line in body.lines() {
-        let Some(name) = field_str(line, "name") else { continue };
-        let Some(median) = field_num(line, "median_ns") else { continue };
-        let low = field_num(line, "low_ns").unwrap_or(median);
-        let high = field_num(line, "high_ns").unwrap_or(median);
-        rows.insert(name, Row { interval: Interval::new(low, high), median });
+    for item in items {
+        let num = |key: &str| item.get(key).and_then(Json::as_f64);
+        let (Some(name), Some(median)) =
+            (item.get("name").and_then(Json::as_str), num("median_ns"))
+        else {
+            continue;
+        };
+        let low = num("low_ns").unwrap_or(median);
+        let high = num("high_ns").unwrap_or(median);
+        rows.insert(name.to_string(), Row { interval: Interval::new(low, high), median });
     }
     if rows.is_empty() {
-        return Err(format!("{path}: no benchmark rows found"));
+        return Err("no benchmark rows found".to_string());
     }
     Ok(rows)
-}
-
-/// Extracts `"key": "value"` from a JSON object line.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let end = line[start..].find('"')?;
-    Some(line[start..start + end].to_string())
-}
-
-/// Extracts `"key": 123.4` from a JSON object line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 fn median(xs: &mut [f64]) -> f64 {
@@ -106,7 +102,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
 
-    let (baseline, current) = match (parse_rows(baseline_path), parse_rows(current_path)) {
+    let (baseline, current) = match (read_rows(baseline_path), read_rows(current_path)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err(e), _) | (_, Err(e)) => {
             eprintln!("bench_regress: {e}");
@@ -182,4 +178,59 @@ fn main() -> ExitCode {
     }
     println!("bench_regress: no regressions");
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn flat(rows: &BTreeMap<String, Row>) -> Vec<(String, f64, f64, f64)> {
+        rows.iter()
+            .map(|(name, r)| (name.clone(), r.interval.lo, r.median, r.interval.hi))
+            .collect()
+    }
+
+    #[test]
+    fn layout_and_key_order_do_not_change_rows() {
+        let one_per_line = r#"[
+  {"name": "id_sweep/detect_start", "low_ns": 10.5, "median_ns": 12.0, "high_ns": 14.25},
+  {"name": "fleet/tags100/h5", "low_ns": 925229.8, "median_ns": 1014888.8, "high_ns": 1219483.0},
+  {"name": "legacy/no_spread", "median_ns": 3.0}
+]
+"#;
+        let reordered = r#"
+[ {
+    "high_ns": 14.25,
+    "median_ns": 12.0,
+    "name": "id_sweep/detect_start",
+    "low_ns": 10.5
+  },
+  { "median_ns": 3.0, "name": "legacy/no_spread" },
+  {
+    "median_ns": 1014888.8, "high_ns": 1219483.0,
+    "low_ns": 925229.8,
+    "name": "fleet/tags100/h5"
+  } ]"#;
+        let a = parse_rows(one_per_line).unwrap();
+        let b = parse_rows(reordered).unwrap();
+        assert_eq!(flat(&a), flat(&b));
+        assert_eq!(a.len(), 3);
+        assert_eq!(flat(&a)[2], ("legacy/no_spread".to_string(), 3.0, 3.0, 3.0));
+    }
+
+    #[test]
+    fn committed_baseline_parses() {
+        let body = include_str!("../../../../BENCH_e2e.json");
+        let rows = parse_rows(body).unwrap();
+        assert!(rows.keys().any(|k| k.starts_with("id_sweep/")));
+        assert!(rows.values().all(|r| r.interval.lo <= r.median && r.median <= r.interval.hi));
+    }
+
+    #[test]
+    fn malformed_or_empty_input_is_an_error() {
+        assert!(parse_rows("").is_err());
+        assert!(parse_rows("[]").is_err());
+        assert!(parse_rows(r#"{"name": "x", "median_ns": 1}"#).is_err());
+        assert!(parse_rows(r#"[{"name": "x", "median_ns": 1}"#).is_err());
+    }
 }

@@ -105,19 +105,26 @@ impl FrontEnd {
         let rms = buf.mean_power().sqrt();
         let peak_v = dbm_to_envelope_volts(incident_dbm);
         let scale = if rms > 1e-20 { peak_v / rms } else { 0.0 };
-        let envelope: Vec<f64> = self.rf_envelope(buf).into_iter().map(|e| e * scale).collect();
-        let mut rect = self.rectifier.run(rng, &envelope, buf.rate());
-        // Analog noise at the rectifier output.
-        if self.noise_v > 0.0 {
-            for v in &mut rect {
-                *v = (*v
-                    + msc_channel::awgn::complex_gaussian(rng, self.noise_v * self.noise_v).re)
-                    .max(0.0);
-            }
+        // One buffer from here on: scale, rectify and add noise in place.
+        // Ripple draws all come before noise draws, one per sample each.
+        let mut v = self.rf_envelope(buf);
+        for e in &mut v {
+            *e *= scale;
         }
-        let max = rect.iter().cloned().fold(0.0f64, f64::max);
+        self.rectifier.run_in_place(rng, &mut v, buf.rate());
+        let mut max = 0.0f64;
+        if self.noise_v > 0.0 {
+            // Analog noise at the rectifier output.
+            let sigma = (self.noise_v * self.noise_v / 2.0).sqrt();
+            for x in &mut v {
+                *x = (*x + gaussian_re(rng, sigma)).max(0.0);
+                max = max.max(*x);
+            }
+        } else {
+            max = v.iter().copied().fold(max, f64::max);
+        }
         let adc = self.adc.tuned_to(max.max(1e-4));
-        adc.sample(&rect, buf.rate())
+        adc.sample(&v, buf.rate())
     }
 
     /// Noise-free acquisition used for template construction.
@@ -134,6 +141,16 @@ impl FrontEnd {
     }
 }
 
+/// The real part of `msc_channel::awgn::complex_gaussian(rng, 2σ²)`,
+/// bit for bit: the same two draws and the same `ln`, `sqrt` and `cos`,
+/// but not the `sin` of the imaginary part nobody reads.
+fn gaussian_re<R: Rng>(rng: &mut R, sigma: f64) -> f64 {
+    let u1: f64 = rng.gen_range(1e-12..1.0);
+    let u2: f64 = rng.gen_range(0.0..1.0);
+    let r = (-2.0 * u1.ln()).sqrt() * sigma;
+    r * (std::f64::consts::TAU * u2).cos()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,6 +158,18 @@ mod tests {
     use msc_phy::gfsk::{Gfsk, GfskConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn gaussian_re_is_complex_gaussian_re_bitwise() {
+        let (mut a, mut b) = (StdRng::seed_from_u64(104), StdRng::seed_from_u64(104));
+        for sigma2 in [4e-6, 1.0, 0.37] {
+            let sigma = (sigma2 / 2.0f64).sqrt();
+            for _ in 0..5000 {
+                let want = msc_channel::awgn::complex_gaussian(&mut a, sigma2).re;
+                assert_eq!(gaussian_re(&mut b, sigma).to_bits(), want.to_bits());
+            }
+        }
+    }
 
     #[test]
     fn fm_to_am_gives_gfsk_structure() {

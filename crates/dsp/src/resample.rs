@@ -44,7 +44,10 @@ pub fn resample_linear(signal: &[f64], from: SampleRate, to: SampleRate) -> Vec<
     (0..out_len)
         .map(|i| {
             let pos = i as f64 * ratio;
-            let i0 = pos.floor() as usize;
+            // `as` truncates, which is `floor` for the non-negative
+            // `pos` (and saturates alike otherwise), without a libm call
+            // per output sample.
+            let i0 = pos as usize;
             let frac = pos - i0 as f64;
             let a = signal[i0.min(signal.len() - 1)];
             let b = signal[(i0 + 1).min(signal.len() - 1)];

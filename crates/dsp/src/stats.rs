@@ -33,22 +33,71 @@ pub fn max(v: &[f64]) -> f64 {
     v.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
-/// Linear-interpolated percentile, `p` in [0, 100].
+/// Linear-interpolated percentile, `p` in [0, 100]. NaN for an empty
+/// slice or one holding any NaN.
+///
+/// Equals reading a stable ascending sort at positions `i` and `i + 1`,
+/// bit for bit, in O(N): a selection over order-preserving integer keys
+/// places position `i`, and position `i + 1` is the minimum of the
+/// partition above it.
+/// Signed zeros compare equal, so the sort keeps them in input order; a
+/// zero read at sorted position `k` is therefore the `(k − #{x < 0})`-th
+/// zero of the input, and `sorted_zero` recovers its sign.
 pub fn percentile(v: &[f64], p: f64) -> f64 {
     assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-    if v.is_empty() {
+    let mut nan = v.is_empty();
+    let mut keys: Vec<i64> = v
+        .iter()
+        .map(|&x| {
+            nan |= x.is_nan();
+            order_key(x)
+        })
+        .collect();
+    if nan {
         return f64::NAN;
     }
-    let mut sorted = v.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pos = p / 100.0 * (sorted.len() - 1) as f64;
+    let pos = p / 100.0 * (v.len() - 1) as f64;
     let i = pos.floor() as usize;
     let frac = pos - i as f64;
-    if i + 1 < sorted.len() {
-        sorted[i] * (1.0 - frac) + sorted[i + 1] * frac
-    } else {
-        sorted[i]
+    let (_, &mut lo, upper) = keys.select_nth_unstable(i);
+    let at = |k: usize, key: i64| {
+        let x = from_order_key(key);
+        if x == 0.0 {
+            sorted_zero(v, k)
+        } else {
+            x
+        }
+    };
+    let lo = at(i, lo);
+    match upper.iter().min() {
+        Some(&hi) => lo * (1.0 - frac) + at(i + 1, hi) * frac,
+        None => lo,
     }
+}
+
+/// Maps a non-NaN `f64` to an `i64` with the same order (`-0.0` just
+/// below `+0.0`), so selection compares integers.
+fn order_key(x: f64) -> i64 {
+    flip_negative(x.to_bits() as i64)
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: i64) -> f64 {
+    f64::from_bits(flip_negative(key) as u64)
+}
+
+/// Flips the magnitude bits of a negative pattern, leaving the sign: an
+/// involution that reverses the order of negative floats' bit patterns.
+fn flip_negative(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The zero a stable ascending sort of NaN-free `v` puts at position
+/// `k`, given that position holds a zero: the `(k − #{x < 0})`-th zero
+/// of `v` in input order, with its sign.
+fn sorted_zero(v: &[f64], k: usize) -> f64 {
+    let below = v.iter().filter(|&&x| x < 0.0).count();
+    v.iter().copied().filter(|&x| x == 0.0).nth(k - below).unwrap_or(0.0)
 }
 
 /// Median (50th percentile).
@@ -140,6 +189,62 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 5.0);
         assert_eq!(median(&v), 3.0);
         assert_eq!(percentile(&v, 25.0), 2.0);
+    }
+
+    /// The sort-based percentile this module shipped before the
+    /// selection rewrite, verbatim: the bit-exact oracle.
+    fn percentile_by_sort(v: &[f64], p: f64) -> f64 {
+        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
+        if v.is_empty() {
+            return f64::NAN;
+        }
+        let mut sorted = v.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let pos = p / 100.0 * (sorted.len() - 1) as f64;
+        let i = pos.floor() as usize;
+        let frac = pos - i as f64;
+        if i + 1 < sorted.len() {
+            sorted[i] * (1.0 - frac) + sorted[i + 1] * frac
+        } else {
+            sorted[i]
+        }
+    }
+
+    #[test]
+    fn selection_percentile_matches_sort_bitwise() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Few distinct values so duplicates and ±0 ties are common; the
+        // infinities exercise `inf * 0` at integral positions.
+        let pool = [-0.0, 0.0, 1.0, -1.0, 2.5, -3.0, 1e-300, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        for case in 0..20_000 {
+            let len = rng.gen_range(1..=24);
+            let zero_heavy = case % 2 == 0;
+            let v: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 | 1 if zero_heavy => [-0.0, 0.0][rng.gen_range(0..2)],
+                    0 => pool[rng.gen_range(0..pool.len())],
+                    1 => (rng.gen_range(-4.0..4.0f64) * 2.0).round() / 2.0,
+                    _ => rng.gen_range(-1.0..1.0),
+                })
+                .collect();
+            for p in [0.0, 100.0, 50.0, 90.0, 12.5, rng.gen_range(0.0..=100.0)] {
+                let (got, want) = (percentile(&v, p), percentile_by_sort(&v, p));
+                assert_eq!(got.to_bits(), want.to_bits(), "p {p} of {v:?}: {got} vs {want}");
+            }
+        }
+        for v in [vec![-0.0], vec![0.0], vec![7.0], vec![0.0, -0.0, 0.0, -0.0, -1.0]] {
+            for p in [0.0, 37.5, 100.0] {
+                assert_eq!(percentile(&v, p).to_bits(), percentile_by_sort(&v, p).to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn nan_input_gives_nan() {
+        assert!(percentile(&[1.0, f64::NAN, 2.0], 90.0).is_nan());
+        assert!(percentile(&[f64::NAN], 0.0).is_nan());
     }
 
     #[test]
