@@ -190,22 +190,34 @@ fn bench_fleet(c: &mut Criterion) {
 
 fn bench_id_sweep(c: &mut Criterion) {
     // The batched identification engine, stage by stage at the fig7
-    // operating point (10 Msps, hard traces): trace generation (the
-    // unit the trace cache memoizes), one front-end acquisition per
-    // protocol, the packet-edge threshold, chunked batch scoring through
+    // operating point (10 Msps, hard traces): trace generation, its
+    // ADC-independent half (the unit the trace memo keeps) and the ADC
+    // half at each of the paper's four rates, one front-end acquisition
+    // per protocol, the packet-edge threshold, chunked batch scoring through
     // `score_acquired_many`, and the ordered-rule search — the
     // incremental prefix-count sweep against the pre-PR rescan.
     use msc_core::envelope::FrontEnd;
     use msc_core::search::{collect_scores, default_grid, search_ordered_rule};
     use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
     use msc_dsp::SampleRate;
-    use msc_sim::idtraces::generate_traces_hard;
+    use msc_sim::idtraces::{digitize_traces, generate_analog_at, generate_traces_hard};
+    use msc_sim::idtraces::{HARD_INCIDENT_DBM, HARD_MAX_JITTER};
 
     let rate = SampleRate::ADC_HALF;
     let fe = FrontEnd::prototype(rate);
     let n = 8; // per protocol → 32 traces, the fig7 smoke scale
     let mut group = c.benchmark_group("id_sweep");
     group.bench_function("trace_gen", |b| b.iter(|| generate_traces_hard(black_box(&fe), n, 42)));
+    let analog_set = || generate_analog_at(&fe, n, 42, HARD_INCIDENT_DBM, HARD_MAX_JITTER);
+    group.bench_function("trace_analog", |b| b.iter(|| black_box(analog_set())));
+    let analog = analog_set();
+    for adc_rate in
+        [SampleRate::ADC_FULL, SampleRate::ADC_HALF, SampleRate::ADC_LOW, SampleRate::ADC_FLOOR]
+    {
+        let at = FrontEnd::prototype(adc_rate);
+        let id = BenchmarkId::new("digitize", format!("{}Msps", adc_rate.as_msps()));
+        group.bench_with_input(id, &at, |b, at| b.iter(|| digitize_traces(black_box(at), &analog)));
+    }
 
     // One acquisition per protocol (the unit inside `trace_gen`), and
     // the detection threshold on the longest trace the identification

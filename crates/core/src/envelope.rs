@@ -96,11 +96,18 @@ impl FrontEnd {
         out
     }
 
-    /// Full acquisition: scales the waveform to the given incident power,
-    /// applies the rectifier and analog noise, samples with the ADC
-    /// (reference tuned to the observed range), and returns voltages at
-    /// the ADC rate.
+    /// Full acquisition: [`FrontEnd::analog`] then [`FrontEnd::digitize`].
+    /// Returns voltages at the ADC rate.
     pub fn acquire<R: Rng>(&self, rng: &mut R, buf: &IqBuf, incident_dbm: f64) -> Vec<f64> {
+        self.digitize(&self.analog(rng, buf, incident_dbm))
+    }
+
+    /// The ADC-independent half of [`FrontEnd::acquire`]: scales the
+    /// waveform to the given incident power, applies the rectifier and
+    /// analog noise, and returns the rectifier output at the waveform's
+    /// own rate. It reads no [`FrontEnd::adc`] field, so one analog
+    /// trace serves every ADC configuration.
+    pub fn analog<R: Rng>(&self, rng: &mut R, buf: &IqBuf, incident_dbm: f64) -> Analog {
         // Normalize waveform to unit RMS, then scale to incident volts.
         let rms = buf.mean_power().sqrt();
         let peak_v = dbm_to_envelope_volts(incident_dbm);
@@ -123,8 +130,15 @@ impl FrontEnd {
         } else {
             max = v.iter().copied().fold(max, f64::max);
         }
-        let adc = self.adc.tuned_to(max.max(1e-4));
-        adc.sample(&v, buf.rate())
+        Analog { volts: v, rate: buf.rate(), max }
+    }
+
+    /// The ADC half of [`FrontEnd::acquire`]: samples an analog trace
+    /// with the reference tuned to its observed range. Draws nothing
+    /// from an RNG.
+    pub fn digitize(&self, analog: &Analog) -> Vec<f64> {
+        let adc = self.adc.tuned_to(analog.max.max(1e-4));
+        adc.sample(&analog.volts, analog.rate)
     }
 
     /// Noise-free acquisition used for template construction.
@@ -139,6 +153,19 @@ impl FrontEnd {
         let mut rng = rand::rngs::mock::StepRng::new(0, 0);
         quiet.acquire(&mut rng, buf, incident_dbm)
     }
+}
+
+/// The rectifier output of one acquisition before the ADC
+/// ([`FrontEnd::analog`]).
+#[derive(Clone, Debug)]
+pub struct Analog {
+    /// Rectifier-output voltages, one per input sample.
+    pub volts: Vec<f64>,
+    /// The input waveform's sample rate.
+    pub rate: SampleRate,
+    /// The largest voltage in `volts` (0 when empty); the ADC reference
+    /// is tuned to it.
+    pub max: f64,
 }
 
 /// The real part of `msc_channel::awgn::complex_gaussian(rng, 2σ²)`,
@@ -214,6 +241,32 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(102);
         let out = fe.acquire(&mut rng, &buf, -5.0);
         assert_eq!(out.len(), 1000); // 8000 / (20/2.5)
+    }
+
+    #[test]
+    fn analog_stage_ignores_the_adc() {
+        // One analog trace digitized at each rate must equal a fresh
+        // acquisition at that rate, and leave the RNG in the same state.
+        let g = Gfsk::new(GfskConfig::default());
+        let tx = g.modulate(&[1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]);
+        let base = FrontEnd::prototype(SampleRate::ADC_FULL);
+        let mut shared_rng = StdRng::seed_from_u64(105);
+        let analog = base.analog(&mut shared_rng, &tx, -6.0);
+        let next = shared_rng.gen::<u64>();
+        for (rate, bits, v_ref) in [
+            (SampleRate::ADC_FULL, 9, 1.0),
+            (SampleRate::ADC_HALF, 9, 1.0),
+            (SampleRate::ADC_LOW, 4, 0.5),
+            (SampleRate::ADC_FLOOR, 12, 2.0),
+        ] {
+            let fe = FrontEnd { adc: Adc { rate, bits, v_ref }, ..base.clone() };
+            let mut rng = StdRng::seed_from_u64(105);
+            let want = fe.acquire(&mut rng, &tx, -6.0);
+            assert_eq!(rng.gen::<u64>(), next, "the ADC must draw nothing");
+            let got = fe.digitize(&analog);
+            assert_eq!(got.len(), want.len());
+            assert!(got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 
     #[test]

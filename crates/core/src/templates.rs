@@ -164,6 +164,7 @@ impl TemplateBank {
             front_end.adc.rate, config.adc_rate,
             "front-end ADC rate must match the template rate"
         );
+        let _build = msc_obs::profile::scope("id.bank_build");
         let templates = Protocol::ALL
             .iter()
             .map(|&p| {

@@ -30,7 +30,9 @@ use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit over a byte string (no external deps; stable across
 /// platforms and runs, which is what makes the key content-addressed).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// The workspace's one FNV-1a: `msc_par::hash_label` and the trace
+/// memo's front-end fingerprint call it too.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

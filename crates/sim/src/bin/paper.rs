@@ -394,8 +394,9 @@ fn main() {
         }
         write_fleet_incidents(dir);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
-        // counters, the waveform cache, and the worker pool / flight /
-        // progress totals.
+        // counters, the waveform cache, the trace memo (whose counts are
+        // of analog trace sets, not digitized ones), and the worker pool
+        // / flight / progress totals.
         msc_obs::metrics::set_experiment("run");
         let ps = msc_dsp::plan::stats();
         let ws = msc_sim::wavecache::stats();
@@ -615,6 +616,7 @@ fn write_profile(dir: Option<&std::path::Path>) {
         ("wavecache.hits".into(), ws.hits as f64),
         ("wavecache.misses".into(), ws.misses as f64),
         ("wavecache.bypasses".into(), ws.bypasses as f64),
+        // Analog-set lookups: each hit was digitized for its own ADC.
         ("tracecache.hits".into(), ts.hits as f64),
         ("tracecache.misses".into(), ts.misses as f64),
         ("tracecache.bypasses".into(), ts.bypasses as f64),

@@ -2,12 +2,13 @@
 //! (Figs. 5–8): random packets of all four protocols acquired through
 //! the tag front end at the identification operating point.
 
-use msc_core::envelope::FrontEnd;
+use msc_core::envelope::{Analog, FrontEnd};
 use msc_dsp::{IqBuf, SampleRate};
 use msc_phy::bits::{random_bits, random_bytes};
 use msc_phy::protocol::Protocol;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Generates one random packet of a protocol (random payload; the
 /// detection fields are the deterministic parts templates key on).
@@ -22,6 +23,16 @@ pub fn random_packet(p: Protocol, rng: &mut StdRng) -> IqBuf {
         Protocol::ZigBee => msc_phy::zigbee::ZigBeeModulator::new(Default::default())
             .modulate(&random_bytes(rng, 36)),
     }
+}
+
+/// A labeled analog trace: a [`Trace`] before the ADC.
+pub struct AnalogTrace {
+    /// Ground truth.
+    pub truth: Protocol,
+    /// Rectifier output at the packet's RF rate.
+    pub analog: Analog,
+    /// Detection jitter to apply (samples).
+    pub jitter: isize,
 }
 
 /// A labeled acquisition trace.
@@ -45,7 +56,7 @@ pub fn generate_traces(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -
 }
 
 /// Incident-power range of the "hard" identification traces (dBm).
-pub const HARD_INCIDENT_DBM: std::ops::Range<f64> = -10.5..-4.5;
+pub const HARD_INCIDENT_DBM: Range<f64> = -10.5..-4.5;
 /// Detection-jitter bound of the "hard" identification traces (samples).
 pub const HARD_MAX_JITTER: isize = 3;
 
@@ -58,7 +69,9 @@ pub fn generate_traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u
     generate_traces_at(front_end, n_per_protocol, seed, HARD_INCIDENT_DBM, HARD_MAX_JITTER)
 }
 
-/// Trace generation with explicit incident-power range and jitter bound.
+/// Trace generation with explicit incident-power range and jitter bound:
+/// each trace's analog stage and then its ADC, with nothing kept between
+/// the two.
 ///
 /// Traces are generated on the `msc-par` pool; each trace's RNG seed
 /// derives from `(seed, trace index)`, so the set is bit-identical at
@@ -67,32 +80,69 @@ pub fn generate_traces_at(
     front_end: &FrontEnd,
     n_per_protocol: usize,
     seed: u64,
-    incident_dbm: std::ops::Range<f64>,
+    incident_dbm: Range<f64>,
     max_jitter: isize,
 ) -> Vec<Trace> {
-    if n_per_protocol == 0 {
-        return Vec::new();
-    }
-    let cell = msc_par::hash_label("idtraces");
-    // Trace i belongs to protocol i / n_per_protocol: n_per_protocol
-    // consecutive traces per protocol, in Protocol::ALL order. (The
-    // n == 0 case returns above, so the division is well-defined and
-    // the quotient stays in 0..4.)
     msc_par::par_map_indexed(n_per_protocol * 4, |i| {
-        // Frames open per item, inside the pool worker, so the time
-        // lands under these names rather than in `par.worker`.
-        let _gen = msc_obs::profile::scope("id.trace_gen");
-        let p = Protocol::ALL[i / n_per_protocol];
-        let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-        let wave = random_packet(p, &mut rng);
-        let incident = rng.gen_range(incident_dbm.clone());
-        let acquired = {
-            let _acq = msc_obs::profile::scope("id.acquire");
-            front_end.acquire(&mut rng, &wave, incident)
-        };
-        let jitter = rng.gen_range(-max_jitter..=max_jitter);
-        Trace { truth: p, acquired, jitter }
+        let a = analog_trace(front_end, n_per_protocol, seed, &incident_dbm, max_jitter, i);
+        digitize_trace(front_end, &a)
     })
+}
+
+/// The ADC-independent half of [`generate_traces_at`]: the labeled
+/// analog traces every ADC configuration of `front_end` digitizes.
+pub fn generate_analog_at(
+    front_end: &FrontEnd,
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: Range<f64>,
+    max_jitter: isize,
+) -> Vec<AnalogTrace> {
+    msc_par::par_map_indexed(n_per_protocol * 4, |i| {
+        analog_trace(front_end, n_per_protocol, seed, &incident_dbm, max_jitter, i)
+    })
+}
+
+/// Digitizes analog traces through `front_end`'s ADC, on the pool.
+pub fn digitize_traces(front_end: &FrontEnd, analog: &[AnalogTrace]) -> Vec<Trace> {
+    msc_par::par_map_indexed(analog.len(), |i| digitize_trace(front_end, &analog[i]))
+}
+
+/// Trace `i` of a set: its packet, incident power, analog acquisition
+/// and jitter, drawn from one RNG stream in that order. The ADC draws
+/// nothing, so the stream (and with it the jitter) is the same at every
+/// ADC configuration.
+fn analog_trace(
+    front_end: &FrontEnd,
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: &Range<f64>,
+    max_jitter: isize,
+    i: usize,
+) -> AnalogTrace {
+    // Frames open per item, inside the pool worker, so the time lands
+    // under these names rather than in `par.worker`.
+    let _gen = msc_obs::profile::scope("id.trace_gen");
+    // Trace i belongs to protocol i / n_per_protocol: n_per_protocol
+    // consecutive traces per protocol, in Protocol::ALL order. Callers
+    // only reach here with i < 4 · n_per_protocol, so the quotient stays
+    // in 0..4.
+    let p = Protocol::ALL[i / n_per_protocol];
+    let cell = msc_par::hash_label("idtraces");
+    let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
+    let wave = random_packet(p, &mut rng);
+    let incident = rng.gen_range(incident_dbm.clone());
+    let analog = {
+        let _acq = msc_obs::profile::scope("id.acquire");
+        front_end.analog(&mut rng, &wave, incident)
+    };
+    let jitter = rng.gen_range(-max_jitter..=max_jitter);
+    AnalogTrace { truth: p, analog, jitter }
+}
+
+fn digitize_trace(front_end: &FrontEnd, a: &AnalogTrace) -> Trace {
+    let _dig = msc_obs::profile::scope("id.digitize");
+    Trace { truth: a.truth, acquired: front_end.digitize(&a.analog), jitter: a.jitter }
 }
 
 impl msc_core::search::ScoredTrace for Trace {

@@ -1,28 +1,41 @@
-//! Shared identification-trace cache.
+//! Shared identification analog-trace memo.
 //!
 //! The identification experiments (Figs. 5–8 and the matcher ablations)
-//! all start from the same place: a labeled set of acquired traces from
-//! [`crate::idtraces::generate_traces_at`]. fig7 alone builds two sets
-//! (train + test); fig8 regenerates the 2.5 Msps set for both of its
-//! window variants; the ablations rebuild the full-rate hard set per
-//! row. This cache memoizes those sets behind an [`Arc`], keyed by
-//! everything that determines the generated traces: the *full front-end
-//! configuration* (not just the ADC rate — `abl_slope` mutates
-//! `fm_slope` between rows, so a rate-only key would alias distinct
-//! front ends), the per-protocol count, the incident-power range, the
-//! jitter bound, and the base seed.
+//! all start from a labeled set of acquired traces
+//! ([`crate::idtraces::generate_traces_at`]). fig7 alone builds two sets
+//! (train + test); fig8 reads the 2.5 and 1 Msps sets of the same seeds;
+//! fig5, fig6, abl-bits and abl-lag read one seed at 20, 10 and 10 Msps.
+//! Most of a set's cost — packet modulation, FM-to-AM envelope,
+//! rectifier ripple and analog noise — does not depend on the ADC, so
+//! this module memoizes the *analog* set ([`idtraces::AnalogTrace`]:
+//! the rectifier output at the packet's RF rate) and digitizes it on the
+//! pool for each request's own ADC.
+//!
+//! ## Key
+//!
+//! Everything that determines an analog set: every front-end field the
+//! analog stage reads (rectifier, `fm_slope`, `noise_v`, band filter —
+//! not the ADC's rate, bits or reference, so all ADC configurations of
+//! one front end share an entry; `abl_slope` mutates `fm_slope` between
+//! rows, so those key apart), the per-protocol count, the
+//! incident-power range, the jitter bound, and the base seed.
 //!
 //! ## Determinism contract
 //!
-//! Trace generation seeds every trace from
-//! `derive_seed(seed, hash_label("idtraces"), index)` — a pure function
-//! of the cache key — so a cache hit returns traces bit-identical to a
-//! fresh generation. Disabling the cache (`paper --no-trace-cache`,
-//! [`set_trace_cache`]) changes *work*, never *results*: reports are
-//! byte-identical with the cache on or off, at any thread count
-//! (asserted by `tests/thread_determinism.rs`).
+//! Trace `i` draws its packet, incident power, ripple, noise and jitter
+//! from `derive_seed(seed, hash_label("idtraces"), i)`, in that order,
+//! and the ADC draws nothing — so the analog buffer, truth and jitter
+//! are the same at every ADC configuration, and digitizing a memoized
+//! analog set is bit-identical to a fresh generation. Disabling the memo
+//! (`paper --no-trace-cache`, [`set_trace_cache`]) changes *work*, never
+//! *results*: reports are byte-identical with it on or off, at any
+//! thread count (asserted by `tests/thread_determinism.rs`).
+//!
+//! Only analog sets stay resident. They are held at the RF rate (8 Msps
+//! for BLE and ZigBee), which is smaller than a 20 Msps acquired set,
+//! and digitizing one again costs far less than generating it.
 
-use crate::idtraces::{self, Trace};
+use crate::idtraces::{self, AnalogTrace, Trace};
 use msc_core::envelope::FrontEnd;
 use msc_obs::metrics;
 use std::collections::HashMap;
@@ -30,13 +43,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// FNV-1a over every result-affecting front-end field. The acquisition
-/// path consumes the rectifier model, the ADC quantizer, the gain
-/// slope, the noise floor, and the optional band filter — all of them
-/// feed the fingerprint, bit patterns included, so any front-end tweak
-/// (including NaN-free float edits far below display precision) gets
-/// its own cache entry.
-fn front_end_fingerprint(fe: &FrontEnd) -> u64 {
+/// FNV-1a over every front-end field the analog stage reads, bit
+/// patterns included, so any such tweak (including float edits far below
+/// display precision) gets its own entry. The ADC fields are left out on
+/// purpose: [`FrontEnd::analog`] never reads them.
+fn analog_fingerprint(fe: &FrontEnd) -> u64 {
     use msc_analog::rectifier::RectifierKind;
     let words = [
         match fe.rectifier.kind {
@@ -49,25 +60,16 @@ fn front_end_fingerprint(fe: &FrontEnd) -> u64 {
         fe.rectifier.tau.to_bits(),
         fe.rectifier.tau_charge.to_bits(),
         fe.rectifier.f_carrier.to_bits(),
-        fe.adc.rate.as_hz().to_bits(),
-        fe.adc.bits as u64,
-        fe.adc.v_ref.to_bits(),
         fe.fm_slope.to_bits(),
         fe.noise_v.to_bits(),
         fe.band_filter_hz.is_some() as u64,
         fe.band_filter_hz.unwrap_or(0.0).to_bits(),
     ];
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        for byte in w.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    msc_obs::archive::fnv1a(&bytes)
 }
 
-/// Everything that determines a generated trace set.
+/// Everything that determines an analog trace set.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     fe_fingerprint: u64,
@@ -78,105 +80,177 @@ struct CacheKey {
     max_jitter: isize,
 }
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<Vec<Trace>>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<Vec<Trace>>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+type AnalogSet = Arc<Vec<AnalogTrace>>;
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
+/// A digitized trace set served by the memo; it derefs to `[Trace]`.
+/// The memo keeps only analog sets, so each caller frees its digitized
+/// set: a buffer per trace, 33 MB for a 20 Msps set at n = 96. The drop
+/// opens `id.trace_free` so the profiler names that time instead of
+/// leaving it in the calling runner's frame.
+pub struct TraceSet(Vec<Trace>);
 
-// Always-on counters (independent of the metrics registry) so
-// `paper --profile` can surface cache effectiveness without
-// `--metrics-out`, mirroring `crate::wavecache::stats`.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYPASSES: AtomicU64 = AtomicU64::new(0);
-
-/// Reads the trace-cache counters (same shape as the waveform cache's).
-pub fn stats() -> crate::wavecache::CacheStats {
-    crate::wavecache::CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        bypasses: BYPASSES.load(Ordering::Relaxed),
-        len: trace_cache_len() as u64,
+impl std::ops::Deref for TraceSet {
+    type Target = [Trace];
+    fn deref(&self) -> &[Trace] {
+        &self.0
     }
 }
 
-/// Enables or disables the global trace cache (`paper
-/// --no-trace-cache`). Disabling also drops every cached trace set, so
-/// a re-enable starts cold. Results are identical either way; only the
-/// generation work changes.
-pub fn set_trace_cache(enabled: bool) {
-    ENABLED.store(enabled, Ordering::SeqCst);
-    cache().lock().unwrap().clear();
+impl Drop for TraceSet {
+    fn drop(&mut self) {
+        let _free = msc_obs::profile::scope("id.trace_free");
+        drop(std::mem::take(&mut self.0));
+    }
 }
 
-/// Whether the trace cache is currently enabled.
-pub fn trace_cache_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
+/// An analog-set memo with its own switch and counters. The process has
+/// one ([`memo`]); tests build private ones so their counts are exact.
+struct Memo {
+    enabled: AtomicBool,
+    sets: Mutex<HashMap<CacheKey, AnalogSet>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    bypasses: AtomicU64,
 }
 
-/// Number of trace sets currently cached.
-pub fn trace_cache_len() -> usize {
-    cache().lock().unwrap().len()
-}
+impl Memo {
+    fn new() -> Self {
+        Memo {
+            enabled: AtomicBool::new(true),
+            sets: Mutex::new(HashMap::new()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            bypasses: AtomicU64::new(0),
+        }
+    }
 
-/// [`crate::idtraces::generate_traces_at`] through the cache: returns
-/// the shared set on a hit, generates (and inserts) otherwise.
-pub fn traces_at(
-    front_end: &FrontEnd,
-    n_per_protocol: usize,
-    seed: u64,
-    incident_dbm: Range<f64>,
-    max_jitter: isize,
-) -> Arc<Vec<Trace>> {
-    let key = CacheKey {
-        fe_fingerprint: front_end_fingerprint(front_end),
-        n_per_protocol,
-        seed,
-        incident_lo: incident_dbm.start.to_bits(),
-        incident_hi: incident_dbm.end.to_bits(),
-        max_jitter,
-    };
-    if !ENABLED.load(Ordering::SeqCst) {
-        BYPASSES.fetch_add(1, Ordering::Relaxed);
-        metrics::counter_add("tracecache.bypass", "id", "", 1);
-        return Arc::new(idtraces::generate_traces_at(
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, AnalogSet>> {
+        self.sets.lock().expect("trace memo poisoned by a panicked generation")
+    }
+
+    fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::SeqCst);
+        self.lock().clear();
+    }
+
+    fn stats(&self) -> crate::wavecache::CacheStats {
+        crate::wavecache::CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            bypasses: self.bypasses.load(Ordering::Relaxed),
+            len: self.lock().len() as u64,
+        }
+    }
+
+    /// The analog set for a request: shared on a hit, generated (and
+    /// inserted) on a miss.
+    fn analog_set(
+        &self,
+        front_end: &FrontEnd,
+        n_per_protocol: usize,
+        seed: u64,
+        incident_dbm: Range<f64>,
+        max_jitter: isize,
+    ) -> AnalogSet {
+        let key = CacheKey {
+            fe_fingerprint: analog_fingerprint(front_end),
+            n_per_protocol,
+            seed,
+            incident_lo: incident_dbm.start.to_bits(),
+            incident_hi: incident_dbm.end.to_bits(),
+            max_jitter,
+        };
+        if let Some(set) = self.lock().get(&key).cloned() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            metrics::counter_add("tracecache.hit", "id", "", 1);
+            return set;
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        metrics::counter_add("tracecache.miss", "id", "", 1);
+        // Generate outside the lock; a racing duplicate insert is
+        // idempotent (generation is a pure function of the key).
+        let set = Arc::new(idtraces::generate_analog_at(
             front_end,
             n_per_protocol,
             seed,
             incident_dbm,
             max_jitter,
         ));
+        self.lock().insert(key, Arc::clone(&set));
+        set
     }
-    let hit = cache().lock().unwrap().get(&key).cloned();
-    match hit {
-        Some(t) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("tracecache.hit", "id", "", 1);
-            t
-        }
-        None => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("tracecache.miss", "id", "", 1);
-            // Generate outside the lock; a racing duplicate insert is
-            // idempotent (generation is a pure function of the key).
-            let t = Arc::new(idtraces::generate_traces_at(
+
+    fn traces_at(
+        &self,
+        front_end: &FrontEnd,
+        n_per_protocol: usize,
+        seed: u64,
+        incident_dbm: Range<f64>,
+        max_jitter: isize,
+    ) -> TraceSet {
+        if !self.enabled.load(Ordering::SeqCst) {
+            self.bypasses.fetch_add(1, Ordering::Relaxed);
+            metrics::counter_add("tracecache.bypass", "id", "", 1);
+            return TraceSet(idtraces::generate_traces_at(
                 front_end,
                 n_per_protocol,
                 seed,
                 incident_dbm,
                 max_jitter,
             ));
-            cache().lock().unwrap().insert(key, Arc::clone(&t));
-            t
         }
+        let set = self.analog_set(front_end, n_per_protocol, seed, incident_dbm, max_jitter);
+        TraceSet(idtraces::digitize_traces(front_end, &set))
     }
 }
 
-/// [`crate::idtraces::generate_traces_hard`] through the cache — the
+fn memo() -> &'static Memo {
+    static MEMO: OnceLock<Memo> = OnceLock::new();
+    MEMO.get_or_init(Memo::new)
+}
+
+/// Reads the memo's counters (same shape as the waveform cache's). They
+/// count *analog* sets: a hit is a request served by digitizing a
+/// resident analog set, a miss generated one, a bypass generated a
+/// trace set with the memo off, and `len` is the number of analog sets
+/// resident.
+pub fn stats() -> crate::wavecache::CacheStats {
+    memo().stats()
+}
+
+/// Enables or disables the global memo (`paper --no-trace-cache`).
+/// Disabling also drops every analog set, so a re-enable starts cold.
+/// Results are identical either way; only the generation work changes.
+pub fn set_trace_cache(enabled: bool) {
+    memo().set_enabled(enabled);
+}
+
+/// Whether the memo is currently enabled.
+pub fn trace_cache_enabled() -> bool {
+    memo().enabled.load(Ordering::SeqCst)
+}
+
+/// Number of analog sets currently resident.
+pub fn trace_cache_len() -> usize {
+    memo().lock().len()
+}
+
+/// [`crate::idtraces::generate_traces_at`] through the memo: the analog
+/// set is shared on a hit and generated (and kept) on a miss, then
+/// digitized through `front_end`'s ADC either way.
+pub fn traces_at(
+    front_end: &FrontEnd,
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: Range<f64>,
+    max_jitter: isize,
+) -> TraceSet {
+    memo().traces_at(front_end, n_per_protocol, seed, incident_dbm, max_jitter)
+}
+
+/// [`crate::idtraces::generate_traces_hard`] through the memo — the
 /// operating point every identification figure shares.
-pub fn traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -> Arc<Vec<Trace>> {
+pub fn traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -> TraceSet {
     traces_at(
         front_end,
         n_per_protocol,
@@ -189,7 +263,11 @@ pub fn traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -> Ar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msc_analog::Adc;
     use msc_dsp::SampleRate;
+
+    const RATES: [SampleRate; 4] =
+        [SampleRate::ADC_FULL, SampleRate::ADC_HALF, SampleRate::ADC_LOW, SampleRate::ADC_FLOOR];
 
     fn assert_same_traces(a: &[Trace], b: &[Trace]) {
         assert_eq!(a.len(), b.len());
@@ -203,49 +281,115 @@ mod tests {
         }
     }
 
+    fn hard(memo: &Memo, fe: &FrontEnd, n: usize, seed: u64) -> TraceSet {
+        memo.traces_at(fe, n, seed, idtraces::HARD_INCIDENT_DBM, idtraces::HARD_MAX_JITTER)
+    }
+
+    fn counts(memo: &Memo) -> (u64, u64, u64) {
+        let s = memo.stats();
+        (s.hits, s.misses, s.bypasses)
+    }
+
     #[test]
     fn hit_shares_the_arc_and_bypass_is_bit_identical() {
+        let memo = Memo::new();
         let fe = idtraces::front_end(SampleRate::ADC_LOW);
-        set_trace_cache(true);
-        let a = traces_hard(&fe, 2, 4242);
-        let b = traces_hard(&fe, 2, 4242);
-        assert!(Arc::ptr_eq(&a, &b), "second fetch must hit the cache");
+        let r = idtraces::HARD_INCIDENT_DBM;
+        let a = memo.analog_set(&fe, 2, 4242, r.clone(), idtraces::HARD_MAX_JITTER);
+        let b = memo.analog_set(&fe, 2, 4242, r, idtraces::HARD_MAX_JITTER);
+        assert!(Arc::ptr_eq(&a, &b));
+        assert_eq!(counts(&memo), (1, 1, 0), "second fetch must hit the memo");
 
-        set_trace_cache(false);
-        let c = traces_hard(&fe, 2, 4242);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_same_traces(&a, &c);
-        set_trace_cache(true);
+        let cached = hard(&memo, &fe, 2, 4242);
+        assert_eq!(counts(&memo), (2, 1, 0));
+        memo.set_enabled(false);
+        assert_eq!(memo.stats().len, 0, "disabling drops every set");
+        let bypassed = hard(&memo, &fe, 2, 4242);
+        assert_eq!(counts(&memo), (2, 1, 1));
+        assert_same_traces(&cached, &bypassed);
+    }
+
+    #[test]
+    fn memo_served_sets_match_fresh_generation_at_every_rate() {
+        let memo = Memo::new();
+        for rate in RATES {
+            let fe = idtraces::front_end(rate);
+            let want = idtraces::generate_traces_hard(&fe, 2, 91);
+            assert_same_traces(&hard(&memo, &fe, 2, 91), &want);
+        }
+        assert_eq!(counts(&memo), (3, 1, 0), "four rates of one seed: one miss, three hits");
+        assert_eq!(memo.stats().len, 1);
     }
 
     #[test]
     fn front_end_mutation_misses_the_cache() {
-        // abl_slope mutates fm_slope between rows at a fixed ADC rate;
-        // the fingerprint must key those apart.
-        let fe = idtraces::front_end(SampleRate::ADC_LOW);
-        set_trace_cache(true);
-        let a = traces_hard(&fe, 1, 77);
-        let mut fe2 = fe.clone();
-        fe2.fm_slope += 0.25;
-        let b = traces_hard(&fe2, 1, 77);
-        assert!(!Arc::ptr_eq(&a, &b), "mutated front end must not alias the cache entry");
-        assert_eq!(front_end_fingerprint(&fe), front_end_fingerprint(&fe.clone()));
-        assert_ne!(front_end_fingerprint(&fe), front_end_fingerprint(&fe2));
-        set_trace_cache(true);
+        let memo = Memo::new();
+        let fe = idtraces::front_end(SampleRate::ADC_FULL);
+        hard(&memo, &fe, 1, 77);
+        // abl_slope mutates fm_slope between rows at a fixed ADC rate.
+        let analog_edits = [
+            FrontEnd { fm_slope: fe.fm_slope + 0.25, ..fe.clone() },
+            fe.clone().with_band_filter(2e6),
+            FrontEnd { noise_v: fe.noise_v * 2.0, ..fe.clone() },
+        ];
+        for (k, edited) in analog_edits.iter().enumerate() {
+            assert_ne!(analog_fingerprint(edited), analog_fingerprint(&fe));
+            hard(&memo, edited, 1, 77);
+            assert_eq!(counts(&memo), (0, 2 + k as u64, 0), "analog edit {k} must miss");
+        }
+    }
+
+    #[test]
+    fn adc_changes_hit_the_cache() {
+        let memo = Memo::new();
+        let fe = idtraces::front_end(SampleRate::ADC_FULL);
+        hard(&memo, &fe, 1, 78);
+        let adc_edits = [
+            FrontEnd { adc: Adc { bits: 4, ..fe.adc }, ..fe.clone() },
+            FrontEnd { adc: Adc { v_ref: 0.5, ..fe.adc }, ..fe.clone() },
+            idtraces::front_end(SampleRate::ADC_LOW),
+        ];
+        for (k, edited) in adc_edits.iter().enumerate() {
+            assert_eq!(analog_fingerprint(edited), analog_fingerprint(&fe));
+            let got = hard(&memo, edited, 1, 78);
+            assert_eq!(counts(&memo), (1 + k as u64, 1, 0), "ADC edit {k} must hit");
+            assert_same_traces(&got, &idtraces::generate_traces_hard(edited, 1, 78));
+        }
     }
 
     #[test]
     fn distinct_ranges_seeds_and_counts_key_apart() {
+        let memo = Memo::new();
         let fe = idtraces::front_end(SampleRate::ADC_LOW);
-        set_trace_cache(true);
-        let base = traces_at(&fe, 1, 9, -9.0..-4.0, 2);
-        for other in [
-            traces_at(&fe, 1, 10, -9.0..-4.0, 2),
-            traces_at(&fe, 2, 9, -9.0..-4.0, 2),
-            traces_at(&fe, 1, 9, -9.5..-4.0, 2),
-            traces_at(&fe, 1, 9, -9.0..-4.0, 3),
+        for (n, seed, range, jitter) in [
+            (1, 9, -9.0..-4.0, 2),
+            (1, 10, -9.0..-4.0, 2),
+            (2, 9, -9.0..-4.0, 2),
+            (1, 9, -9.5..-4.0, 2),
+            (1, 9, -9.0..-4.0, 3),
         ] {
-            assert!(!Arc::ptr_eq(&base, &other));
+            memo.traces_at(&fe, n, seed, range, jitter);
         }
+        assert_eq!(counts(&memo), (0, 5, 0));
+    }
+
+    #[test]
+    fn identification_reports_identical_with_memo_on_and_off() {
+        // fig5 (20 Msps) and fig8 (2.5 and 1 Msps) read one analog set
+        // at seed 31 — the cross-runner sharing a one-runner process
+        // never exercises. n = 16 is fig8's floor, so both runners ask
+        // for the same count.
+        let run = || {
+            let a = crate::experiments::fig05::run(16, 31).to_json();
+            let b = crate::experiments::fig08::run(16, 31).to_json();
+            (a, b)
+        };
+        let before = stats().hits;
+        let on = run();
+        assert!(stats().hits >= before + 5, "fig8 must reuse fig5's analog set");
+        set_trace_cache(false);
+        let off = run();
+        set_trace_cache(true);
+        assert_eq!(on, off);
     }
 }
