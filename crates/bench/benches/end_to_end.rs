@@ -60,28 +60,18 @@ fn bench_experiment_cell(c: &mut Criterion) {
 }
 
 fn bench_trial_batch(c: &mut Criterion) {
-    // The batched SoA engine against the legacy per-trial path on the
-    // same cell, n = 12 so a width-8 batch cycles the pool. Early
-    // stopping stays off (run_packets never stops): these rows measure
-    // engine mechanics — SoA materialization, one-pass channel
-    // kernels, windowed sync — not the stopping rule.
+    // The batched trial engine on one cell, n = 12 so a width-8 batch
+    // cycles the pool. Early stopping stays off (run_packets never
+    // stops): these rows measure engine mechanics — SoA
+    // materialization, one-pass channel kernels, windowed sync — not
+    // the stopping rule.
     let mut group = c.benchmark_group("trial_batch");
     for p in [Protocol::Ble, Protocol::ZigBee] {
         let link = AnyLink::new(p, Mode::Mode1);
-        for width in [1usize, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("batch{width}"), p.label()),
-                &link,
-                |b, link| {
-                    msc_sim::engine::set_batch(width);
-                    let geo = Geometry::los(8.0);
-                    b.iter(|| {
-                        run_packets(black_box(link), &geo, Mode::Mode1, 16, 12, 42, "bench/batch")
-                    });
-                    msc_sim::engine::set_batch(msc_sim::engine::DEFAULT_BATCH);
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("batch8", p.label()), &link, |b, link| {
+            let geo = Geometry::los(8.0);
+            b.iter(|| run_packets(black_box(link), &geo, Mode::Mode1, 16, 12, 42, "bench/batch"))
+        });
     }
     group.finish();
 }

@@ -71,6 +71,11 @@ pub fn collect_scores<T: ScoredTrace + Sync>(
     collect_scores_labeled(matcher, traces, "", 0)
 }
 
+/// Prefix of the flight-recorder cell of every identification trial
+/// (`id/<label>`). A trial index there addresses a four-protocol trace
+/// set, not a Monte-Carlo cell of `n` trials.
+pub const ID_CELL_PREFIX: &str = "id/";
+
 /// [`collect_scores`] with an explicit batch label and the run's base
 /// seed. When the flight recorder is armed, each trace records one
 /// trial under cell `"id/<label>"` — per-template correlation scores
@@ -88,7 +93,7 @@ pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
         // Per-trace trial records need per-trace scoring; the flight
         // recorder path stays trace-at-a-time.
         let experiment = msc_obs::metrics::current_experiment();
-        let cell = format!("id/{label}");
+        let cell = format!("{ID_CELL_PREFIX}{label}");
         let cellh = msc_par::hash_label(&cell);
         msc_par::par_map_indexed(traces.len(), |i| {
             let _score = msc_obs::profile::scope("id.score");

@@ -174,7 +174,10 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// An integer literal (`-?[0-9]+`) that fits an `i128`, kept
+    /// exact: `f64` would round seeds above 2^53.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A string.
     Str(String),
@@ -196,6 +199,7 @@ impl Json {
     /// This value as a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(i) => Some(*i as f64),
             Json::Num(n) => Some(*n),
             _ => None,
         }
@@ -273,11 +277,12 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
     }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .map(Json::Num)
-        .ok_or_else(|| format!("bad number at byte {start}"))
+    let text = std::str::from_utf8(&b[start..*pos]).unwrap_or_default();
+    // `i128` parsing accepts only an optionally signed digit string.
+    match text.parse::<i128>() {
+        Ok(i) if !text.starts_with('+') => Ok(Json::Int(i)),
+        _ => text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}")),
+    }
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -468,6 +473,15 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap(), &Json::Null);
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    #[test]
+    fn integer_literals_parse_exactly() {
+        // 2^53 + 1 has no f64 representation.
+        let v = parse_json("[9007199254740993, -1, 1.5, 1e3, +2]").unwrap();
+        let want = [Json::Int((1 << 53) + 1), Json::Int(-1), Json::Num(1.5), Json::Num(1e3)];
+        assert_eq!(v.as_arr().unwrap()[..4], want);
+        assert_eq!(v.as_arr().unwrap()[4], Json::Num(2.0));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! shared stream. The recorder itself only observes — it never touches
 //! RNG state, so arming it cannot change results.
 
-use crate::export::{json_escape, parse_json};
+use crate::export::{json_escape, parse_json, Json};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -290,6 +290,8 @@ pub struct Bundle {
     pub n: usize,
     /// The original run's base seed.
     pub seed: u64,
+    /// The trial's derived RNG seed (replay must re-derive it).
+    pub derived_seed: u64,
     /// Why the original trial was dumped.
     pub reason: String,
     /// The original verdict (replay must reproduce it).
@@ -337,40 +339,98 @@ pub fn bundle_to_json(dump: &Dump, n: usize) -> String {
     out
 }
 
+/// Why a bundle cannot be replayed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum BundleError {
+    /// The text is not JSON.
+    Json(String),
+    /// JSON, but its `kind` is not `flight_bundle`.
+    NotABundle(String),
+    /// A required field is absent or malformed.
+    Missing(&'static str),
+    /// An integer field holds a negative number.
+    Negative(&'static str),
+    /// An integer field holds a fraction or a float literal.
+    NotInteger(&'static str),
+    /// An integer field exceeds its type's range.
+    OutOfRange(&'static str),
+    /// The target index is not below the cell's trial count.
+    IndexOutOfRange {
+        /// The bundle's trial index.
+        index: u64,
+        /// Trials the target cell runs.
+        trials: usize,
+    },
+}
+
+impl std::fmt::Display for BundleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BundleError::Json(e) => write!(f, "invalid JSON: {e}"),
+            BundleError::NotABundle(kind) => write!(f, "not a flight bundle (kind {kind:?})"),
+            BundleError::Missing(name) => write!(f, "bundle field {name:?} missing or malformed"),
+            BundleError::Negative(name) => write!(f, "bundle field {name:?} is negative"),
+            BundleError::NotInteger(name) => write!(f, "bundle field {name:?} is not an integer"),
+            BundleError::OutOfRange(name) => write!(f, "bundle field {name:?} is out of range"),
+            BundleError::IndexOutOfRange { index, trials } => {
+                write!(f, "trial index {index} is out of range for {trials} trial(s) per cell")
+            }
+        }
+    }
+}
+
+impl Bundle {
+    /// Rejects a target index the cell's `trials` never reach.
+    pub fn check_index(&self, trials: usize) -> Result<(), BundleError> {
+        let err = BundleError::IndexOutOfRange { index: self.index, trials };
+        (self.index < trials as u64).then_some(()).ok_or(err)
+    }
+}
+
+/// Reads integer field `name` exactly: negative, non-integer and
+/// above-`max` values are errors, never saturated.
+fn int_field(json: &Json, name: &'static str, max: u64) -> Result<u64, BundleError> {
+    match json.get(name) {
+        Some(Json::Int(i)) if *i < 0 => Err(BundleError::Negative(name)),
+        Some(Json::Int(i)) => {
+            u64::try_from(*i).ok().filter(|&v| v <= max).ok_or(BundleError::OutOfRange(name))
+        }
+        Some(Json::Num(x)) if *x < 0.0 => Err(BundleError::Negative(name)),
+        Some(Json::Num(_)) => Err(BundleError::NotInteger(name)),
+        _ => Err(BundleError::Missing(name)),
+    }
+}
+
 /// Parses a bundle written by [`bundle_to_json`].
-pub fn parse_bundle(text: &str) -> Result<Bundle, String> {
-    let json = parse_json(text)?;
+pub fn parse_bundle(text: &str) -> Result<Bundle, BundleError> {
+    let json = parse_json(text).map_err(BundleError::Json)?;
     let kind = json.get("kind").and_then(|k| k.as_str()).unwrap_or_default();
     if kind != "flight_bundle" {
-        return Err(format!("not a flight bundle (kind {kind:?})"));
+        return Err(BundleError::NotABundle(kind.to_string()));
     }
-    let str_field = |name: &str| -> Result<String, String> {
+    let str_field = |name: &'static str| -> Result<String, BundleError> {
         json.get(name)
             .and_then(|v| v.as_str())
             .map(str::to_string)
-            .ok_or_else(|| format!("bundle missing string field {name:?}"))
-    };
-    let num_field = |name: &str| -> Result<f64, String> {
-        json.get(name)
-            .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("bundle missing numeric field {name:?}"))
+            .ok_or(BundleError::Missing(name))
     };
     let mut scores = Vec::new();
     if let Some(arr) = json.get("scores").and_then(|v| v.as_arr()) {
         for pair in arr {
-            let entry = pair.as_arr().ok_or("malformed score entry")?;
+            let entry = pair.as_arr().ok_or(BundleError::Missing("scores"))?;
             match (entry.first().and_then(|e| e.as_str()), entry.get(1).and_then(|e| e.as_f64())) {
                 (Some(name), Some(value)) => scores.push((name.to_string(), value)),
-                _ => return Err("malformed score entry".to_string()),
+                _ => return Err(BundleError::Missing("scores")),
             }
         }
     }
     Ok(Bundle {
         experiment: str_field("experiment")?,
         cell: str_field("cell")?,
-        index: num_field("index")? as u64,
-        n: num_field("n")? as usize,
-        seed: num_field("seed")? as u64,
+        index: int_field(&json, "index", u64::MAX)?,
+        n: int_field(&json, "n", usize::MAX as u64)? as usize,
+        seed: int_field(&json, "seed", u64::MAX)?,
+        derived_seed: int_field(&json, "derived_seed", u64::MAX)?,
         reason: str_field("reason")?,
         verdict: str_field("verdict")?,
         scores,
@@ -457,29 +517,38 @@ mod tests {
         assert_eq!(captured.scores, vec![("tag_errors", 0.0)]);
     }
 
+    /// A bundle whose seeds have no exact f64 representation.
+    fn sample_bundle_json() -> String {
+        let record = TrialRecord {
+            experiment: "fig13".to_string(),
+            cell: "los/BLE/32".to_string(),
+            index: 5,
+            seed: (1 << 53) + 1,
+            derived_seed: u64::MAX,
+            protocol: "BLE",
+            stages: vec![("modulate", 10.0), ("decode", 300.5)],
+            scores: vec![("tag_errors", 7.0), ("tag_bits", 16.0)],
+            verdict: "decode_fail".to_string(),
+        };
+        bundle_to_json(&Dump { reason: "decode_fail".to_string(), record }, 24)
+    }
+
+    /// The sample bundle with top-level field `field` set to `literal`.
+    fn with_field(field: &str, literal: &str) -> String {
+        let json = sample_bundle_json();
+        let key = format!("\"{field}\": ");
+        let at = json.find(&key).unwrap() + key.len();
+        let end = at + json[at..].find(',').unwrap();
+        format!("{}{literal}{}", &json[..at], &json[end..])
+    }
+
     #[test]
     fn bundle_round_trips_through_json() {
-        let dump = Dump {
-            reason: "decode_fail".to_string(),
-            record: TrialRecord {
-                experiment: "fig13".to_string(),
-                cell: "los/BLE/32".to_string(),
-                index: 5,
-                seed: 42,
-                derived_seed: 0xDEAD_BEEF,
-                protocol: "BLE",
-                stages: vec![("modulate", 10.0), ("decode", 300.5)],
-                scores: vec![("tag_errors", 7.0), ("tag_bits", 16.0)],
-                verdict: "decode_fail".to_string(),
-            },
-        };
-        let json = bundle_to_json(&dump, 24);
-        let bundle = parse_bundle(&json).expect("parse bundle");
+        let bundle = parse_bundle(&sample_bundle_json()).expect("parse bundle");
         assert_eq!(bundle.experiment, "fig13");
         assert_eq!(bundle.cell, "los/BLE/32");
-        assert_eq!(bundle.index, 5);
-        assert_eq!(bundle.n, 24);
-        assert_eq!(bundle.seed, 42);
+        assert_eq!((bundle.index, bundle.n), (5, 24));
+        assert_eq!((bundle.seed, bundle.derived_seed), ((1 << 53) + 1, u64::MAX));
         assert_eq!(bundle.reason, "decode_fail");
         assert_eq!(bundle.verdict, "decode_fail");
         assert_eq!(
@@ -487,5 +556,31 @@ mod tests {
             vec![("tag_errors".to_string(), 7.0), ("tag_bits".to_string(), 16.0)]
         );
         assert!(parse_bundle("{\"kind\": \"other\"}").is_err());
+    }
+
+    #[test]
+    fn bad_integer_fields_are_rejected_not_saturated() {
+        let cases = [
+            ("n", "-1", BundleError::Negative("n")),
+            ("index", "-3", BundleError::Negative("index")),
+            ("index", "1.5", BundleError::NotInteger("index")),
+            ("seed", "42.0", BundleError::NotInteger("seed")),
+            ("n", "1e3", BundleError::NotInteger("n")),
+            ("seed", "18446744073709551616", BundleError::OutOfRange("seed")),
+            ("derived_seed", "1e40", BundleError::NotInteger("derived_seed")),
+            ("index", "\"3\"", BundleError::Missing("index")),
+        ];
+        for (field, literal, want) in cases {
+            let got = parse_bundle(&with_field(field, literal)).expect_err(literal);
+            assert_eq!(got, want, "{field} = {literal}");
+        }
+    }
+
+    #[test]
+    fn index_beyond_the_cell_is_rejected() {
+        let bundle = parse_bundle(&sample_bundle_json()).expect("parse");
+        assert_eq!(bundle.check_index(6), Ok(()));
+        let err = BundleError::IndexOutOfRange { index: 5, trials: 5 };
+        assert_eq!(bundle.check_index(5), Err(err));
     }
 }

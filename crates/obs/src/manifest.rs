@@ -40,9 +40,6 @@ pub struct RunManifest {
     /// configured pool). Results are thread-count-invariant; this is
     /// recorded for performance provenance only.
     pub threads: usize,
-    /// Trial batch width of the SoA engine (1 = legacy per-trial
-    /// engine; any width > 1 is result-identical to any other).
-    pub batch: usize,
     /// Whether adaptive per-cell early stopping was enabled.
     pub early_stop: bool,
     /// Host OS (compile-time).
@@ -69,7 +66,6 @@ impl RunManifest {
             seed,
             full,
             threads: 0,
-            batch: 1,
             early_stop: false,
             host_os: std::env::consts::OS.to_string(),
             host_arch: std::env::consts::ARCH.to_string(),
@@ -83,10 +79,8 @@ impl RunManifest {
         self
     }
 
-    /// Records the trial engine configuration (batch width and early
-    /// stopping).
-    pub fn with_engine(mut self, batch: usize, early_stop: bool) -> Self {
-        self.batch = batch;
+    /// Records the trial engine configuration (early stopping).
+    pub fn with_engine(mut self, early_stop: bool) -> Self {
         self.early_stop = early_stop;
         self
     }
@@ -109,7 +103,6 @@ impl RunManifest {
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
         let _ = writeln!(out, "  \"full\": {},", self.full);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"batch\": {},", self.batch);
         let _ = writeln!(out, "  \"early_stop\": {},", self.early_stop);
         let _ = writeln!(out, "  \"host_os\": \"{}\",", json_escape(&self.host_os));
         let _ = writeln!(out, "  \"host_arch\": \"{}\",", json_escape(&self.host_arch));
@@ -169,14 +162,13 @@ mod tests {
 
     #[test]
     fn manifest_serializes_to_valid_json() {
-        let mut m =
-            RunManifest::start(Path::new("/nonexistent"), 12, 42, false).with_engine(8, true);
+        let mut m = RunManifest::start(Path::new("/nonexistent"), 12, 42, false).with_engine(true);
         m.record("fig05", 1.25, 5);
         m.record("tab1", 0.5, 8);
         let v = parse_json(&m.to_json()).expect("valid JSON");
         assert_eq!(v.get("seed").unwrap().as_f64().unwrap() as u64, 42);
         assert_eq!(v.get("n").unwrap().as_f64().unwrap() as usize, 12);
-        assert_eq!(v.get("batch").unwrap().as_f64().unwrap() as usize, 8);
+        assert!(v.get("batch").is_none());
         assert!(matches!(v.get("early_stop").unwrap(), crate::export::Json::Bool(true)));
         assert_eq!(v.get("git_rev").unwrap().as_str().unwrap(), "unknown");
         assert_eq!(

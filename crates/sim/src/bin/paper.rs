@@ -40,21 +40,15 @@
 //! derive per packet from `(seed, cell, index)`, never from a shared
 //! stream.
 //!
-//! `--batch N` sets the trial batch width of the SoA engine (default
-//! 8; any width > 1 is result-identical). `--batch 1` selects the
-//! legacy per-trial engine, byte-identical to the pre-batch pipeline.
 //! `--no-early-stop` disables adaptive per-cell early stopping so
 //! every cell runs its full trial count; early-stopped cells otherwise
-//! show `n=<used>/<requested>⏹` in the `--ci` column. Both knobs are
-//! recorded in the run manifest and feed the archive's config hash.
+//! show `n=<used>/<requested>⏹` in the `--ci` column. The knob is
+//! recorded in the run manifest and feeds the archive's config hash.
 //!
-//! The flight recorder instruments the per-trial path, so an armed
-//! recorder forces the legacy engine at full n. `--metrics-out` arms
-//! it by default (failure bundles keep working as documented);
-//! `--no-flight` skips arming so an archived run keeps the batched
-//! engine and early stopping. The manifest and archive record the
-//! *effective* engine, so a flight-armed run hashes as `legacy` —
-//! matching what actually executed.
+//! `--metrics-out` arms the flight recorder, which records one trial
+//! per lane of the batched trial engine; arming it changes neither the
+//! engine nor early stopping, so an archived run prints exactly what a
+//! plain run prints.
 //!
 //! `--ci` appends a `±95%` column to every rendered table: each cell
 //! statistic's Wilson-interval half-width plus a `✓`/`?` convergence
@@ -94,9 +88,9 @@ use std::path::{Path, PathBuf};
 fn usage() -> ! {
     eprintln!(
         "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--trace] [--profile] \
-         [--threads N] [--batch N] [--no-early-stop] [--metrics-out <dir>] \
+         [--threads N] [--no-early-stop] [--metrics-out <dir>] \
          [--events <path|->] [--no-wave-cache] [--no-trace-cache] [--no-progress] \
-         [--flight-slow-us N] [--no-flight] [--fleet-phy]\n       paper list\n       \
+         [--flight-slow-us N] [--fleet-phy]\n       paper list\n       \
          paper replay <bundle.json> [--threads N] [--trace]\n       \
          paper fleet-replay <incident.json> [--threads N]\n       \
          paper diff <runA> <runB> [--only-moved]\n       \
@@ -132,7 +126,6 @@ fn main() {
     let mut baseline = false;
     let mut only_moved = false;
     let mut flight_slow_us = f64::INFINITY;
-    let mut no_flight = false;
     let mut metrics_out: Option<PathBuf> = None;
     let mut events_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -163,16 +156,6 @@ fn main() {
                 };
                 msc_par::set_threads(v);
             }
-            // Trial batch width for the SoA engine; 1 selects the
-            // legacy per-trial engine (byte-identical to the pre-batch
-            // pipeline at any thread count).
-            "--batch" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
-                    eprintln!("--batch needs a number\n");
-                    usage();
-                };
-                msc_sim::engine::set_batch(v);
-            }
             // Disable adaptive per-cell early stopping: every cell
             // runs its full trial count.
             "--no-early-stop" => msc_sim::engine::set_early_stop(false),
@@ -181,10 +164,6 @@ fn main() {
             // pipeline (fleet experiments only; changes report notes,
             // so it feeds the archive config hash).
             "--fleet-phy" => msc_sim::experiments::fleet::set_phy_check(true),
-            // Skip arming the flight recorder under --metrics-out so
-            // the archived run keeps the batched engine (an armed
-            // recorder forces the legacy per-trial path).
-            "--no-flight" => no_flight = true,
             "--flight-slow-us" => {
                 let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
                     eprintln!("--flight-slow-us needs a number (µs)\n");
@@ -258,31 +237,17 @@ fn main() {
     msc_sim::experiments::fleet::set_trace(events_path.is_some() || metrics_out.is_some());
     // With `--events -` the stream owns stdout; tables move to stderr.
     let events_stdout = events_path.as_deref() == Some("-");
-    let flight_armed = metrics_out.is_some() && !no_flight;
-    // The pipeline falls back to the legacy per-trial engine at full n
-    // whenever the flight recorder is armed (its hooks instrument that
-    // path); record the engine that actually runs, not the knobs.
-    let eff_batch = if flight_armed { 1 } else { msc_sim::engine::batch() };
-    let eff_early_stop = msc_sim::engine::early_stop() && !flight_armed;
-    if flight_armed && msc_sim::engine::batch() > 1 {
-        eprintln!(
-            "[flight] recorder armed: legacy per-trial engine in effect \
-             (pass --no-flight to keep the batched engine)"
-        );
-    }
     let mut manifest = if metrics_out.is_some() {
         msc_obs::metrics::Registry::global().reset();
         msc_obs::metrics::enable();
-        if flight_armed {
-            msc_obs::flight::arm(msc_obs::flight::FlightConfig {
-                slow_stage_us: flight_slow_us,
-                ..Default::default()
-            });
-        }
+        msc_obs::flight::arm(msc_obs::flight::FlightConfig {
+            slow_stage_us: flight_slow_us,
+            ..Default::default()
+        });
         Some(
             msc_obs::RunManifest::start(std::path::Path::new("."), n, seed, full)
                 .with_threads(msc_par::threads())
-                .with_engine(eff_batch, eff_early_stop),
+                .with_engine(msc_sim::engine::early_stop()),
         )
     } else {
         None
@@ -389,9 +354,7 @@ fn main() {
             eprintln!("failed to create {}: {e}", dir.display());
             std::process::exit(1);
         }
-        if flight_armed {
-            write_flight_bundles(dir, n);
-        }
+        write_flight_bundles(dir, n);
         write_fleet_incidents(dir);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
         // counters, the waveform cache, the trace memo (whose counts are
@@ -451,12 +414,8 @@ fn main() {
             ("n", n.to_string()),
             ("full", full.to_string()),
             ("perturb_margin_db", format!("{}", msc_sim::pipeline::perturb_margin_db())),
-            // Engine knobs that can move a cell: batched vs legacy
-            // engine (any width > 1 is result-identical, so only the
-            // kind is hashed) and early stopping — the *effective*
-            // values, since an armed flight recorder forces legacy.
-            ("engine", if eff_batch > 1 { "batched" } else { "legacy" }.to_string()),
-            ("early_stop", eff_early_stop.to_string()),
+            // Early stopping changes how many trials a cell uses.
+            ("early_stop", msc_sim::engine::early_stop().to_string()),
             // Fleet knobs: the horizon scales every fleet count and the
             // phy-check pass appends validation notes.
             ("fleet_horizon", format!("{}", msc_sim::experiments::fleet::horizon_s())),

@@ -1,43 +1,17 @@
-//! Process-wide Monte-Carlo engine configuration: trial batch width and
-//! adaptive early stopping.
+//! Process-wide Monte-Carlo engine configuration: adaptive early
+//! stopping.
 //!
-//! Both knobs are plain atomics set once at startup (the `paper` binary
-//! maps `--batch N` and `--no-early-stop` onto them) and read by
-//! [`crate::pipeline::run_packets`] per cell. They deliberately change
-//! *how* results are computed:
-//!
-//! * `batch > 1` routes trials through the SoA
-//!   [`crate::pipeline::TrialBatch`] engine — batched AVX2 channel
-//!   kernels, the ZigBee windowed-sync fast path, and common-random-
-//!   number channel streams for cells that opt in — so its outcomes are
-//!   statistically equivalent but not bit-identical to the legacy
-//!   engine. `batch == 1` selects the legacy per-trial path, which is
-//!   byte-identical to the pre-batch engine at any thread count. Any
-//!   two widths `> 1` produce identical results (lanes are independent;
-//!   width only sets the chunk size), so the archive config hash
-//!   records just the engine kind, not the width.
-//! * `early_stop` lets runners with a [`crate::pipeline::StopPolicy`]
-//!   halt a cell once its verdict is statistically decided; disabling
-//!   it restores full trial counts.
+//! The knob is a plain atomic set once at startup (the `paper` binary
+//! maps `--no-early-stop` onto it) and read by
+//! [`crate::pipeline::run_packets_stopping`] per cell. It changes how
+//! many trials a cell consumes, never what any trial computes: runners
+//! with a [`crate::pipeline::StopPolicy`] halt a cell once its verdict
+//! is statistically decided, and disabling it restores full trial
+//! counts.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Default trial batch width.
-pub const DEFAULT_BATCH: usize = 8;
-
-static BATCH: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH);
 static EARLY_STOP: AtomicBool = AtomicBool::new(true);
-
-/// Sets the trial batch width (clamped to ≥ 1). `1` selects the legacy
-/// per-trial engine.
-pub fn set_batch(n: usize) {
-    BATCH.store(n.max(1), Ordering::SeqCst);
-}
-
-/// The configured trial batch width.
-pub fn batch() -> usize {
-    BATCH.load(Ordering::SeqCst)
-}
 
 /// Enables or disables adaptive per-cell early stopping.
 pub fn set_early_stop(on: bool) {

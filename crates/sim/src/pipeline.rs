@@ -144,14 +144,7 @@ pub fn apply_uplink<R: Rng>(rng: &mut R, wave: &IqBuf, snr_db: f64, fading: Fadi
 
 /// Applies the uplink channel with the full impairment set.
 pub fn apply_uplink_impaired<R: Rng>(rng: &mut R, wave: &IqBuf, imp: Impairments) -> IqBuf {
-    let mut out = wave.clone();
-    apply_uplink_in_place(rng, &mut out, imp);
-    out
-}
-
-/// [`apply_uplink_impaired`] mutating `wave` directly — the zero-copy
-/// path for trial buffers that are reused packet to packet.
-pub fn apply_uplink_in_place<R: Rng>(rng: &mut R, wave: &mut IqBuf, imp: Impairments) {
+    let mut wave = wave.clone();
     let p = wave.mean_power();
     if p > 0.0 {
         wave.scale(1.0 / p.sqrt());
@@ -162,7 +155,8 @@ pub fn apply_uplink_in_place<R: Rng>(rng: &mut R, wave: &mut IqBuf, imp: Impairm
     imp.fading.apply_flat(rng, wave.samples_mut());
     // Signal mean power |h|^2; noise set against the *average* signal
     // power so fading dips genuinely hurt.
-    add_noise(rng, wave, 1.0 / db_to_lin(imp.snr_db));
+    add_noise(rng, &mut wave, 1.0 / db_to_lin(imp.snr_db));
+    wave
 }
 
 /// One protocol's overlay link endpoints, type-erased for the runner.
@@ -386,18 +380,17 @@ fn score_decode(
 }
 
 thread_local! {
-    /// Per-thread packet buffer for [`run_packet_shared`]: tag overlay,
-    /// channel, and noise are applied into this one allocation, reused
-    /// packet to packet.
-    static PKT_BUF: std::cell::RefCell<IqBuf> =
-        std::cell::RefCell::new(IqBuf::empty(msc_dsp::SampleRate::hz(1.0)));
-
-    /// Per-thread [`TrialBatch`] pool for the batched engine: lane
-    /// buffers, RNG vectors, and the flat tag-bit store are reused
-    /// batch to batch, so the steady-state materialize + channel loop
-    /// performs zero allocations (asserted by `alloc_guard`).
-    static BATCH_POOL: std::cell::RefCell<TrialBatch> = std::cell::RefCell::new(TrialBatch::new());
+    /// Per-thread [`TrialBatch`] pool: lane buffers, channel RNGs, and
+    /// the flat tag-bit store are reused batch to batch, so the
+    /// steady-state materialize + channel loop performs zero
+    /// allocations (asserted by `alloc_guard`).
+    static BATCH_POOL: std::cell::RefCell<TrialBatch> = std::cell::RefCell::new(TrialBatch::default());
 }
+
+/// Trials per [`TrialBatch`] chunk. Lanes are independent, so every
+/// width gives identical outcomes; the width only sets how a cell's
+/// trials are chunked across the pool.
+const BATCH_WIDTH: usize = 8;
 
 /// Sync-window radius (samples) handed to demodulators via
 /// [`msc_phy::fastsync`] on the batched path: the engine's trial
@@ -409,47 +402,32 @@ const FAST_SYNC_RADIUS: usize = 8;
 /// `count` IQ lanes modulated from the shared cached excitation, each
 /// with its own tag-bit draw and RNG streams.
 ///
-/// Per-trial randomness is preserved exactly: lane `l` of a batch
-/// starting at trial `start` seeds its RNG with
-/// `derive_seed(seed, cell, start + l)`, the same stream the legacy
-/// per-trial path uses, so outcomes remain a function of
-/// `(seed, cell, index)` at any batch width and thread count.
+/// Per-trial randomness is exact: lane `l` of a batch starting at
+/// trial `start` seeds its RNG with `derive_seed(seed, cell, start + l)`,
+/// so outcomes are a function of `(seed, cell, index)` at any batch
+/// width and thread count.
 ///
 /// The channel stream is either the continuation of the lane's tag-bit
-/// stream (legacy order: tag bits → fading → noise) or, when a
-/// common-random-number group is supplied, a stream derived from the
-/// group label instead of the cell label — sweep-axis neighbors (e.g.
-/// the distance grid of Fig. 13) then share channel realizations per
-/// trial index, which cancels channel luck out of adjacent-cell
-/// comparisons while tag payloads stay cell-specific.
+/// stream (tag bits → fading → noise) or, when a common-random-number
+/// group is supplied, a stream derived from the group label instead of
+/// the cell label — sweep-axis neighbors (e.g. the distance grid of
+/// Fig. 13) then share channel realizations per trial index, which
+/// cancels channel luck out of adjacent-cell comparisons while tag
+/// payloads stay cell-specific. A default batch is empty; its buffers
+/// grow on first use and are reused after.
+#[derive(Default)]
 pub struct TrialBatch {
     lanes: Vec<IqBuf>,
-    rngs: Vec<StdRng>,
     ch_rngs: Vec<StdRng>,
     tag_bits: Vec<u8>,
     cap: usize,
     count: usize,
-}
-
-impl Default for TrialBatch {
-    fn default() -> Self {
-        Self::new()
-    }
+    seed: u64,
+    cellh: u64,
+    start: u64,
 }
 
 impl TrialBatch {
-    /// An empty batch; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        TrialBatch {
-            lanes: Vec::new(),
-            rngs: Vec::new(),
-            ch_rngs: Vec::new(),
-            tag_bits: Vec::new(),
-            cap: 0,
-            count: 0,
-        }
-    }
-
     /// Number of trials currently materialized.
     pub fn count(&self) -> usize {
         self.count
@@ -472,8 +450,8 @@ impl TrialBatch {
     ) {
         self.cap = exc.tag_capacity;
         self.count = count;
+        (self.seed, self.cellh, self.start) = (seed, cellh, start);
         self.tag_bits.clear();
-        self.rngs.clear();
         self.ch_rngs.clear();
         while self.lanes.len() < count {
             self.lanes.push(IqBuf::empty(exc.carrier.rate()));
@@ -487,9 +465,8 @@ impl TrialBatch {
             }
             let ch = match crn_hash {
                 Some(h) => StdRng::seed_from_u64(msc_par::derive_seed(seed, h, i)),
-                None => rng.clone(),
+                None => rng,
             };
-            self.rngs.push(rng);
             self.ch_rngs.push(ch);
             let bits = &self.tag_bits[l * self.cap..(l + 1) * self.cap];
             modulator.modulate_into(&exc.carrier, exc.payload_start, bits, &mut self.lanes[l]);
@@ -512,15 +489,29 @@ impl TrialBatch {
 
     /// Decodes and scores every lane (under the engine's sync-window
     /// hint), appending outcomes to `out` in trial order.
+    ///
+    /// With the flight recorder armed, each lane is one trial record
+    /// under `cell`: its index and derived seed, its `decode` stage
+    /// timing, the five outcome scores and an `ok` / `decode_fail`
+    /// verdict. `modulate` and `channel` run once per batch, so no
+    /// trial record carries them.
     pub fn decode_into(
         &self,
         link: &AnyLink,
         exc: &crate::wavecache::CellExcitation,
         snr_db: f64,
+        cell: &str,
         out: &mut Vec<PacketOutcome>,
     ) {
         let label = link.protocol().label();
+        let flight = msc_obs::flight::armed();
+        let experiment = if flight { metrics::current_experiment() } else { String::new() };
         for l in 0..self.count {
+            if flight {
+                let i = self.start + l as u64;
+                let derived = msc_par::derive_seed(self.seed, self.cellh, i);
+                msc_obs::flight::begin_trial(&experiment, cell, i, self.seed, derived, label);
+            }
             metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
             metrics::counter_add("pipe.packets", label, "", 1);
             let result = metrics::time_stage(label, "decode", || {
@@ -538,6 +529,15 @@ impl TrialBatch {
                 decoded = outcome.decoded,
                 tag_ber = format_args!("{:.3}", outcome.tag_ber())
             );
+            if flight {
+                let f = msc_obs::flight::note_score;
+                f("tag_errors", outcome.tag_errors as f64);
+                f("tag_bits", outcome.tag_bits as f64);
+                f("productive_errors", outcome.productive_errors as f64);
+                f("productive_units", outcome.productive_units as f64);
+                f("tag_ber", outcome.tag_ber());
+                msc_obs::flight::end_trial(if outcome.decoded { "ok" } else { "decode_fail" });
+            }
             out.push(outcome);
         }
     }
@@ -549,8 +549,8 @@ pub struct StopPolicy<'a> {
     /// `min_n` from the registry).
     pub floor: usize,
     /// Common-random-number group label: cells passing the same group
-    /// share per-index channel RNG streams on the batched engine.
-    /// Typically the cell label minus the sweep axis.
+    /// share per-index channel RNG streams. Typically the cell label
+    /// minus the sweep axis.
     pub crn_group: Option<&'a str>,
     /// Returns `true` when the outcomes so far decide the cell's
     /// verdict beyond doubt (both directions must be covered — e.g.
@@ -575,63 +575,16 @@ fn checkpoints(n: usize, floor: usize) -> Vec<usize> {
     plan
 }
 
-/// Runs one trial of an experiment cell against the cell's shared
-/// excitation.
-///
-/// The clean carrier is *not* resynthesized: the tag overlay is written
-/// into a thread-local buffer ([`msc_core::TagOverlayModulator::modulate_into`]),
-/// and fading/CFO/noise are applied in place. Per-trial randomness
-/// consumes `rng` in the order: tag bits, fading gain, noise — the
-/// payload is fixed per cell, so outcomes depend only on
-/// `(seed, cell, index)` exactly as [`run_packet`] outcomes do.
-pub fn run_packet_shared<R: Rng>(
-    rng: &mut R,
-    link: &AnyLink,
-    geometry: &Geometry,
-    mode: Mode,
-    exc: &crate::wavecache::CellExcitation,
-) -> PacketOutcome {
-    let p = link.protocol();
-    let label = p.label();
-    let tag_bits: Vec<u8> = (0..exc.tag_capacity).map(|_| rng.gen_range(0..=1)).collect();
-    let modulator = TagOverlayModulator::new(p, params_for(p, mode));
-
-    let snr = geometry.uplink_snr_db(p);
-    metrics::hist_observe("pipe.snr_db", label, "uplink", snr, buckets::SNR_DB);
-
-    let outcome = PKT_BUF.with(|b| {
-        let mut buf = b.borrow_mut();
-        metrics::time_stage(label, "modulate", || {
-            modulator.modulate_into(&exc.carrier, exc.payload_start, &tag_bits, &mut buf)
-        });
-        metrics::time_stage(label, "channel", || {
-            apply_uplink_in_place(rng, &mut buf, Impairments::snr(snr, geometry.fading))
-        });
-        metrics::counter_add("pipe.packets", label, "", 1);
-        let result =
-            metrics::time_stage(label, "decode", || link.decode(&buf, exc.productive.len()));
-        score_decode(label, result, &tag_bits, &exc.productive)
-    });
-    metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
-    msc_obs::event!(
-        "pipe.packet",
-        protocol = label,
-        snr_db = format_args!("{snr:.1}"),
-        decoded = outcome.decoded,
-        tag_ber = format_args!("{:.3}", outcome.tag_ber())
-    );
-    outcome
-}
-
 /// Runs `n` independent Monte-Carlo packets of one experiment cell on
 /// the `msc-par` pool.
 ///
 /// The cell's clean excitation is prepared exactly once
 /// ([`crate::wavecache::CellExcitation`]): the productive payload comes
 /// from the cell's own RNG stream `(seed, cell, u64::MAX)` and the
-/// carrier is shared read-only across trials and threads. Each packet
-/// then draws its tag bits and channel realization from its own RNG
-/// seeded by `(seed, cell, index)`, so the outcomes — and therefore
+/// carrier is shared read-only across trials and threads. Trials run
+/// in [`TrialBatch`] chunks; each draws its tag bits and channel
+/// realization from its own RNG seeded by `(seed, cell, index)`, so the
+/// outcomes — and therefore
 /// every downstream table — are bit-identical at any thread count,
 /// including 1, and with the waveform cache on or off. `cell` names the
 /// experiment cell (e.g. `"fig13/zigbee/8m"`) and keeps seeds disjoint
@@ -645,7 +598,7 @@ pub fn run_packets(
     seed: u64,
     cell: &str,
 ) -> Vec<PacketOutcome> {
-    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, None)
+    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, None, BATCH_WIDTH)
 }
 
 /// [`run_packets`] with adaptive early stopping: trials run in waves
@@ -665,7 +618,7 @@ pub fn run_packets_stopping(
     cell: &str,
     policy: &StopPolicy,
 ) -> Vec<PacketOutcome> {
-    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, Some(policy))
+    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, Some(policy), BATCH_WIDTH)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -678,19 +631,17 @@ fn run_packets_inner(
     seed: u64,
     cell: &str,
     policy: Option<&StopPolicy>,
+    width: usize,
 ) -> Vec<PacketOutcome> {
     // Replay fast path: when a flight-recorder replay targets one
     // specific trial, every other cell (and every other index) is
     // skipped outright — per-trial seed derivation means the target
     // trial doesn't depend on them. The placeholders only feed a
     // report the replay machinery discards.
-    let replay = msc_obs::flight::replay_target();
-    if let Some((target_cell, _)) = &replay {
-        if target_cell != cell {
-            return (0..n).map(|_| placeholder_outcome()).collect();
-        }
-    }
-    let target_index = replay.map(|(_, i)| i);
+    let target_index = match msc_obs::flight::replay_target() {
+        Some((target_cell, _)) if target_cell != cell => return vec![placeholder_outcome(); n],
+        target => target.map(|(_, i)| i),
+    };
 
     // Cell boundary events run on the (sequential) per-cell caller
     // thread, so their order — and every field before "wall" — is
@@ -713,103 +664,71 @@ fn run_packets_inner(
     };
     let label = link.protocol().label();
     let cellh = msc_par::hash_label(cell);
-    let flight = msc_obs::flight::armed();
-    let experiment = if flight { metrics::current_experiment() } else { String::new() };
-
-    // The flight recorder and replay instrument the per-trial path and
-    // must see every trial, so both force the legacy engine at full n.
-    let batch = crate::engine::batch();
-    let batched = batch > 1 && !flight && target_index.is_none();
-    let stopping =
-        policy.filter(|_| crate::engine::early_stop() && !flight && target_index.is_none());
-    let plan = match stopping {
-        Some(p) => checkpoints(n, p.floor),
-        None => vec![n],
-    };
-    // CRN rides the batched engine (whose results are already allowed
-    // to differ from legacy); with `--no-early-stop` the same streams
-    // are used, so stopping changes trial counts only.
-    let crn_hash =
-        if batched { policy.and_then(|p| p.crn_group).map(msc_par::hash_label) } else { None };
+    let crn_hash = policy.and_then(|p| p.crn_group).map(msc_par::hash_label);
     let snr = geometry.uplink_snr_db(link.protocol());
 
+    // Appends trials `start..start + count`, run in pooled batches.
+    let run = |start: u64, count: usize, outs: &mut Vec<PacketOutcome>| {
+        let chunks = msc_par::par_map_indexed(count.div_ceil(width), |b| {
+            let lo = start + (b * width) as u64;
+            let len = width.min(count - b * width);
+            BATCH_POOL.with(|tb| {
+                let mut tb = tb.borrow_mut();
+                let modulator =
+                    TagOverlayModulator::new(link.protocol(), params_for(link.protocol(), mode));
+                metrics::time_stage(label, "modulate", || {
+                    tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
+                });
+                metrics::time_stage(label, "channel", || {
+                    tb.apply_channel(Impairments::snr(snr, geometry.fading))
+                });
+                let mut wave = Vec::with_capacity(len);
+                tb.decode_into(link, &exc, snr, cell, &mut wave);
+                wave
+            })
+        });
+        for c in chunks {
+            outs.extend(c);
+        }
+    };
+
     let mut outs: Vec<PacketOutcome> = Vec::with_capacity(n);
-    for &target in &plan {
-        let count = target - outs.len();
-        let start = outs.len() as u64;
-        if count == 0 {
-            continue;
+    if let Some(ti) = target_index {
+        // A replay runs the target trial alone, as a one-lane batch
+        // under the cell's own CRN group and without a stopping plan.
+        let mut one = Vec::with_capacity(1);
+        run(ti, 1, &mut one);
+        outs.resize(n, placeholder_outcome());
+        if let (Some(slot), Some(o)) = (outs.get_mut(ti as usize), one.pop()) {
+            *slot = o;
         }
-        if batched {
-            let chunks = msc_par::par_map_indexed(count.div_ceil(batch), |b| {
-                let lo = start + (b * batch) as u64;
-                let len = batch.min(count - b * batch);
-                BATCH_POOL.with(|tb| {
-                    let mut tb = tb.borrow_mut();
-                    let modulator = TagOverlayModulator::new(
-                        link.protocol(),
-                        params_for(link.protocol(), mode),
-                    );
-                    metrics::time_stage(label, "modulate", || {
-                        tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
-                    });
-                    metrics::time_stage(label, "channel", || {
-                        tb.apply_channel(Impairments::snr(snr, geometry.fading))
-                    });
-                    let mut wave = Vec::with_capacity(len);
-                    tb.decode_into(link, &exc, snr, &mut wave);
-                    wave
-                })
-            });
-            for c in chunks {
-                outs.extend(c);
+    } else {
+        let stopping = policy.filter(|_| crate::engine::early_stop());
+        let plan = match stopping {
+            Some(p) => checkpoints(n, p.floor),
+            None => vec![n],
+        };
+        for &target in &plan {
+            let count = target - outs.len();
+            if count == 0 {
+                continue;
             }
-        } else {
-            let wave = msc_par::par_map_indexed(count, |j| {
-                let i = start + j as u64;
-                if let Some(ti) = target_index {
-                    if i != ti {
-                        return placeholder_outcome();
+            run(outs.len() as u64, count, &mut outs);
+            if let Some(p) = stopping {
+                if outs.len() < n && (p.decide)(&outs) {
+                    if msc_obs::events::enabled() {
+                        msc_obs::events::emit(
+                            "early_stop",
+                            &format!(
+                                "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
+                                msc_obs::export::json_escape(cell),
+                                outs.len()
+                            ),
+                            "",
+                        );
                     }
+                    break;
                 }
-                let derived = msc_par::derive_seed(seed, cellh, i);
-                if flight {
-                    msc_obs::flight::begin_trial(&experiment, cell, i, seed, derived, label);
-                }
-                let mut rng = StdRng::seed_from_u64(derived);
-                let outcome = run_packet_shared(&mut rng, link, geometry, mode, &exc);
-                if flight {
-                    msc_obs::flight::note_score("tag_errors", outcome.tag_errors as f64);
-                    msc_obs::flight::note_score("tag_bits", outcome.tag_bits as f64);
-                    msc_obs::flight::note_score(
-                        "productive_errors",
-                        outcome.productive_errors as f64,
-                    );
-                    msc_obs::flight::note_score(
-                        "productive_units",
-                        outcome.productive_units as f64,
-                    );
-                    msc_obs::flight::note_score("tag_ber", outcome.tag_ber());
-                    msc_obs::flight::end_trial(if outcome.decoded { "ok" } else { "decode_fail" });
-                }
-                outcome
-            });
-            outs.extend(wave);
-        }
-        if let Some(p) = stopping {
-            if outs.len() < n && (p.decide)(&outs) {
-                if msc_obs::events::enabled() {
-                    msc_obs::events::emit(
-                        "early_stop",
-                        &format!(
-                            "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
-                            msc_obs::export::json_escape(cell),
-                            outs.len()
-                        ),
-                        "",
-                    );
-                }
-                break;
             }
         }
     }
@@ -903,18 +822,17 @@ mod tests {
 
     #[test]
     fn batched_outcomes_are_invariant_to_batch_width() {
-        // Any width > 1 routes through the same SoA engine with
-        // identical per-lane streams; only the chunking differs.
+        // Every width runs the same per-lane streams; only the
+        // chunking differs.
         let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
         let geo = Geometry::los(12.0);
-        let runs: Vec<Vec<PacketOutcome>> = [2usize, 5, 8]
+        let runs: Vec<Vec<PacketOutcome>> = [1usize, 2, 4, 8]
             .iter()
-            .map(|&b| {
-                crate::engine::set_batch(b);
-                run_packets(&link, &geo, Mode::Mode1, 16, 11, 7, "test/batch-width")
+            .map(|&w| {
+                let (n, cell) = (11, "test/batch-width");
+                run_packets_inner(&link, &geo, Mode::Mode1, 16, n, 7, cell, None, w)
             })
             .collect();
-        crate::engine::set_batch(crate::engine::DEFAULT_BATCH);
         for other in &runs[1..] {
             assert_eq!(runs[0].len(), other.len());
             for (a, b) in runs[0].iter().zip(other) {

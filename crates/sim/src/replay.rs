@@ -3,12 +3,13 @@
 //! A bundle pins `(experiment, n, seed, cell, index)`. Replay re-runs
 //! the whole experiment runner with the flight recorder armed and the
 //! bundle's `(cell, index)` set as the capture target; the packet
-//! pipeline skips every non-target cell and trial (cheap placeholders),
-//! so only the trial under investigation does real work. Because every
-//! trial's RNG derives from `derive_seed(seed, hash_label(cell),
-//! index)` and never from shared state, the captured record must
-//! reproduce the bundle's scores and verdict bit-for-bit — at any
-//! thread count. A mismatch means the determinism contract is broken.
+//! pipeline skips every non-target cell and trial (cheap placeholders)
+//! and runs the target as a one-lane batch, so only the trial under
+//! investigation does real work. Because every trial's RNG derives
+//! from `derive_seed(seed, hash_label(cell), index)` and never from
+//! shared state, the captured record must reproduce the bundle's
+//! derived seed, scores and verdict bit-for-bit — at any thread count.
+//! A mismatch means the determinism contract is broken.
 
 use crate::experiments;
 use msc_obs::flight::{self, Bundle, FlightConfig, TrialRecord};
@@ -18,7 +19,8 @@ use msc_obs::flight::{self, Bundle, FlightConfig, TrialRecord};
 pub struct ReplayResult {
     /// The re-run trial's record.
     pub record: TrialRecord,
-    /// Whether verdict and every score matched the bundle exactly.
+    /// Whether derived seed, verdict and every score matched the
+    /// bundle exactly.
     pub matches: bool,
     /// Human-readable mismatch descriptions (empty when `matches`).
     pub diffs: Vec<String>,
@@ -32,6 +34,11 @@ pub struct ReplayResult {
 pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
     let exp = experiments::find(&bundle.experiment)
         .ok_or_else(|| format!("unknown experiment {:?} in bundle", bundle.experiment))?;
+    // Trial-engine cells run at most the runner's clamped n trials, so
+    // a larger index can never be captured.
+    if !bundle.cell.starts_with(msc_core::search::ID_CELL_PREFIX) {
+        bundle.check_index(exp.effective_n(bundle.n)).map_err(|e| e.to_string())?;
+    }
 
     flight::arm(FlightConfig { ring: 0, max_dumps: 0, ..FlightConfig::default() });
     flight::set_replay_target(bundle.cell.clone(), bundle.index);
@@ -49,6 +56,12 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
     })?;
 
     let mut diffs = Vec::new();
+    if record.derived_seed != bundle.derived_seed {
+        diffs.push(format!(
+            "derived_seed: bundle {} vs replay {}",
+            bundle.derived_seed, record.derived_seed
+        ));
+    }
     if record.verdict != bundle.verdict {
         diffs.push(format!("verdict: bundle {:?} vs replay {:?}", bundle.verdict, record.verdict));
     }

@@ -1,9 +1,9 @@
 //! Steady-state allocation guard for the packet hot path.
 //!
-//! With the waveform cache, the FFT-plan/scratch registry, and the
-//! thread-local packet buffer all warm, one end-to-end packet should
-//! allocate only its small, unavoidable outputs (tag bits, decoded
-//! streams, outcome). This test counts allocator calls around one
+//! With the waveform cache, the FFT-plan/scratch registry, and a
+//! pooled one-lane trial batch all warm, one end-to-end packet should
+//! allocate only its small, unavoidable outputs (decoded streams,
+//! outcome). This test counts allocator calls around one
 //! representative packet — cold versus steady-state — and exports the
 //! steady-state count through `msc-obs` so regressions show up in the
 //! metrics dump, not just here.
@@ -11,9 +11,7 @@
 use msc_core::overlay::{params_for, Mode};
 use msc_core::TagOverlayModulator;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{
-    run_packet, run_packet_shared, AnyLink, Geometry, Impairments, TrialBatch,
-};
+use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, TrialBatch};
 use msc_sim::wavecache::CellExcitation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,22 +63,35 @@ fn steady_state_packet_allocates_far_less_than_cold() {
     // Single-threaded so the thread-local pools this thread warms are
     // the ones the measured packet uses.
     msc_par::set_threads(1);
-    let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
+    let p = Protocol::Ble;
+    let link = AnyLink::new(p, Mode::Mode1);
     let geo = Geometry::los(4.0);
-    let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "alloc-guard/cell");
+    let cell = "alloc-guard/cell";
+    let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, cell);
+    let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+    let cellh = msc_par::hash_label(cell);
+    let snr = geo.uplink_snr_db(p);
+    let mut tb = TrialBatch::default();
+    let mut outs = Vec::with_capacity(8);
+    let mut packet = |i: u64| {
+        tb.materialize(&modulator, &exc, 42, cellh, None, i, 1);
+        tb.apply_channel(Impairments::snr(snr, geo.fading));
+        outs.clear();
+        tb.decode_into(&link, &exc, snr, cell, &mut outs);
+        outs[0].decoded
+    };
+
+    // Warm the plan caches, scratch pools, and lane buffer, then
+    // measure one representative steady-state packet.
+    assert!(packet(0), "BLE at 4 m must decode");
+    for i in 1..4 {
+        packet(i);
+    }
+    let (warm, _) = count_allocs(|| packet(4));
     let mut rng = StdRng::seed_from_u64(7);
 
-    // Warm the plan caches, scratch pools, and packet buffer, then
-    // measure one representative steady-state packet.
-    let out = run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc);
-    assert!(out.decoded, "BLE at 4 m must decode");
-    for _ in 0..3 {
-        run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc);
-    }
-    let (warm, _) = count_allocs(|| run_packet_shared(&mut rng, &link, &geo, Mode::Mode1, &exc));
-
-    // A packet that resynthesizes its carrier (the pre-cache hot path)
-    // allocates far more than a shared-excitation packet.
+    // A packet that resynthesizes its carrier allocates far more than
+    // a shared-excitation packet.
     let (fresh, _) = count_allocs(|| run_packet(&mut rng, &link, &geo, Mode::Mode1, 16));
 
     // The scratch pools keep even fresh synthesis cheap, so the ratio
@@ -168,7 +179,7 @@ fn batched_materialize_and_channel_are_allocation_free_when_warm() {
     let snr = geo.uplink_snr_db(p);
     let batch = 8usize;
 
-    let mut tb = TrialBatch::new();
+    let mut tb = TrialBatch::default();
     for wave in 0..2u64 {
         tb.materialize(&modulator, &exc, 42, cellh, crn, wave * batch as u64, batch);
         tb.apply_channel(Impairments::snr(snr, geo.fading));

@@ -114,3 +114,35 @@ fn paper_binary_writes_bundles_and_replays_them() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Records fig13(2, `seed`), round-trips its first dump through JSON
+/// (after `edit`) and replays it.
+fn replay_first_dump(seed: u64, edit: impl Fn(String) -> String) -> msc_sim::replay::ReplayResult {
+    let _guard = flight::tests_serial();
+    msc_par::set_threads(2);
+    let dumps = record_failures(2, seed);
+    let bundle = flight::parse_bundle(&edit(flight::bundle_to_json(&dumps[0], 2))).expect("parse");
+    assert_eq!(bundle.seed, seed, "the base seed must round-trip exactly");
+    let result = msc_sim::replay::replay(&bundle).expect("replay runs");
+    msc_par::set_threads(0);
+    result
+}
+
+#[test]
+fn bundle_recorded_above_2_pow_53_replays_identically() {
+    // 2^53 + 1 has no f64 representation.
+    let result = replay_first_dump((1 << 53) + 1, |json| json);
+    assert!(result.matches, "seed 2^53+1 replay diverged: {:?}", result.diffs);
+}
+
+#[test]
+fn tampered_derived_seed_is_reported_as_mismatch() {
+    let tamper = |json: String| {
+        let at = json.find("\"derived_seed\": ").unwrap() + "\"derived_seed\": ".len();
+        let end = at + json[at..].find(',').unwrap();
+        format!("{}1{}", &json[..at], &json[end..])
+    };
+    let result = replay_first_dump(7, tamper);
+    assert!(!result.matches, "a wrong derived seed must not reproduce");
+    assert!(result.diffs[0].starts_with("derived_seed: bundle 1 vs"), "{:?}", result.diffs);
+}

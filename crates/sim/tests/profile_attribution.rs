@@ -8,24 +8,23 @@ use msc_obs::profile;
 fn profile_attributes_wall_clock_without_changing_results() {
     let _guard = profile::tests_serial();
     msc_par::set_threads(2);
-    // The batched engine folds this small early-stopped run into a
-    // single chunk, which par_map runs inline (no worker threads, no
-    // `par.worker` span). Force per-trial dispatch so the worker
-    // subtree this test asserts on actually exists.
-    msc_sim::engine::set_batch(1);
+    // A single-batch wave runs inline (no worker threads, no
+    // `par.worker` span). N is the smallest n whose early-stop schedule
+    // has a wave wider than one batch (6, 9, 14, 21, 30: the last wave
+    // is 9 trials), so the worker subtree this test asserts on exists.
+    const N: usize = 30;
 
-    let baseline = msc_sim::experiments::fig13::run(2, 7).render();
+    let baseline = msc_sim::experiments::fig13::run(N, 7).render();
 
     profile::reset();
     profile::enable();
     let profiled = {
         let _root = profile::scope("paper.run");
         let _exp = profile::scope("fig13");
-        msc_sim::experiments::fig13::run(2, 7).render()
+        msc_sim::experiments::fig13::run(N, 7).render()
     };
     profile::disable();
     let prof = profile::take();
-    msc_sim::engine::set_batch(msc_sim::engine::DEFAULT_BATCH);
     msc_par::set_threads(0);
 
     assert_eq!(baseline, profiled, "profiling must not change the report");

@@ -69,35 +69,67 @@ fn trace_cache_reports_identical_at_1_4_8_threads() {
 }
 
 #[test]
+fn observability_flags_do_not_change_reports() {
+    // `--metrics-out` (which arms the flight recorder), `--profile` and
+    // `--events` only observe the one trial engine: fig13's stdout must
+    // match a plain run byte for byte, at 1 and 8 threads.
+    let dir = std::env::temp_dir().join(format!("msc-obs-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let plain = paper_stdout(&["fig13", "2", "7", "--threads", "1"]);
+    assert!(!plain.trim().is_empty(), "fig13 produced no output");
+    for threads in ["1", "8"] {
+        for extra in [&[][..], &["--metrics-out", "m"], &["--profile"], &["--events", "e.jsonl"]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+                .args(["fig13", "2", "7", "--no-progress", "--threads", threads])
+                .args(extra)
+                .current_dir(&dir) // relative outputs and profile.* land here
+                .output()
+                .expect("run paper binary");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            assert_eq!(stdout, plain, "{extra:?} changed fig13 at {threads} threads");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn legacy_engine_flags_are_thread_count_invariant() {
-    // `--batch 1 --no-early-stop` selects the pre-batch per-trial code
-    // path (seed-compatible output); it must stay byte-identical at
+    // `--no-early-stop` is the one engine flag left: every cell runs its
+    // fixed budget on the batched lanes. It must stay byte-identical at
     // 1/4/8 threads like every other configuration.
     let mut outputs = Vec::new();
     for threads in ["1", "4", "8"] {
-        outputs.push(paper_stdout(&[
-            "fig13",
-            "2",
-            "7",
-            "--threads",
-            threads,
-            "--batch",
-            "1",
-            "--no-early-stop",
-        ]));
+        outputs.push(paper_stdout(&["fig13", "2", "7", "--threads", threads, "--no-early-stop"]));
     }
-    assert!(!outputs[0].trim().is_empty(), "fig13 produced no output with legacy flags");
-    assert_eq!(outputs[0], outputs[1], "legacy flags: 1 vs 4 threads");
-    assert_eq!(outputs[0], outputs[2], "legacy flags: 1 vs 8 threads");
+    assert!(!outputs[0].trim().is_empty(), "fig13 produced no output with --no-early-stop");
+    assert_eq!(outputs[0], outputs[1], "--no-early-stop: 1 vs 4 threads");
+    assert_eq!(outputs[0], outputs[2], "--no-early-stop: 1 vs 8 threads");
 }
 
 #[test]
 fn batch_width_does_not_change_reports() {
-    // Any width > 1 must produce identical results: lanes are seeded
-    // per trial index, never per batch.
-    let four = paper_stdout(&["fig13", "2", "7", "--threads", "2", "--batch", "4"]);
-    let eight = paper_stdout(&["fig13", "2", "7", "--threads", "2", "--batch", "8"]);
-    assert_eq!(four, eight, "fig13 output must not depend on batch width");
+    // The width is fixed, but a cell whose trial count is not a multiple
+    // of it ends in a narrower batch. Lanes are seeded per trial index,
+    // never per batch, so trial `i` must come out the same whether it
+    // sits in a full batch or in a short tail.
+    use msc_core::overlay::Mode;
+    use msc_phy::protocol::Protocol;
+    use msc_sim::pipeline::{run_packets, AnyLink, Geometry};
+
+    let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
+    let geo = Geometry::los(12.0);
+    let run = |n: usize| -> Vec<String> {
+        run_packets(&link, &geo, Mode::Mode1, 8, n, 7, "batch-width")
+            .iter()
+            .map(|o| format!("{o:?}"))
+            .collect()
+    };
+    let full = run(17);
+    assert_eq!(full.len(), 17);
+    for n in [3, 11, 16] {
+        assert_eq!(run(n), full[..n], "trials 0..{n} changed with the tail batch width");
+    }
 }
 
 /// Asserts `paper <id> 8 42` prints the same report at 1, 4 and 8
