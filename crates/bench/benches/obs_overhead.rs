@@ -101,7 +101,7 @@ fn bench_disabled_vs_enabled(c: &mut Criterion) {
     group.bench_function("identify_trial", |b| {
         let mut i = 0u64;
         b.iter(|| {
-            msc_obs::flight::begin_trial("bench", "bench/cell", i, 42, i, "802.11b");
+            msc_obs::flight::begin_trial("bench", "bench/cell", 0, i, 42, i, "802.11b");
             let p = msc_obs::metrics::time_stage("bench", "identify", || {
                 matcher.identify_ordered(black_box(&acq), 0, &rule)
             });

@@ -95,12 +95,14 @@ pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
         let experiment = msc_obs::metrics::current_experiment();
         let cell = format!("{ID_CELL_PREFIX}{label}");
         let cellh = msc_par::hash_label(&cell);
+        let ordinal = msc_obs::flight::reserve_cells(1);
         msc_par::par_map_indexed(traces.len(), |i| {
             let _score = msc_obs::profile::scope("id.score");
             let t = &traces[i];
             msc_obs::flight::begin_trial(
                 &experiment,
                 &cell,
+                ordinal,
                 i as u64,
                 seed,
                 msc_par::derive_seed(seed, cellh, i as u64),

@@ -38,6 +38,9 @@ pub struct FlightConfig {
     pub slow_stage_us: f64,
     /// Cap on retained dumps per run; excess failures only bump the
     /// suppressed counter so pathological cells can't flood the disk.
+    /// The dumps kept are the first `max_dumps` in run order — cell
+    /// ordinal ([`reserve_cells`]), then trial index — whatever order
+    /// worker threads finish them in.
     pub max_dumps: usize,
 }
 
@@ -99,9 +102,12 @@ pub struct FlightStats {
 struct State {
     cfg: FlightConfig,
     ring: VecDeque<TrialRecord>,
-    dumps: Vec<Dump>,
+    /// Retained dumps with their run-order rank `(cell ordinal, index)`.
+    dumps: Vec<((u64, u64), Dump)>,
     suppressed: u64,
     trials: u64,
+    /// The next unreserved cell ordinal.
+    next_cell: u64,
     /// `(cell, index)` a replay run wants captured.
     target: Option<(String, u64)>,
     captured: Option<TrialRecord>,
@@ -113,7 +119,8 @@ fn state() -> &'static Mutex<State> {
 }
 
 thread_local! {
-    static CURRENT: RefCell<Option<TrialRecord>> = const { RefCell::new(None) };
+    /// The open trial and its cell ordinal.
+    static CURRENT: RefCell<Option<(u64, TrialRecord)>> = const { RefCell::new(None) };
 }
 
 /// Arms the recorder with `cfg`, discarding any previous state
@@ -135,11 +142,28 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Relaxed)
 }
 
-/// Opens the current thread's trial record. Pair with [`end_trial`].
+/// Reserves `k` consecutive cell ordinals and returns the first (0 when
+/// disarmed). Callers reserve on their sequential code path, in the
+/// order their cells run, so the ordinal of a cell is the same at any
+/// thread count; it ranks the cell's failures for the dump cap.
+pub fn reserve_cells(k: u64) -> u64 {
+    if !armed() {
+        return 0;
+    }
+    let mut s = state().lock().unwrap();
+    let first = s.next_cell;
+    s.next_cell += k;
+    first
+}
+
+/// Opens the current thread's trial record: trial `index` of the cell
+/// with label `cell` and ordinal `ordinal` ([`reserve_cells`]). Pair
+/// with [`end_trial`].
 #[allow(clippy::too_many_arguments)]
 pub fn begin_trial(
     experiment: &str,
     cell: &str,
+    ordinal: u64,
     index: u64,
     seed: u64,
     derived_seed: u64,
@@ -149,17 +173,20 @@ pub fn begin_trial(
         return;
     }
     CURRENT.with(|c| {
-        *c.borrow_mut() = Some(TrialRecord {
-            experiment: experiment.to_string(),
-            cell: cell.to_string(),
-            index,
-            seed,
-            derived_seed,
-            protocol,
-            stages: Vec::new(),
-            scores: Vec::new(),
-            verdict: String::new(),
-        });
+        *c.borrow_mut() = Some((
+            ordinal,
+            TrialRecord {
+                experiment: experiment.to_string(),
+                cell: cell.to_string(),
+                index,
+                seed,
+                derived_seed,
+                protocol,
+                stages: Vec::new(),
+                scores: Vec::new(),
+                verdict: String::new(),
+            },
+        ));
     });
 }
 
@@ -170,7 +197,7 @@ pub fn note_stage(stage: &'static str, us: f64) {
         return;
     }
     CURRENT.with(|c| {
-        if let Some(rec) = c.borrow_mut().as_mut() {
+        if let Some((_, rec)) = c.borrow_mut().as_mut() {
             rec.stages.push((stage, us));
         }
     });
@@ -182,7 +209,7 @@ pub fn note_score(name: &'static str, value: f64) {
         return;
     }
     CURRENT.with(|c| {
-        if let Some(rec) = c.borrow_mut().as_mut() {
+        if let Some((_, rec)) = c.borrow_mut().as_mut() {
             rec.scores.push((name, value));
         }
     });
@@ -194,7 +221,7 @@ pub fn end_trial(verdict: &str) {
     if !armed() {
         return;
     }
-    let Some(mut rec) = CURRENT.with(|c| c.borrow_mut().take()) else {
+    let Some((ordinal, mut rec)) = CURRENT.with(|c| c.borrow_mut().take()) else {
         return;
     };
     rec.verdict = verdict.to_string();
@@ -215,10 +242,19 @@ pub fn end_trial(verdict: &str) {
             .map(|&(stage, _)| format!("slow_stage:{stage}"))
     };
     if let Some(reason) = reason {
+        // Keep the `max_dumps` smallest ranks: a failure that outranks
+        // the latest kept one takes its place. Either way exactly one
+        // failure beyond the cap is suppressed.
+        let rank = (ordinal, rec.index);
+        let dump = Dump { reason, record: rec.clone() };
         if s.dumps.len() < s.cfg.max_dumps {
-            s.dumps.push(Dump { reason, record: rec.clone() });
+            s.dumps.push((rank, dump));
         } else {
             s.suppressed += 1;
+            let latest = s.dumps.iter_mut().max_by_key(|(r, _)| *r);
+            if let Some(slot) = latest.filter(|(r, _)| rank < *r) {
+                *slot = (rank, dump);
+            }
         }
     }
     if s.cfg.ring > 0 {
@@ -232,7 +268,8 @@ pub fn end_trial(verdict: &str) {
 /// Drains the retained dumps, sorted by `(cell, index)` so the files a
 /// run writes are deterministic regardless of worker interleaving.
 pub fn take_dumps() -> Vec<Dump> {
-    let mut dumps = std::mem::take(&mut state().lock().unwrap().dumps);
+    let mut dumps: Vec<Dump> =
+        std::mem::take(&mut state().lock().unwrap().dumps).into_iter().map(|(_, d)| d).collect();
     dumps.sort_by(|a, b| {
         (a.record.cell.as_str(), a.record.index).cmp(&(b.record.cell.as_str(), b.record.index))
     });
@@ -449,7 +486,11 @@ mod tests {
     use super::*;
 
     fn trial(cell: &str, index: u64, verdict: &str) {
-        begin_trial("unit", cell, index, 42, 1000 + index, "BLE");
+        trial_in(0, cell, index, verdict);
+    }
+
+    fn trial_in(ordinal: u64, cell: &str, index: u64, verdict: &str) {
+        begin_trial("unit", cell, ordinal, index, 42, 1000 + index, "BLE");
         note_stage("modulate", 12.5);
         note_stage("decode", 250.0);
         note_score("tag_errors", if verdict == "ok" { 0.0 } else { 3.0 });
@@ -487,6 +528,27 @@ mod tests {
         let dumps = take_dumps();
         disarm();
         assert!(dumps.iter().all(|d| d.reason == "slow_stage:decode"));
+    }
+
+    #[test]
+    fn dump_cap_keeps_the_first_failures_in_run_order() {
+        let _guard = tests_serial();
+        arm(FlightConfig { max_dumps: 3, ..FlightConfig::default() });
+        let first = reserve_cells(2);
+        assert_eq!(reserve_cells(1), first + 2, "ordinals are consecutive");
+        // Failures finish out of order, as pool workers would finish
+        // them: later cells and later indices first.
+        let order = [(2, 0), (1, 4), (0, 9), (1, 1), (0, 3), (2, 5), (0, 8)];
+        for (cell, index) in order {
+            trial_in(first + cell, &format!("cell/{cell}"), index, "decode_fail");
+        }
+        let stats = stats();
+        let kept: Vec<(String, u64)> =
+            take_dumps().into_iter().map(|d| (d.record.cell, d.record.index)).collect();
+        disarm();
+        assert_eq!(stats.suppressed, 4, "every failure beyond the cap is counted");
+        let want = [("cell/0", 3), ("cell/0", 8), ("cell/0", 9)];
+        assert_eq!(kept, want.map(|(c, i)| (c.to_string(), i)));
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //!    index)` triple always yields the same seed, so a packet simulated
 //!    on thread 7 of 8 is bit-identical to the same packet simulated
 //!    single-threaded.
+//! 3. **A nested call runs inline.** A [`par_map_indexed`] issued from
+//!    inside a pool worker runs sequentially on that worker: the outer
+//!    call already occupies the pool, and spawning a second set of
+//!    threads per item would oversubscribe it. The nested call still
+//!    opens its `par.run` frame and records a pool call, and its
+//!    results are index-addressed like any other, so running inline
+//!    changes work placement, never results. A runner can therefore fan
+//!    its cells out and let each cell's own pool calls run in place.
 //!
 //! The pool is configured process-wide with [`set_threads`]; the `paper`
 //! binary maps its `--threads N` flag onto it. `threads() == 1` runs
@@ -23,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Configured worker count. 0 = unset, meaning "available parallelism".
@@ -41,6 +50,17 @@ pub fn threads() -> usize {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         n => n,
     }
+}
+
+thread_local! {
+    /// Set for the lifetime of a pool worker, so a pool call issued
+    /// from inside one runs inline (crate rule 3).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the current thread is a pool worker.
+fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
 }
 
 /// What one worker brought back: its result chunks plus its own time
@@ -64,14 +84,15 @@ struct WorkerOut<U> {
 /// `par.run` → `par.worker` subtree, with the workers' combined idle and
 /// chunk-claim time recorded alongside (`par.idle` / `par.claim`), and
 /// the outstanding-chunk count feeds the `par.queue_depth` histogram
-/// when metrics are enabled.
+/// when metrics are enabled. Called from inside a pool worker, it runs
+/// inline on that worker (crate rule 3).
 pub fn par_map_indexed<U, F>(n: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
     let workers = threads().min(n.max(1));
-    if workers <= 1 || n <= 1 {
+    if workers <= 1 || n <= 1 || in_worker() {
         let _frame = msc_obs::profile::scope("par.run");
         let t0 = std::time::Instant::now();
         let out: Vec<U> = (0..n).map(f).collect();
@@ -100,6 +121,7 @@ where
                 std::thread::Builder::new()
                     .name(format!("par-{w}"))
                     .spawn_scoped(scope, move || {
+                        IN_WORKER.with(|w| w.set(true));
                         let _worker = msc_obs::profile::worker_scope(fork);
                         let t0 = std::time::Instant::now();
                         let mut mine: Vec<(usize, Vec<U>)> = Vec::new();
@@ -237,6 +259,26 @@ mod tests {
         assert!(par_map_indexed(0, |i| i).is_empty());
         assert_eq!(par_map_indexed(1, |i| i), vec![0]);
         set_threads(0);
+    }
+
+    #[test]
+    fn nested_call_runs_inline_on_the_outer_worker() {
+        let _guard = msc_obs::profile::tests_serial();
+        set_threads(4);
+        let inner = |o: usize| par_map_indexed(16, move |i| derive_seed(o as u64, 3, i as u64));
+        let want: Vec<Vec<u64>> = (0..8).map(inner).collect();
+        // Every inner item sees the outer worker's thread name: the
+        // nested call spawned no thread of its own.
+        let got = par_map_indexed(8, |o| {
+            let outer = std::thread::current().name().map(str::to_string);
+            let names = par_map_indexed(16, |_| std::thread::current().name().map(str::to_string));
+            assert!(outer.as_deref().is_some_and(|n| n.starts_with("par-")), "{outer:?}");
+            assert!(names.iter().all(|n| *n == outer), "{names:?} vs {outer:?}");
+            inner(o)
+        });
+        set_threads(0);
+        assert_eq!(got, want);
+        assert!(!in_worker(), "the caller is not a worker");
     }
 
     #[test]

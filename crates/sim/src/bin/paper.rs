@@ -358,12 +358,13 @@ fn main() {
         write_fleet_incidents(dir);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
         // counters, the waveform cache, the trace memo (whose counts are
-        // of analog trace sets, not digitized ones), and the worker pool
-        // / flight / progress totals.
+        // of analog trace sets, not digitized ones), the fleet link-table
+        // memo, and the worker pool / flight / progress totals.
         msc_obs::metrics::set_experiment("run");
         let ps = msc_dsp::plan::stats();
         let ws = msc_sim::wavecache::stats();
         let ts = msc_sim::tracecache::stats();
+        let ls = msc_sim::experiments::fleet::link_table_stats();
         let pool = msc_obs::pool::snapshot();
         let fs = msc_obs::flight::stats();
         let pc = msc_obs::progress::counters();
@@ -380,6 +381,8 @@ fn main() {
         g("tracecache.len", "sim", "", ts.len as f64);
         g("tracecache.hits_total", "sim", "", ts.hits as f64);
         g("tracecache.misses_total", "sim", "", ts.misses as f64);
+        g("linkcache.hits_total", "sim", "", ls.hits as f64);
+        g("linkcache.misses_total", "sim", "", ls.misses as f64);
         g("pool.busy_us", "par", "", pool.busy_us as f64);
         g("pool.idle_us", "par", "", pool.idle_us as f64);
         g("pool.utilization", "par", "", pool.utilization());
@@ -566,6 +569,7 @@ fn write_profile(dir: Option<&std::path::Path>) {
     let ps = msc_dsp::plan::stats();
     let ws = msc_sim::wavecache::stats();
     let ts = msc_sim::tracecache::stats();
+    let ls = msc_sim::experiments::fleet::link_table_stats();
     let pool = msc_obs::pool::snapshot();
     let counters: Vec<(String, f64)> = vec![
         ("dsp.plan_hits".into(), ps.plan_hits as f64),
@@ -579,6 +583,9 @@ fn write_profile(dir: Option<&std::path::Path>) {
         ("tracecache.hits".into(), ts.hits as f64),
         ("tracecache.misses".into(), ts.misses as f64),
         ("tracecache.bypasses".into(), ts.bypasses as f64),
+        // Fleet link-table lookups: each hit skipped a calibration.
+        ("linkcache.hits".into(), ls.hits as f64),
+        ("linkcache.misses".into(), ls.misses as f64),
         ("pool.busy_us".into(), pool.busy_us as f64),
         ("pool.idle_us".into(), pool.idle_us as f64),
         ("pool.utilization".into(), pool.utilization()),

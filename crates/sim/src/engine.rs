@@ -3,7 +3,7 @@
 //!
 //! The knob is a plain atomic set once at startup (the `paper` binary
 //! maps `--no-early-stop` onto it) and read by
-//! [`crate::pipeline::run_packets_stopping`] per cell. It changes how
+//! [`crate::pipeline::run_cells`] per cell. It changes how
 //! many trials a cell consumes, never what any trial computes: runners
 //! with a [`crate::pipeline::StopPolicy`] halt a cell once its verdict
 //! is statistically decided, and disabling it restores full trial

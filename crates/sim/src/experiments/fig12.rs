@@ -3,7 +3,7 @@
 //! locations; delivery statistics come from the IQ pipeline at a
 //! representative mid-range geometry with fading).
 
-use crate::pipeline::{run_packets, AnyLink, Geometry};
+use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, PacketOutcome};
 use crate::report::{f1, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::{gamma_for, Mode};
@@ -20,18 +20,14 @@ struct Delivery {
     tag_bits: usize,
 }
 
-fn delivery(seed: u64, p: Protocol, mode: Mode, n: usize, cell: &str) -> Delivery {
-    let link = AnyLink::new(p, mode);
+fn delivery(outs: &[PacketOutcome], n: usize) -> Delivery {
     let mut d = Delivery { prod_ok: 0.0, tag_ok: 0.0, delivered: 0, tag_err: 0, tag_bits: 0 };
-    let geo = Geometry::los(6.0); // the paper's spatial-diversity sweep
-    for out in run_packets(&link, &geo, mode, 16, n, seed, cell) {
-        if out.decoded {
-            d.delivered += 1;
-            d.tag_err += out.tag_errors;
-            d.tag_bits += out.tag_bits;
-            d.prod_ok += 1.0 - out.productive_errors as f64 / out.productive_units.max(1) as f64;
-            d.tag_ok += 1.0 - out.tag_errors as f64 / out.tag_bits.max(1) as f64;
-        }
+    for out in outs.iter().filter(|o| o.decoded) {
+        d.delivered += 1;
+        d.tag_err += out.tag_errors;
+        d.tag_bits += out.tag_bits;
+        d.prod_ok += 1.0 - out.productive_errors as f64 / out.productive_units.max(1) as f64;
+        d.tag_ok += 1.0 - out.tag_errors as f64 / out.tag_bits.max(1) as f64;
     }
     d.prod_ok /= n as f64;
     d.tag_ok /= n as f64;
@@ -45,47 +41,62 @@ pub fn run(n: usize, seed: u64) -> Report {
         "fig12 — throughput tradeoffs across overlay modes (kbps)",
         &["protocol", "mode", "κ", "productive", "tag", "aggregate"],
     );
-    for p in Protocol::ALL {
+    // One cell per (protocol, mode): (protocol, mode label, stage, mode).
+    let rows: Vec<(Protocol, &str, &str, Mode)> = Protocol::ALL
+        .iter()
+        .flat_map(|&p| {
+            let n3 = ExcitationProfile::paper_default(p).payload_symbols / gamma_for(p);
+            [
+                ("1", "mode1", Mode::Mode1),
+                ("2", "mode2", Mode::Mode2),
+                ("3", "mode3", Mode::Mode3 { n: n3 }),
+            ]
+            .map(|(label, stage, mode)| (p, label, stage, mode))
+        })
+        .collect();
+    // Delivery statistics measured at mode 1/2 geometry; mode 3 reuses
+    // mode 1's (same physical modulation).
+    let meas_mode = |mode: Mode| match mode {
+        Mode::Mode3 { .. } => Mode::Mode1,
+        m => m,
+    };
+    let links: Vec<AnyLink> =
+        rows.iter().map(|&(p, _, _, m)| AnyLink::new(p, meas_mode(m))).collect();
+    // All 12 cells fan out across the pool at once.
+    let cells: Vec<CellSpec> = rows
+        .iter()
+        .zip(&links)
+        .map(|(&(p, _, stage, mode), link)| CellSpec {
+            link,
+            geometry: Geometry::los(6.0), // the paper's spatial-diversity sweep
+            mode: meas_mode(mode),
+            n_productive: 16,
+            n,
+            seed,
+            label: format!("fig12/{}/{stage}", p.label()),
+            stop: None,
+        })
+        .collect();
+    for ((&(p, label, stage, mode), cell), outs) in rows.iter().zip(&cells).zip(run_cells(&cells)) {
         let profile = ExcitationProfile::paper_default(p);
-        let n3 = profile.payload_symbols / gamma_for(p);
-        for (label, mode) in [("1", Mode::Mode1), ("2", Mode::Mode2), ("3", Mode::Mode3 { n: n3 })]
-        {
-            // Delivery statistics measured at mode 1/2 geometry; mode 3
-            // reuses mode 1's (same physical modulation).
-            let meas_mode = match mode {
-                Mode::Mode3 { .. } => Mode::Mode1,
-                m => m,
-            };
-            let stage = match label {
-                "1" => "mode1",
-                "2" => "mode2",
-                _ => "mode3",
-            };
-            let cell = format!("fig12/{}/{stage}", p.label());
-            let d = delivery(seed, p, meas_mode, n, &cell);
-            let g = goodput(&profile, mode, d.prod_ok, d.tag_ok);
-            msc_obs::metrics::gauge_set("link.productive_bps", p.label(), stage, g.productive_bps);
-            msc_obs::metrics::gauge_set("link.tag_bps", p.label(), stage, g.tag_bps);
-            msc_obs::metrics::gauge_set("link.aggregate_bps", p.label(), stage, g.aggregate_bps());
-            report.keyed_row(
-                &cell,
-                &[
-                    p.label().into(),
-                    label.into(),
-                    format!("{}", msc_core::overlay::params_for(p, mode).kappa),
-                    f1(g.productive_bps / 1e3),
-                    f1(g.tag_bps / 1e3),
-                    f1(g.aggregate_bps() / 1e3),
-                ],
-            );
-            report.stat("per", (n - d.delivered) as u64, n as u64);
-            report.stat_clustered(
-                "tag_ber",
-                d.tag_err as u64,
-                d.tag_bits as u64,
-                d.delivered as u64,
-            );
-        }
+        let d = delivery(&outs, n);
+        let g = goodput(&profile, mode, d.prod_ok, d.tag_ok);
+        msc_obs::metrics::gauge_set("link.productive_bps", p.label(), stage, g.productive_bps);
+        msc_obs::metrics::gauge_set("link.tag_bps", p.label(), stage, g.tag_bps);
+        msc_obs::metrics::gauge_set("link.aggregate_bps", p.label(), stage, g.aggregate_bps());
+        report.keyed_row(
+            &cell.label,
+            &[
+                p.label().into(),
+                label.into(),
+                format!("{}", msc_core::overlay::params_for(p, mode).kappa),
+                f1(g.productive_bps / 1e3),
+                f1(g.tag_bps / 1e3),
+                f1(g.aggregate_bps() / 1e3),
+            ],
+        );
+        report.stat("per", (n - d.delivered) as u64, n as u64);
+        report.stat_clustered("tag_ber", d.tag_err as u64, d.tag_bits as u64, d.delivered as u64);
     }
     report.note("Paper Fig. 12: BLE mode-1 aggregate 278.4 kbps (141.6 productive + 136.8 tag); mode 2 ⇒ 3:1 tag:productive; mode 3 ⇒ productive ≈ 0.");
     report.note("Our ZigBee sits below the paper's 26.2 kbps because we honor the CC2530's stated 20 pkts/s cap (§3); see EXPERIMENTS.md.");

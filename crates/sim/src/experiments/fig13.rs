@@ -2,7 +2,7 @@
 //! Paper: maximal ranges 28 m (WiFi b/n), 22 m (ZigBee), 20 m (BLE); low
 //! BERs out to 16 m.
 
-use crate::pipeline::{run_packets_stopping, AnyLink, Geometry, PacketOutcome, StopPolicy};
+use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, PacketOutcome, StopPolicy};
 use crate::report::{f1, pct, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::Mode;
@@ -48,28 +48,46 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
         Report::new(title, &["protocol", "d m", "RSSI dBm", "PER", "tag BER", "aggregate kbps"]);
 
     let stage = if nlos { "nlos" } else { "los" };
+    let geometry = |d: f64| if nlos { Geometry::nlos(d) } else { Geometry::los(d) };
+    let links: Vec<AnyLink> = Protocol::ALL.iter().map(|&p| AnyLink::new(p, Mode::Mode1)).collect();
+    // Adjacent distances share channel draws per trial index (common
+    // random numbers): the sweep axis is stripped from the CRN group,
+    // so range comparisons see the same channel luck.
+    let crn_groups: Vec<String> =
+        Protocol::ALL.iter().map(|p| format!("{stage}/{}/crn", p.label())).collect();
+    // All 32 (protocol, distance) cells fan out across the pool at once.
+    let cells: Vec<CellSpec> = links
+        .iter()
+        .zip(&crn_groups)
+        .flat_map(|(link, crn_group)| {
+            DISTANCES.map(|d| CellSpec {
+                link,
+                geometry: geometry(d),
+                mode: Mode::Mode1,
+                n_productive: 16,
+                n,
+                seed,
+                label: format!("{stage}/{}/{d}", link.protocol().label()),
+                stop: Some(StopPolicy {
+                    floor: floor.min(n),
+                    crn_group: Some(crn_group),
+                    decide: &verdict_settled,
+                }),
+            })
+        })
+        .collect();
+    let mut runs = cells.iter().zip(run_cells(&cells));
     for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
         let profile = ExcitationProfile::paper_default(p);
         let mut max_range = 0.0f64;
         let mut counter = msc_rx::BerCounter::new();
-        // Adjacent distances share channel draws per trial index
-        // (common random numbers): the sweep axis is stripped from the
-        // CRN group, so range comparisons see the same channel luck.
-        let crn_group = format!("{stage}/{}/crn", p.label());
         for d in DISTANCES {
-            let geo = if nlos { Geometry::nlos(d) } else { Geometry::los(d) };
+            let (cell, outs) = runs.next().expect("one outcome list per cell");
+            let geo = cell.geometry;
             let mut delivered = 0usize;
             let mut tag_err = 0usize;
             let mut tag_bits = 0usize;
             let mut prod_ok_acc = 0.0;
-            let cell = format!("{stage}/{}/{d}", p.label());
-            let policy = StopPolicy {
-                floor: floor.min(n),
-                crn_group: Some(&crn_group),
-                decide: &verdict_settled,
-            };
-            let outs = run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
             let m = outs.len();
             for out in &outs {
                 if out.decoded {
@@ -92,7 +110,7 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
                 max_range = d;
             }
             report.keyed_row(
-                &cell,
+                &cell.label,
                 &[
                     p.label().into(),
                     f1(d),

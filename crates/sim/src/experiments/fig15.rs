@@ -3,7 +3,7 @@
 //! (802.11b) vs Hitchhike 94 kbps and FreeRider 33 kbps — the
 //! single-receiver design does not care about the original channel.
 
-use crate::pipeline::{apply_uplink, run_packets, AnyLink, Geometry};
+use crate::pipeline::{apply_uplink, run_cells, AnyLink, CellSpec, Geometry};
 use crate::report::{f1, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_baseline::{BaselineKind, TwoReceiverSystem};
@@ -25,12 +25,22 @@ pub fn run(n: usize, seed: u64) -> Report {
     // Multiscatter: occlusion of the "original channel" is irrelevant —
     // a single receiver decodes the backscattered packet alone. Measure
     // at a 6 m geometry.
-    for p in [Protocol::Ble, Protocol::WifiB] {
-        let link = AnyLink::new(p, Mode::Mode1);
-        let cell = format!("fig15/{}", p.label());
+    let links = [Protocol::Ble, Protocol::WifiB].map(|p| AnyLink::new(p, Mode::Mode1));
+    let cells = links.each_ref().map(|link| CellSpec {
+        link,
+        geometry: Geometry::los(6.0),
+        mode: Mode::Mode1,
+        n_productive: 16,
+        n,
+        seed,
+        label: format!("fig15/{}", link.protocol().label()),
+        stop: None,
+    });
+    for (cell, outs) in cells.iter().zip(run_cells(&cells)) {
+        let p = cell.link.protocol();
         let mut ok = 0.0;
         let (mut delivered, mut tag_err, mut tag_bits) = (0usize, 0usize, 0usize);
-        for out in run_packets(&link, &Geometry::los(6.0), Mode::Mode1, 16, n, seed, &cell) {
+        for out in outs {
             if out.decoded {
                 delivered += 1;
                 tag_err += out.tag_errors;
@@ -39,7 +49,10 @@ pub fn run(n: usize, seed: u64) -> Report {
             }
         }
         let g = goodput(&ExcitationProfile::paper_default(p), Mode::Mode1, 1.0, ok / n as f64);
-        report.keyed_row(&cell, &["multiscatter".into(), p.label().into(), f1(g.tag_bps / 1e3)]);
+        report.keyed_row(
+            &cell.label,
+            &["multiscatter".into(), p.label().into(), f1(g.tag_bps / 1e3)],
+        );
         report.stat("per", (n - delivered) as u64, n as u64);
         report.stat_clustered("tag_ber", tag_err as u64, tag_bits as u64, delivered as u64);
     }

@@ -7,8 +7,10 @@
 //!
 //! The engine resolves packet outcomes against a link abstraction
 //! *calibrated here*: each protocol's PER-vs-SNR curve is sampled from
-//! the full waveform pipeline ([`run_packets`]) at a handful of
-//! distances, then interpolated per packet at fleet scale. The
+//! the full waveform pipeline ([`run_cells`]) at a handful of
+//! distances, then interpolated per packet at fleet scale. The table is
+//! memoized per `(n, seed)` ([`calibrate`]), so the three fleet runners
+//! of one process share a calibration. The
 //! `--fleet-phy` flag additionally replays a sampled subset of the
 //! fleet's single-tag attempts through the full pipeline and classifies
 //! abstraction-vs-pipeline divergence with the same interval-overlap
@@ -24,7 +26,8 @@
 //! ([`replay_incident`]). `paper fleet-timeline` ([`run_timeline`])
 //! renders the same windows as an ASCII carrier-occupancy strip chart.
 
-use crate::pipeline::{run_packets, AnyLink, Geometry};
+use crate::memo::{Counters, Memo, MemoStats};
+use crate::pipeline::{run_cells, run_packets, AnyLink, CellSpec, Geometry};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
 use msc_core::overlay::{params_for, Mode};
@@ -37,7 +40,7 @@ use msc_obs::export::json_escape;
 use msc_obs::stats::{classify, DiffClass, Proportion, Z99};
 use msc_phy::protocol::Protocol;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{LazyLock, Mutex};
 
 /// Tag deployment band: placements map `u ∈ [0, 1)` onto LoS distances
 /// `[2, 18) m` — inside every protocol's usable range, so starvation
@@ -151,22 +154,61 @@ pub fn place_snr_db(place_u: f64, p: Protocol) -> f64 {
     Geometry::los(PLACE_MIN_M + PLACE_SPAN_M * place_u).uplink_snr_db(p)
 }
 
+/// The link-table memo type: one calibrated table per `(n, seed)`.
+type LinkMemo = Memo<(usize, u64), LinkTable>;
+
+fn new_link_memo() -> LinkMemo {
+    Memo::new(Counters { hit: "linkcache.hit", miss: "linkcache.miss", bypass: "linkcache.bypass" })
+}
+
+/// The process's link-table memo: `fleet`, `fleet-scale` and
+/// `fleet-timeline` share one calibration per `(n, seed)`.
+static LINK_TABLES: LazyLock<LinkMemo> = LazyLock::new(new_link_memo);
+
+/// Link-table memo counters: a miss calibrated a table, a hit reused
+/// one.
+pub fn link_table_stats() -> MemoStats {
+    LINK_TABLES.stats()
+}
+
 /// Calibrates the link abstraction: `n` full-pipeline trials per
-/// (protocol, distance) cell, keyed by the cell's uplink SNR.
+/// (protocol, distance) cell, keyed by the cell's uplink SNR. A
+/// calibration is a pure function of `(n, seed)`, so the table is
+/// memoized: the first request in a process measures it (under the
+/// `fleet.calibrate` profiler frame) and later ones share it.
 pub fn calibrate(n: usize, seed: u64) -> LinkTable {
-    let _frame = msc_obs::profile::scope("fleet.calibrate");
-    let mut table = LinkTable::new();
-    for p in Protocol::ALL {
-        let link = AnyLink::new(p, Mode::Mode1);
-        for d in CAL_DISTANCES {
-            let geo = Geometry::los(d);
-            let cell = format!("fleet/cal/{}/{d}", p.label());
-            let outs = run_packets(&link, &geo, Mode::Mode1, 16, n, seed, &cell);
+    calibrate_in(&LINK_TABLES, n, seed)
+}
+
+fn calibrate_in(memo: &LinkMemo, n: usize, seed: u64) -> LinkTable {
+    memo.get_or_compute((n, seed), "fleet", || {
+        let _frame = msc_obs::profile::scope("fleet.calibrate");
+        let links: Vec<AnyLink> =
+            Protocol::ALL.iter().map(|&p| AnyLink::new(p, Mode::Mode1)).collect();
+        // All 20 (protocol, distance) cells fan out across the pool.
+        let cells: Vec<CellSpec> = links
+            .iter()
+            .flat_map(|link| {
+                CAL_DISTANCES.map(|d| CellSpec {
+                    link,
+                    geometry: Geometry::los(d),
+                    mode: Mode::Mode1,
+                    n_productive: 16,
+                    n,
+                    seed,
+                    label: format!("fleet/cal/{}/{d}", link.protocol().label()),
+                    stop: None,
+                })
+            })
+            .collect();
+        let mut table = LinkTable::new();
+        for (cell, outs) in cells.iter().zip(run_cells(&cells)) {
+            let p = cell.link.protocol();
             let lost = outs.iter().filter(|o| !o.decoded).count();
-            table.insert(p, geo.uplink_snr_db(p), lost as f64 / outs.len().max(1) as f64);
+            table.insert(p, cell.geometry.uplink_snr_db(p), lost as f64 / outs.len().max(1) as f64);
         }
-    }
-    table
+        table
+    })
 }
 
 /// The paper-default 500-tag scenario with one policy/energy choice.
@@ -807,6 +849,18 @@ mod tests {
             let far = table.per(p, place_snr_db(0.999, p));
             assert!(near <= far + 1e-9, "{}: near {near} > far {far}", p.label());
         }
+    }
+
+    #[test]
+    fn calibration_is_memoized_per_n_and_seed() {
+        let memo = new_link_memo();
+        let first = calibrate_in(&memo, 8, 4711);
+        let second = calibrate_in(&memo, 8, 4711);
+        let s = memo.stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "the second call must reuse the table");
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
+        calibrate_in(&memo, 8, 4712);
+        assert_eq!(memo.stats().misses, 2, "another seed calibrates afresh");
     }
 
     #[test]

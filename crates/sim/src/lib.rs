@@ -15,6 +15,7 @@ pub mod energy;
 pub mod engine;
 pub mod experiments;
 pub mod idtraces;
+pub mod memo;
 pub mod pipeline;
 pub mod replay;
 pub mod report;
@@ -27,7 +28,7 @@ pub mod wavecache;
 // keep working.
 pub use msc_fleet::traffic;
 
-pub use pipeline::{AnyLink, Geometry, PacketOutcome, StopPolicy, TrialBatch};
+pub use pipeline::{AnyLink, CellSpec, Geometry, PacketOutcome, StopPolicy, TrialBatch};
 pub use report::Report;
 pub use tracecache::set_trace_cache;
 pub use wavecache::{set_waveform_cache, CellExcitation};

@@ -491,16 +491,16 @@ impl TrialBatch {
     /// hint), appending outcomes to `out` in trial order.
     ///
     /// With the flight recorder armed, each lane is one trial record
-    /// under `cell`: its index and derived seed, its `decode` stage
-    /// timing, the five outcome scores and an `ok` / `decode_fail`
-    /// verdict. `modulate` and `channel` run once per batch, so no
-    /// trial record carries them.
+    /// under `cell`, a `(label, flight ordinal)` pair: its index and
+    /// derived seed, its `decode` stage timing, the five outcome scores
+    /// and an `ok` / `decode_fail` verdict. `modulate` and `channel` run
+    /// once per batch, so no trial record carries them.
     pub fn decode_into(
         &self,
         link: &AnyLink,
         exc: &crate::wavecache::CellExcitation,
         snr_db: f64,
-        cell: &str,
+        cell: (&str, u64),
         out: &mut Vec<PacketOutcome>,
     ) {
         let label = link.protocol().label();
@@ -510,7 +510,16 @@ impl TrialBatch {
             if flight {
                 let i = self.start + l as u64;
                 let derived = msc_par::derive_seed(self.seed, self.cellh, i);
-                msc_obs::flight::begin_trial(&experiment, cell, i, self.seed, derived, label);
+                let (cell, ordinal) = cell;
+                msc_obs::flight::begin_trial(
+                    &experiment,
+                    cell,
+                    ordinal,
+                    i,
+                    self.seed,
+                    derived,
+                    label,
+                );
             }
             metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
             metrics::counter_add("pipe.packets", label, "", 1);
@@ -543,7 +552,9 @@ impl TrialBatch {
     }
 }
 
-/// Adaptive early-stopping policy for [`run_packets_stopping`].
+/// Adaptive early-stopping policy for a [`CellSpec`] (or
+/// [`run_packets_stopping`]).
+#[derive(Clone, Copy)]
 pub struct StopPolicy<'a> {
     /// Minimum trials before the first stop check (the experiment's
     /// `min_n` from the registry).
@@ -575,20 +586,65 @@ fn checkpoints(n: usize, floor: usize) -> Vec<usize> {
     plan
 }
 
-/// Runs `n` independent Monte-Carlo packets of one experiment cell on
-/// the `msc-par` pool.
+/// One experiment cell for [`run_cells`]: `n` Monte-Carlo packets of
+/// `link` through `geometry`, seeded by `(seed, label, index)`.
+pub struct CellSpec<'a> {
+    /// The protocol's overlay link.
+    pub link: &'a AnyLink,
+    /// The deployment the packets cross.
+    pub geometry: Geometry,
+    /// Overlay mode.
+    pub mode: Mode,
+    /// Productive units per carrier.
+    pub n_productive: usize,
+    /// Trials requested.
+    pub n: usize,
+    /// The run's base seed.
+    pub seed: u64,
+    /// Cell label (e.g. `"los/ZigBee/8"`); keeps seeds disjoint across
+    /// cells that share a numeric seed.
+    pub label: String,
+    /// Adaptive early stopping, if the runner has a verdict to settle.
+    pub stop: Option<StopPolicy<'a>>,
+}
+
+/// Runs every cell and returns each cell's outcomes, in cell order.
 ///
-/// The cell's clean excitation is prepared exactly once
-/// ([`crate::wavecache::CellExcitation`]): the productive payload comes
+/// The cells fan out across the `msc-par` pool, one cell per item. Each
+/// cell prepares its excitation once
+/// ([`crate::wavecache::CellExcitation`]: the productive payload comes
 /// from the cell's own RNG stream `(seed, cell, u64::MAX)` and the
-/// carrier is shared read-only across trials and threads. Trials run
-/// in [`TrialBatch`] chunks; each draws its tag bits and channel
-/// realization from its own RNG seeded by `(seed, cell, index)`, so the
-/// outcomes — and therefore
-/// every downstream table — are bit-identical at any thread count,
-/// including 1, and with the waveform cache on or off. `cell` names the
-/// experiment cell (e.g. `"fig13/zigbee/8m"`) and keeps seeds disjoint
-/// across cells that share a numeric seed.
+/// carrier is shared read-only across trials), then runs its trials in
+/// [`TrialBatch`] chunks along its wave plan. A cell's batches are pool
+/// calls too; inside a fanned-out cell they run inline on its worker
+/// (`msc-par` rule 3), while a lone cell fans its batches out. Every
+/// trial draws its tag bits and channel realization from its own RNG
+/// seeded by `(seed, cell, index)`, so the outcomes — and every
+/// downstream table — are bit-identical at any thread count, including
+/// 1, and with the waveform cache on or off.
+///
+/// Each cell buffers its `cell_start` / `early_stop` / `cell_done`
+/// events, and this call emits the buffers in cell order after the
+/// fan-out, so the event stream is thread-count invariant too. Flight
+/// cell ordinals are reserved here, in cell order, for the same reason.
+pub fn run_cells(cells: &[CellSpec]) -> Vec<Vec<PacketOutcome>> {
+    let first = msc_obs::flight::reserve_cells(cells.len() as u64);
+    let runs = msc_par::par_map_indexed(cells.len(), |k| {
+        run_cell(&cells[k], first + k as u64, BATCH_WIDTH)
+    });
+    runs.into_iter()
+        .map(|(outs, events)| {
+            for (kind, det) in events {
+                msc_obs::events::emit(kind, &det, "");
+            }
+            outs
+        })
+        .collect()
+}
+
+/// Runs `n` independent Monte-Carlo packets of one experiment cell: a
+/// one-cell [`run_cells`], so its batches fan out across the pool.
+/// `cell` names the experiment cell (e.g. `"fig13/zigbee/8m"`).
 pub fn run_packets(
     link: &AnyLink,
     geometry: &Geometry,
@@ -598,7 +654,10 @@ pub fn run_packets(
     seed: u64,
     cell: &str,
 ) -> Vec<PacketOutcome> {
-    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, None, BATCH_WIDTH)
+    let label = cell.to_string();
+    let spec =
+        CellSpec { link, geometry: *geometry, mode, n_productive, n, seed, label, stop: None };
+    run_cells(&[spec]).remove(0)
 }
 
 /// [`run_packets`] with adaptive early stopping: trials run in waves
@@ -618,45 +677,58 @@ pub fn run_packets_stopping(
     cell: &str,
     policy: &StopPolicy,
 ) -> Vec<PacketOutcome> {
-    run_packets_inner(link, geometry, mode, n_productive, n, seed, cell, Some(policy), BATCH_WIDTH)
+    let label = cell.to_string();
+    let spec = CellSpec {
+        link,
+        geometry: *geometry,
+        mode,
+        n_productive,
+        n,
+        seed,
+        label,
+        stop: Some(*policy),
+    };
+    run_cells(&[spec]).remove(0)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_packets_inner(
-    link: &AnyLink,
-    geometry: &Geometry,
-    mode: Mode,
-    n_productive: usize,
-    n: usize,
-    seed: u64,
-    cell: &str,
-    policy: Option<&StopPolicy>,
-    width: usize,
-) -> Vec<PacketOutcome> {
+/// A cell's buffered events: `(kind, deterministic fields)` in emission
+/// order.
+type CellEvents = Vec<(&'static str, String)>;
+
+/// Runs one cell (flight ordinal `ordinal`) in batches of `width`
+/// trials, returning its outcomes and its buffered events.
+fn run_cell(spec: &CellSpec, ordinal: u64, width: usize) -> (Vec<PacketOutcome>, CellEvents) {
+    let CellSpec { link, geometry, mode, n_productive, n, seed, .. } = *spec;
+    let cell = spec.label.as_str();
+    let policy = spec.stop.as_ref();
     // Replay fast path: when a flight-recorder replay targets one
     // specific trial, every other cell (and every other index) is
     // skipped outright — per-trial seed derivation means the target
     // trial doesn't depend on them. The placeholders only feed a
     // report the replay machinery discards.
     let target_index = match msc_obs::flight::replay_target() {
-        Some((target_cell, _)) if target_cell != cell => return vec![placeholder_outcome(); n],
+        Some((target_cell, _)) if target_cell != cell => {
+            return (vec![placeholder_outcome(); n], Vec::new())
+        }
         target => target.map(|(_, i)| i),
     };
 
-    // Cell boundary events run on the (sequential) per-cell caller
-    // thread, so their order — and every field before "wall" — is
-    // thread-count invariant.
-    if msc_obs::events::enabled() {
-        msc_obs::events::emit(
-            "cell_start",
-            &format!(
-                "\"cell\":\"{}\",\"proto\":\"{}\",\"requested\":{n}",
-                msc_obs::export::json_escape(cell),
-                link.protocol().label()
-            ),
-            "",
-        );
-    }
+    let events_on = msc_obs::events::enabled();
+    let mut events = CellEvents::new();
+    let mut event = |kind: &'static str, trials: Option<usize>| {
+        if events_on {
+            let cell = msc_obs::export::json_escape(cell);
+            let det = match trials {
+                None => format!(
+                    "\"cell\":\"{cell}\",\"proto\":\"{}\",\"requested\":{n}",
+                    link.protocol().label()
+                ),
+                Some(t) => format!("\"cell\":\"{cell}\",\"trials\":{t},\"requested\":{n}"),
+            };
+            events.push((kind, det));
+        }
+    };
+    event("cell_start", None);
 
     let exc = {
         let _prep = msc_obs::profile::scope("cell.prepare");
@@ -683,7 +755,7 @@ fn run_packets_inner(
                     tb.apply_channel(Impairments::snr(snr, geometry.fading))
                 });
                 let mut wave = Vec::with_capacity(len);
-                tb.decode_into(link, &exc, snr, cell, &mut wave);
+                tb.decode_into(link, &exc, snr, (cell, ordinal), &mut wave);
                 wave
             })
         });
@@ -716,17 +788,7 @@ fn run_packets_inner(
             run(outs.len() as u64, count, &mut outs);
             if let Some(p) = stopping {
                 if outs.len() < n && (p.decide)(&outs) {
-                    if msc_obs::events::enabled() {
-                        msc_obs::events::emit(
-                            "early_stop",
-                            &format!(
-                                "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
-                                msc_obs::export::json_escape(cell),
-                                outs.len()
-                            ),
-                            "",
-                        );
-                    }
+                    event("early_stop", Some(outs.len()));
                     break;
                 }
             }
@@ -734,18 +796,8 @@ fn run_packets_inner(
     }
     msc_obs::progress::add_cell();
     msc_obs::progress::add_trials(outs.len() as u64);
-    if msc_obs::events::enabled() {
-        msc_obs::events::emit(
-            "cell_done",
-            &format!(
-                "\"cell\":\"{}\",\"trials\":{},\"requested\":{n}",
-                msc_obs::export::json_escape(cell),
-                outs.len()
-            ),
-            "",
-        );
-    }
-    outs
+    event("cell_done", Some(outs.len()));
+    (outs, events)
 }
 
 /// The stand-in outcome for trials a replay run skips. Never reaches a
@@ -829,8 +881,17 @@ mod tests {
         let runs: Vec<Vec<PacketOutcome>> = [1usize, 2, 4, 8]
             .iter()
             .map(|&w| {
-                let (n, cell) = (11, "test/batch-width");
-                run_packets_inner(&link, &geo, Mode::Mode1, 16, n, 7, cell, None, w)
+                let spec = CellSpec {
+                    link: &link,
+                    geometry: geo,
+                    mode: Mode::Mode1,
+                    n_productive: 16,
+                    n: 11,
+                    seed: 7,
+                    label: "test/batch-width".to_string(),
+                    stop: None,
+                };
+                run_cell(&spec, 0, w).0
             })
             .collect();
         for other in &runs[1..] {

@@ -36,12 +36,10 @@
 //! and digitizing one again costs far less than generating it.
 
 use crate::idtraces::{self, AnalogTrace, Trace};
+use crate::memo::{Counters, Memo, MemoStats};
 use msc_core::envelope::FrontEnd;
-use msc_obs::metrics;
-use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// FNV-1a over every front-end field the analog stage reads, bit
 /// patterns included, so any such tweak (including float edits far below
@@ -103,136 +101,87 @@ impl Drop for TraceSet {
     }
 }
 
-/// An analog-set memo with its own switch and counters. The process has
-/// one ([`memo`]); tests build private ones so their counts are exact.
-struct Memo {
-    enabled: AtomicBool,
-    sets: Mutex<HashMap<CacheKey, AnalogSet>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
+/// The analog-set memo type. The process has one ([`TRACES`]); tests
+/// build private ones so their counts are exact.
+type TraceMemo = Memo<CacheKey, AnalogSet>;
+
+fn new_memo() -> TraceMemo {
+    Memo::new(Counters {
+        hit: "tracecache.hit",
+        miss: "tracecache.miss",
+        bypass: "tracecache.bypass",
+    })
 }
 
-impl Memo {
-    fn new() -> Self {
-        Memo {
-            enabled: AtomicBool::new(true),
-            sets: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-        }
-    }
+static TRACES: LazyLock<TraceMemo> = LazyLock::new(new_memo);
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<CacheKey, AnalogSet>> {
-        self.sets.lock().expect("trace memo poisoned by a panicked generation")
-    }
-
-    fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::SeqCst);
-        self.lock().clear();
-    }
-
-    fn stats(&self) -> crate::wavecache::CacheStats {
-        crate::wavecache::CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            len: self.lock().len() as u64,
-        }
-    }
-
-    /// The analog set for a request: shared on a hit, generated (and
-    /// inserted) on a miss.
-    fn analog_set(
-        &self,
-        front_end: &FrontEnd,
-        n_per_protocol: usize,
-        seed: u64,
-        incident_dbm: Range<f64>,
-        max_jitter: isize,
-    ) -> AnalogSet {
-        let key = CacheKey {
-            fe_fingerprint: analog_fingerprint(front_end),
-            n_per_protocol,
-            seed,
-            incident_lo: incident_dbm.start.to_bits(),
-            incident_hi: incident_dbm.end.to_bits(),
-            max_jitter,
-        };
-        if let Some(set) = self.lock().get(&key).cloned() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("tracecache.hit", "id", "", 1);
-            return set;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        metrics::counter_add("tracecache.miss", "id", "", 1);
-        // Generate outside the lock; a racing duplicate insert is
-        // idempotent (generation is a pure function of the key).
-        let set = Arc::new(idtraces::generate_analog_at(
+/// The analog set for a request: shared on a hit, generated (and kept)
+/// on a miss.
+fn analog_set(
+    memo: &TraceMemo,
+    front_end: &FrontEnd,
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: Range<f64>,
+    max_jitter: isize,
+) -> AnalogSet {
+    let key = CacheKey {
+        fe_fingerprint: analog_fingerprint(front_end),
+        n_per_protocol,
+        seed,
+        incident_lo: incident_dbm.start.to_bits(),
+        incident_hi: incident_dbm.end.to_bits(),
+        max_jitter,
+    };
+    memo.get_or_compute(key, "id", || {
+        Arc::new(idtraces::generate_analog_at(
             front_end,
             n_per_protocol,
             seed,
             incident_dbm,
             max_jitter,
-        ));
-        self.lock().insert(key, Arc::clone(&set));
-        set
-    }
-
-    fn traces_at(
-        &self,
-        front_end: &FrontEnd,
-        n_per_protocol: usize,
-        seed: u64,
-        incident_dbm: Range<f64>,
-        max_jitter: isize,
-    ) -> TraceSet {
-        if !self.enabled.load(Ordering::SeqCst) {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("tracecache.bypass", "id", "", 1);
-            return TraceSet(idtraces::generate_traces_at(
-                front_end,
-                n_per_protocol,
-                seed,
-                incident_dbm,
-                max_jitter,
-            ));
-        }
-        let set = self.analog_set(front_end, n_per_protocol, seed, incident_dbm, max_jitter);
-        TraceSet(idtraces::digitize_traces(front_end, &set))
-    }
+        ))
+    })
 }
 
-fn memo() -> &'static Memo {
-    static MEMO: OnceLock<Memo> = OnceLock::new();
-    MEMO.get_or_init(Memo::new)
+/// A request through `memo`: the analog set (resident, generated and
+/// kept, or — with the memo off — generated for this request alone) is
+/// digitized through `front_end`'s ADC.
+fn traces_in(
+    memo: &TraceMemo,
+    front_end: &FrontEnd,
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: Range<f64>,
+    max_jitter: isize,
+) -> TraceSet {
+    let set = analog_set(memo, front_end, n_per_protocol, seed, incident_dbm, max_jitter);
+    TraceSet(idtraces::digitize_traces(front_end, &set))
 }
 
-/// Reads the memo's counters (same shape as the waveform cache's). They
-/// count *analog* sets: a hit is a request served by digitizing a
-/// resident analog set, a miss generated one, a bypass generated a
-/// trace set with the memo off, and `len` is the number of analog sets
-/// resident.
-pub fn stats() -> crate::wavecache::CacheStats {
-    memo().stats()
+/// Reads the memo's counters. They count *analog* sets: a hit is a
+/// request served by digitizing a resident analog set, a miss generated
+/// and kept one, a bypass generated one for its request alone with the
+/// memo off, and `len` is the number of analog sets resident.
+pub fn stats() -> MemoStats {
+    TRACES.stats()
 }
 
 /// Enables or disables the global memo (`paper --no-trace-cache`).
 /// Disabling also drops every analog set, so a re-enable starts cold.
 /// Results are identical either way; only the generation work changes.
 pub fn set_trace_cache(enabled: bool) {
-    memo().set_enabled(enabled);
+    TRACES.set_enabled(enabled);
 }
 
 /// Whether the memo is currently enabled.
 pub fn trace_cache_enabled() -> bool {
-    memo().enabled.load(Ordering::SeqCst)
+    TRACES.enabled()
 }
 
 /// Number of analog sets currently resident.
 pub fn trace_cache_len() -> usize {
-    memo().lock().len()
+    TRACES.len()
 }
 
 /// [`crate::idtraces::generate_traces_at`] through the memo: the analog
@@ -245,7 +194,7 @@ pub fn traces_at(
     incident_dbm: Range<f64>,
     max_jitter: isize,
 ) -> TraceSet {
-    memo().traces_at(front_end, n_per_protocol, seed, incident_dbm, max_jitter)
+    traces_in(&TRACES, front_end, n_per_protocol, seed, incident_dbm, max_jitter)
 }
 
 /// [`crate::idtraces::generate_traces_hard`] through the memo — the
@@ -281,22 +230,22 @@ mod tests {
         }
     }
 
-    fn hard(memo: &Memo, fe: &FrontEnd, n: usize, seed: u64) -> TraceSet {
-        memo.traces_at(fe, n, seed, idtraces::HARD_INCIDENT_DBM, idtraces::HARD_MAX_JITTER)
+    fn hard(memo: &TraceMemo, fe: &FrontEnd, n: usize, seed: u64) -> TraceSet {
+        traces_in(memo, fe, n, seed, idtraces::HARD_INCIDENT_DBM, idtraces::HARD_MAX_JITTER)
     }
 
-    fn counts(memo: &Memo) -> (u64, u64, u64) {
+    fn counts(memo: &TraceMemo) -> (u64, u64, u64) {
         let s = memo.stats();
         (s.hits, s.misses, s.bypasses)
     }
 
     #[test]
     fn hit_shares_the_arc_and_bypass_is_bit_identical() {
-        let memo = Memo::new();
+        let memo = new_memo();
         let fe = idtraces::front_end(SampleRate::ADC_LOW);
         let r = idtraces::HARD_INCIDENT_DBM;
-        let a = memo.analog_set(&fe, 2, 4242, r.clone(), idtraces::HARD_MAX_JITTER);
-        let b = memo.analog_set(&fe, 2, 4242, r, idtraces::HARD_MAX_JITTER);
+        let a = analog_set(&memo, &fe, 2, 4242, r.clone(), idtraces::HARD_MAX_JITTER);
+        let b = analog_set(&memo, &fe, 2, 4242, r, idtraces::HARD_MAX_JITTER);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(counts(&memo), (1, 1, 0), "second fetch must hit the memo");
 
@@ -311,7 +260,7 @@ mod tests {
 
     #[test]
     fn memo_served_sets_match_fresh_generation_at_every_rate() {
-        let memo = Memo::new();
+        let memo = new_memo();
         for rate in RATES {
             let fe = idtraces::front_end(rate);
             let want = idtraces::generate_traces_hard(&fe, 2, 91);
@@ -323,7 +272,7 @@ mod tests {
 
     #[test]
     fn front_end_mutation_misses_the_cache() {
-        let memo = Memo::new();
+        let memo = new_memo();
         let fe = idtraces::front_end(SampleRate::ADC_FULL);
         hard(&memo, &fe, 1, 77);
         // abl_slope mutates fm_slope between rows at a fixed ADC rate.
@@ -341,7 +290,7 @@ mod tests {
 
     #[test]
     fn adc_changes_hit_the_cache() {
-        let memo = Memo::new();
+        let memo = new_memo();
         let fe = idtraces::front_end(SampleRate::ADC_FULL);
         hard(&memo, &fe, 1, 78);
         let adc_edits = [
@@ -359,7 +308,7 @@ mod tests {
 
     #[test]
     fn distinct_ranges_seeds_and_counts_key_apart() {
-        let memo = Memo::new();
+        let memo = new_memo();
         let fe = idtraces::front_end(SampleRate::ADC_LOW);
         for (n, seed, range, jitter) in [
             (1, 9, -9.0..-4.0, 2),
@@ -368,7 +317,7 @@ mod tests {
             (1, 9, -9.5..-4.0, 2),
             (1, 9, -9.0..-4.0, 3),
         ] {
-            memo.traces_at(&fe, n, seed, range, jitter);
+            traces_in(&memo, &fe, n, seed, range, jitter);
         }
         assert_eq!(counts(&memo), (0, 5, 0));
     }

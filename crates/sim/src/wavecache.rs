@@ -4,7 +4,7 @@
 //! overlay carrier: the productive payload is drawn once per cell from
 //! its own RNG stream (`derive_seed(seed, cell, u64::MAX)` — disjoint
 //! from every per-trial stream), and the synthesized waveform is stored
-//! behind an [`Arc`] in a process-global cache keyed by everything that
+//! behind an [`Arc`] in a process-global [`Memo`] keyed by everything that
 //! determines the synthesis output (protocol, overlay parameters,
 //! payload, link variant). Per-trial randomness — tag bits, fading,
 //! noise, CFO — is applied downstream onto reused buffers, never onto
@@ -18,6 +18,7 @@
 //! changes *work*, never *results*: reports are byte-identical with the
 //! cache on or off, at any thread count.
 
+use crate::memo::{Counters, Memo, MemoStats};
 use crate::pipeline::AnyLink;
 use msc_core::overlay::Mode;
 use msc_core::tag::payload_start_seconds;
@@ -26,9 +27,7 @@ use msc_obs::metrics;
 use msc_phy::protocol::Protocol;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, LazyLock};
 
 /// Everything that determines a synthesized overlay carrier.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -40,41 +39,16 @@ struct CacheKey {
     payload: Vec<u8>,
 }
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<IqBuf>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<IqBuf>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
+/// The process's waveform memo. Its counters are always on
+/// (independent of the metrics registry), so `paper --profile` can
+/// surface cache effectiveness without `--metrics-out`.
+static WAVES: LazyLock<Memo<CacheKey, Arc<IqBuf>>> = LazyLock::new(|| {
+    Memo::new(Counters { hit: "wavecache.hit", miss: "wavecache.miss", bypass: "wavecache.bypass" })
+});
 
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-// Always-on counters (independent of the metrics registry) so
-// `paper --profile` can surface cache effectiveness without
-// `--metrics-out`, mirroring `msc_dsp::plan::stats`.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static BYPASSES: AtomicU64 = AtomicU64::new(0);
-
-/// Waveform-cache effectiveness counters (process lifetime).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CacheStats {
-    /// Prepares served from the cache.
-    pub hits: u64,
-    /// Prepares that synthesized and inserted.
-    pub misses: u64,
-    /// Prepares that synthesized with the cache disabled.
-    pub bypasses: u64,
-    /// Waveforms currently cached.
-    pub len: u64,
-}
-
-/// Reads the cache counters.
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-        bypasses: BYPASSES.load(Ordering::Relaxed),
-        len: waveform_cache_len() as u64,
-    }
+/// Reads the cache counters (process lifetime).
+pub fn stats() -> MemoStats {
+    WAVES.stats()
 }
 
 /// Enables or disables the global waveform cache (`paper
@@ -82,18 +56,17 @@ pub fn stats() -> CacheStats {
 /// re-enable starts cold. Results are identical either way; only the
 /// synthesis work changes.
 pub fn set_waveform_cache(enabled: bool) {
-    ENABLED.store(enabled, Ordering::SeqCst);
-    cache().lock().unwrap().clear();
+    WAVES.set_enabled(enabled);
 }
 
 /// Whether the waveform cache is currently enabled.
 pub fn waveform_cache_enabled() -> bool {
-    ENABLED.load(Ordering::SeqCst)
+    WAVES.enabled()
 }
 
 /// Number of waveforms currently cached.
 pub fn waveform_cache_len() -> usize {
-    cache().lock().unwrap().len()
+    WAVES.len()
 }
 
 /// One experiment cell's shared excitation: the per-cell payload and
@@ -138,31 +111,9 @@ impl CellExcitation {
             payload: productive.clone(),
         };
 
-        let carrier = if ENABLED.load(Ordering::SeqCst) {
-            let hit = cache().lock().unwrap().get(&key).cloned();
-            match hit {
-                Some(c) => {
-                    HITS.fetch_add(1, Ordering::Relaxed);
-                    metrics::counter_add("wavecache.hit", label, "", 1);
-                    c
-                }
-                None => {
-                    MISSES.fetch_add(1, Ordering::Relaxed);
-                    metrics::counter_add("wavecache.miss", label, "", 1);
-                    // Synthesize outside the lock; a racing duplicate
-                    // insert is idempotent (synthesis is pure).
-                    let c = Arc::new(metrics::time_stage(label, "carrier", || {
-                        link.carrier_for(&productive)
-                    }));
-                    cache().lock().unwrap().insert(key, Arc::clone(&c));
-                    c
-                }
-            }
-        } else {
-            BYPASSES.fetch_add(1, Ordering::Relaxed);
-            metrics::counter_add("wavecache.bypass", label, "", 1);
+        let carrier = WAVES.get_or_compute(key, label, || {
             Arc::new(metrics::time_stage(label, "carrier", || link.carrier_for(&productive)))
-        };
+        });
 
         let payload_start =
             (payload_start_seconds(protocol) * carrier.rate().as_hz()).round() as usize;

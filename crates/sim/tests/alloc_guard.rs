@@ -77,7 +77,7 @@ fn steady_state_packet_allocates_far_less_than_cold() {
         tb.materialize(&modulator, &exc, 42, cellh, None, i, 1);
         tb.apply_channel(Impairments::snr(snr, geo.fading));
         outs.clear();
-        tb.decode_into(&link, &exc, snr, cell, &mut outs);
+        tb.decode_into(&link, &exc, snr, (cell, 0), &mut outs);
         outs[0].decoded
     };
 

@@ -45,6 +45,35 @@ fn forced_decode_failure_replays_identically_at_1_and_8_threads() {
 }
 
 #[test]
+fn kept_bundles_do_not_depend_on_the_thread_count() {
+    // fig14(2, 7) fails more trials than either dump cap, and its 32
+    // cells finish in scheduling order; the recorder must still keep
+    // the first failures in run order (cell, then trial index). The
+    // small cap falls among the first cells, which run concurrently.
+    let _guard = flight::tests_serial();
+    let kept = |threads: usize, max_dumps: usize| {
+        msc_par::set_threads(threads);
+        flight::arm(FlightConfig { max_dumps, ..FlightConfig::default() });
+        msc_obs::metrics::set_experiment("fig14");
+        let _ = msc_sim::experiments::fig14::run(2, 7);
+        let suppressed = flight::stats().suppressed;
+        let dumps = flight::take_dumps();
+        flight::disarm();
+        let list: Vec<(String, u64, String)> =
+            dumps.into_iter().map(|d| (d.record.cell, d.record.index, d.reason)).collect();
+        (list, suppressed)
+    };
+    for cap in [8, FlightConfig::default().max_dumps] {
+        let one = kept(1, cap);
+        let eight = kept(8, cap);
+        assert!(one.1 > 0, "fig14(2, 7) must fail more trials than the cap of {cap}");
+        assert_eq!(one.0.len(), cap);
+        assert_eq!(one, eight, "kept (cell, index, reason) and suppressed at cap {cap}");
+    }
+    msc_par::set_threads(0);
+}
+
+#[test]
 fn tampered_bundle_is_reported_as_mismatch() {
     let _guard = flight::tests_serial();
     msc_par::set_threads(2);

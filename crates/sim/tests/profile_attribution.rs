@@ -8,10 +8,10 @@ use msc_obs::profile;
 fn profile_attributes_wall_clock_without_changing_results() {
     let _guard = profile::tests_serial();
     msc_par::set_threads(2);
-    // A single-batch wave runs inline (no worker threads, no
-    // `par.worker` span). N is the smallest n whose early-stop schedule
-    // has a wave wider than one batch (6, 9, 14, 21, 30: the last wave
-    // is 9 trials), so the worker subtree this test asserts on exists.
+    // fig13 fans its 32 cells out across the pool, so its trial work
+    // runs under `par.worker` at any n; each cell's batches run inline
+    // on its worker. N = 30 runs unsettled cells through the whole
+    // early-stop schedule (6, 9, 14, 21, 30).
     const N: usize = 30;
 
     let baseline = msc_sim::experiments::fig13::run(N, 7).render();

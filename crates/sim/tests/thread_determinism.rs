@@ -94,6 +94,34 @@ fn observability_flags_do_not_change_reports() {
 }
 
 #[test]
+fn fig13_event_stream_identical_at_1_4_8_threads() {
+    // fig13's 32 cells run concurrently; each buffers its cell_start /
+    // early_stop / cell_done events and the runner emits the buffers in
+    // cell order, so the stripped stream cannot see the fan-out.
+    let dir = std::env::temp_dir().join(format!("msc-cell-events-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let streams: Vec<Vec<String>> = ["1", "4", "8"]
+        .iter()
+        .map(|threads| {
+            let path = dir.join(format!("events-{threads}.jsonl"));
+            let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+                .args(["fig13", "6", "42", "--no-progress", "--threads", threads, "--events"])
+                .arg(&path)
+                .output()
+                .expect("run paper binary");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            let text = std::fs::read_to_string(&path).expect("event stream written");
+            text.lines().map(msc_obs::events::strip_volatile).collect()
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    let cells = streams[0].iter().filter(|l| l.contains("\"kind\":\"cell_done\"")).count();
+    assert_eq!(cells, 32, "one cell_done per fig13 cell");
+    assert_eq!(streams[0], streams[1], "events: 1 vs 4 threads");
+    assert_eq!(streams[0], streams[2], "events: 1 vs 8 threads");
+}
+
+#[test]
 fn legacy_engine_flags_are_thread_count_invariant() {
     // `--no-early-stop` is the one engine flag left: every cell runs its
     // fixed budget on the batched lanes. It must stay byte-identical at
