@@ -113,9 +113,53 @@ fn bench_complex_sync(c: &mut Criterion) {
     group.finish();
 }
 
+/// ZigBee's full-buffer sync search: the 1280-sample SHR probe slid
+/// over the receive buffers of the runners' hand-rolled trial loops
+/// (one frame, and a frame with leading slack). The dispatcher takes
+/// the overlap-save FFT path at both.
+fn bench_zigbee_sync(c: &mut Criterion) {
+    let complex = |n: usize, seed: u64| -> Vec<Complex64> {
+        let (re, im) = (test_signal(n, seed), test_signal(n, seed + 1));
+        re.iter().zip(&im).map(|(&r, &i)| Complex64::new(r, i)).collect()
+    };
+    let probe = complex(1280, 9);
+    for n in [20_000, 7684] {
+        let samples = complex(n, 7);
+        let mut group = c.benchmark_group(format!("complex_sync_corr_{n}x1280"));
+        group.bench_function("dispatched", |bench| {
+            bench.iter(|| complex_sliding_corr(black_box(&samples), black_box(&probe)))
+        });
+        group.finish();
+    }
+}
+
+/// One trial's uplink channel — normalize, flat Rician fading, AWGN —
+/// on an overlay-modulated ZigBee frame, as the runners' own trial
+/// loops call it.
+fn bench_channel_uplink(c: &mut Criterion) {
+    use msc_core::overlay::{params_for, Mode};
+    use msc_phy::protocol::Protocol;
+    use msc_sim::pipeline::{apply_uplink, AnyLink};
+    use rand::SeedableRng;
+    let p = Protocol::ZigBee;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+    let link = AnyLink::new(p, Mode::Mode1);
+    let (_, carrier) = link.make_carrier(&mut rng, 12);
+    let tag_bits = vec![1u8; link.tag_capacity(12)];
+    let start = (msc_core::tag::payload_start_seconds(p) * carrier.rate().as_hz()).round() as usize;
+    let wave = msc_core::TagOverlayModulator::new(p, params_for(p, Mode::Mode1))
+        .modulate(&carrier, start, &tag_bits);
+    let mut group = c.benchmark_group("channel_uplink");
+    group.bench_function("one_lane/ZigBee", |bench| {
+        bench.iter(|| apply_uplink(&mut rng, black_box(&wave), 6.0, msc_channel::Fading::los()))
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_packed, bench_sliding, bench_fft_sliding, bench_complex_sync
+    targets = bench_packed, bench_sliding, bench_fft_sliding, bench_complex_sync, bench_zigbee_sync,
+        bench_channel_uplink
 }
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! Additive white Gaussian noise and thermal-noise bookkeeping.
 
 use msc_dsp::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
-use msc_dsp::{Complex64, IqBuf};
+use msc_dsp::{simd, Complex64, IqBuf};
 use rand::Rng;
 
 /// Thermal noise floor in dBm for bandwidth `bw_hz` at 290 K with a
@@ -10,25 +10,30 @@ pub fn noise_floor_dbm(bw_hz: f64, nf_db: f64) -> f64 {
     -174.0 + 10.0 * bw_hz.log10() + nf_db
 }
 
+/// The Box–Muller uniform pair `(u₁, u₂)`, drawn in the order every
+/// Gaussian in the workspace consumes them.
+fn box_muller_uniforms<R: Rng>(rng: &mut R) -> (f64, f64) {
+    (rng.gen_range(1e-12..1.0), rng.gen_range(0.0..1.0))
+}
+
 /// Draws one complex Gaussian sample with total variance `sigma2`
 /// (split evenly between I and Q) using Box–Muller.
 pub fn complex_gaussian<R: Rng>(rng: &mut R, sigma2: f64) -> Complex64 {
-    let u1: f64 = rng.gen_range(1e-12..1.0);
-    let u2: f64 = rng.gen_range(0.0..1.0);
+    let (u1, u2) = box_muller_uniforms(rng);
     let r = (-2.0 * u1.ln()).sqrt() * (sigma2 / 2.0).sqrt();
     let theta = std::f64::consts::TAU * u2;
     Complex64::new(r * theta.cos(), r * theta.sin())
 }
 
 /// Adds AWGN of total power `noise_power` (linear, same units as the
-/// signal's `mean_power`) to a buffer.
+/// signal's `mean_power`) to a buffer: the RNG stream of [`complex_gaussian`]
+/// per sample, within `1e-12` of it ([`msc_dsp::simd::add_box_muller`]).
 pub fn add_noise<R: Rng>(rng: &mut R, buf: &mut IqBuf, noise_power: f64) {
     if noise_power <= 0.0 {
         return;
     }
-    for s in buf.samples_mut() {
-        *s += complex_gaussian(rng, noise_power);
-    }
+    let amp = (noise_power / 2.0).sqrt();
+    simd::add_box_muller(buf.samples_mut(), amp, || box_muller_uniforms(rng));
 }
 
 /// Adds noise at a target SNR (dB) relative to the buffer's own mean
@@ -99,6 +104,37 @@ mod tests {
             .sum::<f64>()
             / clean.len() as f64;
         assert!((noise_power - 0.1).abs() < 0.01, "noise {noise_power}");
+    }
+
+    #[test]
+    fn add_noise_tracks_complex_gaussian_within_1e12_same_rng_stream() {
+        let ramp = |n: usize| -> Vec<Complex64> {
+            (0..n).map(|k| Complex64::new((k as f64 * 0.3).sin(), -(k as f64) / n as f64)).collect()
+        };
+        for n in [1usize, 4, 515] {
+            let clean = IqBuf::new(ramp(n), SampleRate::mhz(8.0));
+            let seeded = || StdRng::seed_from_u64(74);
+            let (mut r_fast, mut r_ref, mut r_scalar) = (seeded(), seeded(), seeded());
+            let mut fast = clean.clone();
+            add_noise(&mut r_fast, &mut fast, 0.37);
+            let mut want = clean.clone();
+            for s in want.samples_mut() {
+                *s += complex_gaussian(&mut r_ref, 0.37);
+            }
+            let mut scalar = clean.clone();
+            simd::add_box_muller_scalar(scalar.samples_mut(), (0.37f64 / 2.0).sqrt(), || {
+                box_muller_uniforms(&mut r_scalar)
+            });
+            // The scalar kernel is the per-sample reference, bit for bit.
+            assert_eq!(scalar, want, "n {n}");
+            for (a, b) in fast.samples().iter().zip(want.samples()) {
+                assert!((a.re - b.re).abs() <= 1e-12 && (a.im - b.im).abs() <= 1e-12, "n {n}");
+            }
+            // All three consumed the identical RNG positions.
+            let next = r_ref.gen::<u64>();
+            assert_eq!(r_fast.gen::<u64>(), next, "n {n}");
+            assert_eq!(r_scalar.gen::<u64>(), next, "n {n}");
+        }
     }
 
     #[test]

@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 
 pub mod awgn;
-pub mod batch;
 pub mod fading;
 pub mod link;
 pub mod materials;

@@ -4,9 +4,9 @@
 //! per-offset / direct code they replaced.
 
 use msc_dsp::corr::{
-    complex_sliding_corr, complex_sliding_corr_direct, complex_sliding_corr_scalar,
-    normalized_corr, quantized_corr, sign_quantize, sliding_corr, sliding_corr_direct,
-    sliding_corr_fft, PackedBits,
+    complex_sliding_corr, complex_sliding_corr_direct, complex_sliding_corr_fft,
+    complex_sliding_corr_scalar, normalized_corr, overlap_save_block, quantized_corr,
+    sign_quantize, sliding_corr, sliding_corr_direct, sliding_corr_fft, PackedBits,
 };
 use msc_dsp::Complex64;
 use proptest::prelude::*;
@@ -191,5 +191,61 @@ fn complex_corr_edge_sizes() {
         assert!(corr(&samples, &[]).is_empty(), "empty probe");
         assert!(corr(&samples[..3], &samples[..4]).is_empty(), "samples shorter than probe");
         assert!(corr(&[], &[]).is_empty(), "both empty");
+    }
+}
+
+/// `max |got − want| / max |want|`, or infinity on a length mismatch.
+fn max_rel_err(got: &[Complex64], want: &[Complex64]) -> f64 {
+    if got.len() != want.len() {
+        return f64::INFINITY;
+    }
+    let scale = want.iter().map(|w| w.abs()).fold(0.0, f64::max);
+    got.iter().zip(want).map(|(g, w)| (*g - *w).abs()).fold(0.0, f64::max) / scale
+}
+
+#[test]
+fn overlap_save_complex_corr_matches_fold() {
+    let raw: Vec<(f64, f64)> =
+        (0..997).map(|k| ((k as f64 * 0.37).sin(), (k as f64 * 1.13).cos())).collect();
+    for l in [32usize, 160, 1280] {
+        let probe: Vec<Complex64> = (0..l)
+            .map(|i| Complex64::new((i as f64 * 0.71).cos(), -(i as f64 * 0.29).sin()))
+            .collect();
+        // Output counts at one and three whole blocks, and ±1 around
+        // them (the last block full, one output short, one spilling
+        // over), at two block sizes; one block of the old
+        // single-transform size `next_pow2(n + l)`; and, for ZigBee's
+        // 1280-sample SHR, the dispatcher at its full-search buffers.
+        let mut cases = Vec::new();
+        for m in [(2 * l).next_power_of_two(), (4 * l).next_power_of_two()] {
+            let step = m - l + 1;
+            for n_off in [step - 1, step, step + 1, 3 * step - 1, 3 * step, 3 * step + 1] {
+                cases.push((n_off, Some(m)));
+            }
+        }
+        cases.push((3 * l, Some((4 * l - 1 + l).next_power_of_two())));
+        if l == 1280 {
+            cases.extend([(7684 - l + 1, None), (20_000 - l + 1, None)]);
+        }
+        // Samples for fewer offsets are a prefix, so one pass of the
+        // blocked direct kernel — the reference fold bit for bit
+        // (`blocked_complex_corr_is_bit_identical_to_fold`) — serves all.
+        let most = cases.iter().map(|c| c.0).max().unwrap();
+        let samples = complex_samples(&raw, most, l);
+        let fold = complex_sliding_corr_direct(&samples, &probe);
+        for (n_off, block) in cases {
+            let (samples, want) = (&samples[..n_off + l - 1], &fold[..n_off]);
+            let got = match block {
+                Some(m) => complex_sliding_corr_fft(samples, &probe, m),
+                None => {
+                    let n = samples.len();
+                    let m = overlap_save_block(n, l);
+                    assert!(m < (n + l).next_power_of_two(), "n={n}: no split, block {m}");
+                    complex_sliding_corr(samples, &probe)
+                }
+            };
+            let err = max_rel_err(&got, want);
+            assert!(err <= 1e-9, "l={l} n_off={n_off} block {block:?}: rel err {err}");
+        }
     }
 }

@@ -222,11 +222,18 @@ impl Json {
     }
 }
 
-/// Parses one JSON document. Errors carry a byte offset.
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets a hostile input
+/// (100k `[`) overflow the stack; every document this workspace writes
+/// nests fewer than ten levels.
+pub const MAX_JSON_DEPTH: usize = 128;
+
+/// Parses one JSON document. Errors carry a byte offset; nesting deeper
+/// than [`MAX_JSON_DEPTH`] is an error, not a stack overflow.
 pub fn parse_json(s: &str) -> Result<Json, String> {
     let bytes = s.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, MAX_JSON_DEPTH)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -249,11 +256,16 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value; `depth` is how many more array/object levels may
+/// open below this point.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == 0 => {
+            Err(format!("nesting deeper than {MAX_JSON_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(b, pos, depth - 1),
+        Some(b'[') => parse_arr(b, pos, depth - 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -328,7 +340,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'[')?;
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -337,7 +349,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos)?);
+        out.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -350,7 +362,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(b, pos, b'{')?;
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -363,7 +375,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         let k = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let v = parse_value(b, pos)?;
+        let v = parse_value(b, pos, depth)?;
         out.insert(k, v);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -473,6 +485,20 @@ mod tests {
         assert_eq!(v.get("b").unwrap().get("c").unwrap(), &Json::Null);
         assert!(parse_json("{").is_err());
         assert!(parse_json("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_without_overflowing_the_stack() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse_json(&nested("[", "]", MAX_JSON_DEPTH)).is_ok());
+        assert!(parse_json(&nested("{\"a\":", "}", MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested("[", "]", MAX_JSON_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Unterminated hostile inputs: an error, never a stack overflow.
+        assert!(parse_json(&"[".repeat(100_000)).is_err());
+        assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

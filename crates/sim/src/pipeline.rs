@@ -134,6 +134,24 @@ impl Impairments {
         self.cfo_hz = cfo_hz;
         self
     }
+
+    /// The one uplink channel, in place on one trial's samples: unit
+    /// power, carrier offset, one flat fading gain, then AWGN at the
+    /// target SNR, all on the [`msc_dsp::simd`] kernels. Fading and
+    /// noise draw from `rng` in that order. Allocation-free.
+    pub fn apply<R: Rng>(&self, rng: &mut R, wave: &mut IqBuf) {
+        let p = wave.mean_power();
+        if p > 0.0 {
+            wave.scale(1.0 / p.sqrt());
+        }
+        if self.cfo_hz != 0.0 {
+            wave.freq_shift_in_place(self.cfo_hz);
+        }
+        self.fading.apply_flat(rng, wave.samples_mut());
+        // Signal mean power |h|^2; noise set against the *average* signal
+        // power so fading dips genuinely hurt.
+        add_noise(rng, wave, 1.0 / db_to_lin(self.snr_db));
+    }
 }
 
 /// Applies the uplink channel: unit-power normalization, fading gain,
@@ -142,21 +160,14 @@ pub fn apply_uplink<R: Rng>(rng: &mut R, wave: &IqBuf, snr_db: f64, fading: Fadi
     apply_uplink_impaired(rng, wave, Impairments::snr(snr_db, fading))
 }
 
-/// Applies the uplink channel with the full impairment set.
+/// [`Impairments::apply`] on a copy of `wave`, inside a `channel`
+/// profiler frame that names the runners' own trial loops' channel
+/// time (a frame only, no metric).
 pub fn apply_uplink_impaired<R: Rng>(rng: &mut R, wave: &IqBuf, imp: Impairments) -> IqBuf {
-    let mut wave = wave.clone();
-    let p = wave.mean_power();
-    if p > 0.0 {
-        wave.scale(1.0 / p.sqrt());
-    }
-    if imp.cfo_hz != 0.0 {
-        wave.freq_shift_in_place(imp.cfo_hz);
-    }
-    imp.fading.apply_flat(rng, wave.samples_mut());
-    // Signal mean power |h|^2; noise set against the *average* signal
-    // power so fading dips genuinely hurt.
-    add_noise(rng, &mut wave, 1.0 / db_to_lin(imp.snr_db));
-    wave
+    let _frame = msc_obs::profile::scope("channel");
+    let mut out = wave.clone();
+    imp.apply(rng, &mut out);
+    out
 }
 
 /// One protocol's overlay link endpoints, type-erased for the runner.
@@ -318,14 +329,14 @@ pub fn run_packet<R: Rng>(
     // Fig. 5/7/8 quantify it).
     let modulator = TagOverlayModulator::new(p, params_for(p, mode));
     let start = (payload_start_seconds(p) * carrier.rate().as_hz()).round() as usize;
-    let modulated =
+    let mut rx =
         metrics::time_stage(label, "modulate", || modulator.modulate(&carrier, start, &tag_bits));
 
-    // Uplink channel.
+    // Uplink channel, in place; `time_stage` opens the `channel` frame.
     let snr = geometry.uplink_snr_db(p);
     metrics::hist_observe("pipe.snr_db", label, "uplink", snr, buckets::SNR_DB);
-    let rx = metrics::time_stage(label, "channel", || {
-        apply_uplink(rng, &modulated, snr, geometry.fading)
+    metrics::time_stage(label, "channel", || {
+        Impairments::snr(snr, geometry.fading).apply(rng, &mut rx)
     });
 
     metrics::counter_add("pipe.packets", label, "", 1);
@@ -473,18 +484,13 @@ impl TrialBatch {
         }
     }
 
-    /// Pushes every lane through the uplink channel in one pass per
-    /// stage — batched normalize, CFO shift, flat fading, AWGN — using
-    /// the [`msc_channel::batch`] kernels (AVX2 where available).
+    /// Pushes every lane through the uplink channel
+    /// ([`Impairments::apply`], each lane on its own channel RNG).
     /// Allocation-free.
     pub fn apply_channel(&mut self, imp: Impairments) {
-        let lanes = &mut self.lanes[..self.count];
-        msc_channel::batch::normalize_batch(lanes);
-        if imp.cfo_hz != 0.0 {
-            msc_channel::batch::freq_shift_batch(lanes, imp.cfo_hz);
+        for (rng, lane) in self.ch_rngs.iter_mut().zip(&mut self.lanes[..self.count]) {
+            imp.apply(rng, lane);
         }
-        msc_channel::batch::fading_batch(imp.fading, &mut self.ch_rngs, lanes);
-        msc_channel::batch::add_noise_batch(&mut self.ch_rngs, lanes, 1.0 / db_to_lin(imp.snr_db));
     }
 
     /// Decodes and scores every lane (under the engine's sync-window
@@ -913,5 +919,40 @@ mod tests {
         let out = apply_uplink(&mut rng, &wave, 20.0, Fading::None);
         // Signal power ~1, noise ~0.01 → total ~1.01.
         assert!((out.mean_power() - 1.01).abs() < 0.01, "power {}", out.mean_power());
+    }
+
+    #[test]
+    fn one_lane_uplink_matches_trial_batch_lane_bitwise() {
+        // The runners' one-trial uplink and the engine's batch lanes run
+        // one channel: with equal RNG seeds they must agree bit for bit
+        // and leave each RNG at the same position.
+        let wave = IqBuf::new(
+            (0..1003)
+                .map(|k| msc_dsp::Complex64::cis(k as f64 * 0.37).scale(1.0 + (k % 7) as f64))
+                .collect(),
+            msc_dsp::SampleRate::mhz(8.0),
+        );
+        let seed = |l: u64| StdRng::seed_from_u64(0x5eed + l);
+        for fading in [Fading::None, Fading::los(), Fading::nlos(), Fading::Rayleigh] {
+            for cfo in [0.0, -31_250.0] {
+                let imp = Impairments::snr(3.0, fading).with_cfo(cfo);
+                let mut tb = TrialBatch {
+                    lanes: vec![wave.clone(); 3],
+                    ch_rngs: (0..3).map(seed).collect(),
+                    count: 3,
+                    ..TrialBatch::default()
+                };
+                tb.apply_channel(imp);
+                for (l, (lane, batch_rng)) in tb.lanes.iter().zip(&mut tb.ch_rngs).enumerate() {
+                    let mut rng = seed(l as u64);
+                    let one = apply_uplink_impaired(&mut rng, &wave, imp);
+                    let bits = |b: &IqBuf| -> Vec<(u64, u64)> {
+                        b.samples().iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
+                    };
+                    assert!(bits(&one) == bits(lane), "{fading:?} cfo {cfo} lane {l}");
+                    assert_eq!(rng.gen::<u64>(), batch_rng.gen::<u64>(), "{fading:?} lane {l}");
+                }
+            }
+        }
     }
 }
