@@ -7,22 +7,23 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use msc_core::overlay::Mode;
 use msc_dsp::{plan, Complex64, Fir};
 use msc_phy::protocol::Protocol;
+use msc_sim::memo::set_all_enabled;
 use msc_sim::pipeline::AnyLink;
-use msc_sim::wavecache::{set_waveform_cache, CellExcitation};
+use msc_sim::wavecache::CellExcitation;
 
 fn bench_waveform_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("waveform_cache");
     let link = AnyLink::new(Protocol::ZigBee, Mode::Mode1);
-    set_waveform_cache(true);
+    set_all_enabled(true);
     let _ = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "bench/mem-cell");
     group.bench_function("hit", |b| {
         b.iter(|| CellExcitation::prepare(black_box(&link), Mode::Mode1, 16, 42, "bench/mem-cell"))
     });
     group.bench_function("miss", |b| {
         b.iter(|| {
-            // Re-enabling clears the cache, so every prepare
+            // Re-enabling clears the memos, so every prepare
             // resynthesizes and reinserts.
-            set_waveform_cache(true);
+            set_all_enabled(true);
             CellExcitation::prepare(black_box(&link), Mode::Mode1, 16, 42, "bench/mem-cell")
         })
     });

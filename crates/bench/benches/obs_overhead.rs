@@ -38,10 +38,9 @@ fn bench_disabled_vs_enabled(c: &mut Criterion) {
     let (matcher, rule, acq) = identify_setup();
     let (modulator, carrier, bits) = overlay_setup();
 
-    // Disabled path: neither tracing nor metrics installed. These
-    // numbers must match the uninstrumented identification/overlay
-    // benches within noise (<2%).
-    assert!(!msc_obs::metrics::enabled() && !msc_obs::trace::enabled());
+    // Disabled path: metrics off. These numbers must match the
+    // uninstrumented identification/overlay benches within noise (<2%).
+    assert!(!msc_obs::metrics::enabled());
     let mut group = c.benchmark_group("obs_disabled");
     group.bench_function("identify_ordered", |b| {
         b.iter(|| matcher.identify_ordered(black_box(&acq), 0, &rule))

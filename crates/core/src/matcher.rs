@@ -7,21 +7,13 @@ use msc_obs::metrics::{self, buckets};
 use msc_phy::protocol::Protocol;
 
 /// Records one finished score vector into the `id.score` histograms
-/// (one per template) and emits an `id.scores` trace event. No-op while
-/// observability is disabled.
+/// (one per template). No-op while observability is disabled.
 fn record_scores(s: &Scores) {
     if metrics::enabled() {
         for p in Protocol::ALL {
             metrics::hist_observe("id.score", p.label(), "match", s.get(p), buckets::SCORE);
         }
     }
-    msc_obs::event!(
-        "id.scores",
-        wifin = format_args!("{:.3}", s.get(Protocol::WifiN)),
-        wifib = format_args!("{:.3}", s.get(Protocol::WifiB)),
-        ble = format_args!("{:.3}", s.get(Protocol::Ble)),
-        zigbee = format_args!("{:.3}", s.get(Protocol::ZigBee))
-    );
 }
 
 /// Arithmetic path for correlation.
@@ -139,27 +131,14 @@ impl OrderedRule {
 
     /// Applies the chain to a score vector.
     pub fn decide(&self, s: &Scores) -> Protocol {
-        for (i, step) in self.steps.iter().enumerate() {
+        for step in &self.steps {
             if s.get(step.protocol) > step.threshold {
                 metrics::counter_add("id.decision", step.protocol.label(), "ordered", 1);
-                msc_obs::event!(
-                    "id.decision",
-                    protocol = step.protocol.label(),
-                    rule = "ordered",
-                    step = i,
-                    score = format_args!("{:.3}", s.get(step.protocol))
-                );
                 return step.protocol;
             }
         }
         let p = s.argmax();
         metrics::counter_add("id.decision", p.label(), "fallback", 1);
-        msc_obs::event!(
-            "id.decision",
-            protocol = p.label(),
-            rule = "fallback",
-            score = format_args!("{:.3}", s.get(p))
-        );
         p
     }
 }

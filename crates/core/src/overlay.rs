@@ -254,13 +254,6 @@ impl TagOverlayModulator {
                 flipped_blocks as u64,
             );
         }
-        msc_obs::event!(
-            "overlay.modulate",
-            protocol = self.protocol.label(),
-            sequences = n_seq,
-            tag_bits = bit_idx,
-            flipped = flipped_blocks
-        );
     }
 }
 

@@ -114,12 +114,6 @@ impl StreamingMatcher {
                 self.armed = false;
                 self.pending_edge = Some((self.consumed - 1, 0));
                 msc_obs::metrics::counter_add("stream.edges", "", "acquire", 1);
-                msc_obs::event!(
-                    "stream.edge",
-                    at = self.consumed - 1,
-                    level = format_args!("{level:.4}"),
-                    threshold = format_args!("{threshold:.4}")
-                );
             }
             self.quiet_run = 0;
         } else {
@@ -142,12 +136,6 @@ impl StreamingMatcher {
                         protocol.label(),
                         "acquire",
                         1,
-                    );
-                    msc_obs::event!(
-                        "stream.detect",
-                        at = edge_at,
-                        protocol = protocol.label(),
-                        score = format_args!("{:.3}", scores.get(protocol))
                     );
                     return Some(Detection { at: edge_at, protocol, score: scores.get(protocol) });
                 }

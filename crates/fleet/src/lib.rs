@@ -25,7 +25,7 @@
 //! - [`obs`] — MAC event tracing: [`engine::run_with`] feeds every
 //!   sweep event to a [`obs::MacObserver`]; [`obs::MacTrace`]
 //!   aggregates ~1 s windows, keeps a bounded event log, and flags
-//!   starvation / collision-burst incidents for `paper fleet-replay`.
+//!   starvation / collision-burst incidents for `paper replay`.
 //!
 //! The `paper fleet` workload in `msc-sim` calibrates the link table,
 //! builds the paper's four-carrier scenario, and reports fleet

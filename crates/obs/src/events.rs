@@ -25,7 +25,7 @@
 //! [`emit_terminal`] writes past the cap — is deterministic too).
 //!
 //! The event sink is deliberately **outside** the archive config hash:
-//! like `--trace` and `--profile`, it only observes, so an
+//! like `--profile`, it only observes, so an
 //! events-enabled run must produce byte-identical reports.
 
 use std::fs::File;

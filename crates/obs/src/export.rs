@@ -1,6 +1,8 @@
 //! Exporters: JSON-lines and CSV serialization of registry snapshots,
-//! plus a minimal JSON parser for round-trip verification and tooling.
+//! plus a minimal JSON parser for round-trip verification and tooling
+//! and the exact integer reader the bundle parsers share.
 
+use crate::flight::BundleError;
 use crate::metrics::{Record, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -219,6 +221,21 @@ impl Json {
             Json::Arr(a) => Some(a),
             _ => None,
         }
+    }
+}
+
+/// Reads integer field `name` of `json` exactly: negative, fractional,
+/// float-literal and above-`max` values are errors, never saturated.
+/// Flight bundles and fleet incident bundles read their integers here.
+pub fn int_field(json: &Json, name: &'static str, max: u64) -> Result<u64, BundleError> {
+    match json.get(name) {
+        Some(Json::Int(i)) if *i < 0 => Err(BundleError::Negative(name)),
+        Some(Json::Int(i)) => {
+            u64::try_from(*i).ok().filter(|&v| v <= max).ok_or(BundleError::OutOfRange(name))
+        }
+        Some(Json::Num(x)) if *x < 0.0 => Err(BundleError::Negative(name)),
+        Some(Json::Num(_)) => Err(BundleError::NotInteger(name)),
+        _ => Err(BundleError::Missing(name)),
     }
 }
 

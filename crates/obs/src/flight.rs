@@ -17,8 +17,13 @@
 //! `derive_seed(seed, hash_label(cell), index)` and never draws from a
 //! shared stream. The recorder itself only observes — it never touches
 //! RNG state, so arming it cannot change results.
+//!
+//! While a replay target is set, [`crate::note!`] lines append to the
+//! open trial's record — the decode error kind, the uplink SNR, the
+//! values no score carries — and `paper replay` prints them. Notes are
+//! never serialized into bundles.
 
-use crate::export::{json_escape, parse_json, Json};
+use crate::export::{int_field, json_escape, parse_json, Json};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -26,6 +31,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Whether the recorder is armed (the per-trial fast path).
 static ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Whether a replay target is set (the [`crate::note!`] fast path).
+static NOTING: AtomicBool = AtomicBool::new(false);
 
 /// Recorder knobs.
 #[derive(Clone, Copy, Debug)]
@@ -73,6 +81,9 @@ pub struct TrialRecord {
     pub scores: Vec<(&'static str, f64)>,
     /// `"ok"`, `"decode_fail"`, `"id_miss"`, …
     pub verdict: String,
+    /// [`crate::note!`] lines, in order; filled only while a replay
+    /// target is set.
+    pub notes: Vec<String>,
 }
 
 /// One captured failure: the trigger plus the full trial record.
@@ -128,11 +139,13 @@ thread_local! {
 pub fn arm(cfg: FlightConfig) {
     let mut s = state().lock().unwrap();
     *s = State { cfg, ..State::default() };
+    NOTING.store(false, Ordering::Release);
     ARMED.store(true, Ordering::Release);
 }
 
 /// Disarms the recorder. Collected dumps stay until [`take_dumps`].
 pub fn disarm() {
+    NOTING.store(false, Ordering::Release);
     ARMED.store(false, Ordering::Release);
 }
 
@@ -185,6 +198,7 @@ pub fn begin_trial(
                 stages: Vec::new(),
                 scores: Vec::new(),
                 verdict: String::new(),
+                notes: Vec::new(),
             },
         ));
     });
@@ -213,6 +227,37 @@ pub fn note_score(name: &'static str, value: f64) {
             rec.scores.push((name, value));
         }
     });
+}
+
+/// The [`crate::note!`] fast path: true while a replay target is set.
+#[inline(always)]
+pub fn noting() -> bool {
+    NOTING.load(Ordering::Relaxed)
+}
+
+/// Appends `line` to the open trial's notes (no-op outside a trial).
+pub fn note(line: String) {
+    CURRENT.with(|c| {
+        if let Some((_, rec)) = c.borrow_mut().as_mut() {
+            rec.notes.push(line);
+        }
+    });
+}
+
+/// Records a format-style note in the open trial while a replay target
+/// is set; otherwise costs one relaxed atomic load and formats nothing.
+///
+/// ```
+/// let snr_db = 5.9;
+/// msc_obs::note!("pipe.packet snr_db={snr_db:.1}");
+/// ```
+#[macro_export]
+macro_rules! note {
+    ($($arg:tt)+) => {
+        if $crate::flight::noting() {
+            $crate::flight::note(::std::format!($($arg)+));
+        }
+    };
 }
 
 /// Closes the open trial with `verdict`, pushing it through the ring,
@@ -288,11 +333,13 @@ pub fn stats() -> FlightStats {
 }
 
 /// Marks `(cell, index)` for capture: the matching trial's record is
-/// kept for [`take_captured`] even if its verdict is `"ok"`.
+/// kept for [`take_captured`] even if its verdict is `"ok"`, and
+/// [`crate::note!`] records notes until [`clear_replay_target`].
 pub fn set_replay_target(cell: String, index: u64) {
     let mut s = state().lock().unwrap();
     s.target = Some((cell, index));
     s.captured = None;
+    NOTING.store(true, Ordering::Release);
 }
 
 /// The `(cell, index)` a replay run wants, if any. Cheap when the
@@ -304,8 +351,9 @@ pub fn replay_target() -> Option<(String, u64)> {
     state().lock().unwrap().target.clone()
 }
 
-/// Clears the replay target.
+/// Clears the replay target and stops recording notes.
 pub fn clear_replay_target() {
+    NOTING.store(false, Ordering::Release);
     state().lock().unwrap().target = None;
 }
 
@@ -424,23 +472,13 @@ impl Bundle {
     }
 }
 
-/// Reads integer field `name` exactly: negative, non-integer and
-/// above-`max` values are errors, never saturated.
-fn int_field(json: &Json, name: &'static str, max: u64) -> Result<u64, BundleError> {
-    match json.get(name) {
-        Some(Json::Int(i)) if *i < 0 => Err(BundleError::Negative(name)),
-        Some(Json::Int(i)) => {
-            u64::try_from(*i).ok().filter(|&v| v <= max).ok_or(BundleError::OutOfRange(name))
-        }
-        Some(Json::Num(x)) if *x < 0.0 => Err(BundleError::Negative(name)),
-        Some(Json::Num(_)) => Err(BundleError::NotInteger(name)),
-        _ => Err(BundleError::Missing(name)),
-    }
-}
-
 /// Parses a bundle written by [`bundle_to_json`].
 pub fn parse_bundle(text: &str) -> Result<Bundle, BundleError> {
-    let json = parse_json(text).map_err(BundleError::Json)?;
+    bundle_from_json(&parse_json(text).map_err(BundleError::Json)?)
+}
+
+/// [`parse_bundle`] on an already-parsed document.
+pub fn bundle_from_json(json: &Json) -> Result<Bundle, BundleError> {
     let kind = json.get("kind").and_then(|k| k.as_str()).unwrap_or_default();
     if kind != "flight_bundle" {
         return Err(BundleError::NotABundle(kind.to_string()));
@@ -464,10 +502,10 @@ pub fn parse_bundle(text: &str) -> Result<Bundle, BundleError> {
     Ok(Bundle {
         experiment: str_field("experiment")?,
         cell: str_field("cell")?,
-        index: int_field(&json, "index", u64::MAX)?,
-        n: int_field(&json, "n", usize::MAX as u64)? as usize,
-        seed: int_field(&json, "seed", u64::MAX)?,
-        derived_seed: int_field(&json, "derived_seed", u64::MAX)?,
+        index: int_field(json, "index", u64::MAX)?,
+        n: int_field(json, "n", usize::MAX as u64)? as usize,
+        seed: int_field(json, "seed", u64::MAX)?,
+        derived_seed: int_field(json, "derived_seed", u64::MAX)?,
         reason: str_field("reason")?,
         verdict: str_field("verdict")?,
         scores,
@@ -591,6 +629,7 @@ mod tests {
             stages: vec![("modulate", 10.0), ("decode", 300.5)],
             scores: vec![("tag_errors", 7.0), ("tag_bits", 16.0)],
             verdict: "decode_fail".to_string(),
+            notes: Vec::new(),
         };
         bundle_to_json(&Dump { reason: "decode_fail".to_string(), record }, 24)
     }

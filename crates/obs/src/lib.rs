@@ -2,17 +2,13 @@
 //!
 //! The measurement substrate the rest of the workspace reports through:
 //!
-//! * **Structured tracing** ([`trace`]): `event!` / `span!` macros that
-//!   compile down to one relaxed atomic load when no subscriber is
-//!   installed, and deliver named key/value records to a global
-//!   [`trace::Subscriber`] when one is.
 //! * **Metrics registry** ([`metrics`]): counters, gauges, and
 //!   fixed-bucket histograms keyed by `(experiment, protocol, stage)`.
 //!   Disabled by default; instrumented hot paths pay only an atomic
 //!   load until [`metrics::enable`] is called.
 //! * **Exporters** ([`export`]): JSON-lines and CSV serialization of a
 //!   registry snapshot, plus a minimal JSON parser used for round-trip
-//!   verification.
+//!   verification and bundle parsing.
 //! * **Run manifests** ([`manifest`]): git revision, RNG seed, config
 //!   knobs, and per-experiment wall-clock, written alongside results so
 //!   any metrics file can be traced back to the run that produced it.
@@ -21,6 +17,10 @@
 //!   (flamegraph-compatible) and JSON output (`paper --profile`).
 //! * **Flight recorder** ([`flight`]): a bounded ring of per-trial
 //!   context that dumps replayable failure bundles (`paper replay`).
+//!   The trial record is the stack's one record channel: while a replay
+//!   runs, [`note!`] lines (decode errors, uplink SNR) land in the
+//!   replayed trial's record, and cost one relaxed atomic load
+//!   otherwise.
 //! * **Event stream** ([`events`]): a bounded run-scoped JSONL sink
 //!   (`paper --events`) of schema-versioned, sequence-numbered run /
 //!   experiment / cell / fleet-window records whose deterministic
@@ -39,7 +39,7 @@
 //!
 //! ## Naming scheme
 //!
-//! Event and metric names are dotted `layer.thing` pairs — `id.score`,
+//! Note and metric names are dotted `layer.thing` pairs — `id.score`,
 //! `overlay.tag_bits`, `rx.decode_err`, `pipe.stage_us` — and every
 //! metric carries the `(experiment, protocol, stage)` label triple (any
 //! of which may be `""` when not applicable). See DESIGN.md
@@ -59,11 +59,9 @@ pub mod pool;
 pub mod profile;
 pub mod progress;
 pub mod stats;
-pub mod trace;
 
 pub use manifest::RunManifest;
 pub use metrics::Registry;
-pub use trace::{SpanGuard, Subscriber};
 
 /// Version of every JSON artifact this stack writes (reports, metrics
 /// exports, manifests, profiles, flight bundles). Bump whenever any
@@ -74,100 +72,3 @@ pub use trace::{SpanGuard, Subscriber};
 /// (`keys` / `stats` arrays); histogram exports carry p50/p90/p99
 /// quantile summaries.
 pub const SCHEMA_VERSION: u32 = 3;
-
-/// Emits a structured trace event when a subscriber is installed.
-///
-/// ```
-/// msc_obs::event!("rx.decoded", proto = "ble", tag_bits = 42);
-/// let x = [1, 2, 3];
-/// msc_obs::event!("debug.dump", value = ?x); // `?` renders with {:?}
-/// ```
-#[macro_export]
-macro_rules! event {
-    ($name:expr $(, $($fields:tt)*)?) => {
-        if $crate::trace::enabled() {
-            let __fields: ::std::vec::Vec<$crate::trace::Field> =
-                $crate::__obs_fields!(@acc [] $($($fields)*)?);
-            $crate::trace::emit($crate::trace::Kind::Event, $name, __fields);
-        }
-    };
-}
-
-/// Opens a timed span; the returned guard emits a `Kind::SpanExit`
-/// event carrying `dur_us` when dropped, and opens a [`profile`]
-/// frame when the profiler is collecting. Costs two relaxed atomic
-/// loads when both tracing and profiling are disabled; the field list
-/// is only built when tracing is on.
-///
-/// ```
-/// let _span = msc_obs::span!("pipe.decode", proto = "zigbee");
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(, $($fields:tt)*)?) => {
-        if $crate::trace::enabled() {
-            let __fields: ::std::vec::Vec<$crate::trace::Field> =
-                $crate::__obs_fields!(@acc [] $($($fields)*)?);
-            $crate::trace::SpanGuard::enter($name, __fields)
-        } else if $crate::profile::enabled() {
-            $crate::trace::SpanGuard::profiled_only($name)
-        } else {
-            $crate::trace::SpanGuard::disabled()
-        }
-    };
-}
-
-/// Field-list muncher shared by [`event!`] and [`span!`]: `k = v`
-/// renders with `Display`, `k = ?v` with `Debug`. Accumulates field
-/// expressions and expands to a single `vec![…]` literal.
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __obs_fields {
-    (@acc [$($acc:expr),*]) => { ::std::vec![$($acc),*] };
-    (@acc [$($acc:expr),*] $k:ident = ? $v:expr, $($rest:tt)*) => {
-        $crate::__obs_fields!(@acc [$($acc,)* $crate::trace::Field::debug(stringify!($k), &$v)] $($rest)*)
-    };
-    (@acc [$($acc:expr),*] $k:ident = ? $v:expr) => {
-        $crate::__obs_fields!(@acc [$($acc,)* $crate::trace::Field::debug(stringify!($k), &$v)])
-    };
-    (@acc [$($acc:expr),*] $k:ident = $v:expr, $($rest:tt)*) => {
-        $crate::__obs_fields!(@acc [$($acc,)* $crate::trace::Field::display(stringify!($k), &$v)] $($rest)*)
-    };
-    (@acc [$($acc:expr),*] $k:ident = $v:expr) => {
-        $crate::__obs_fields!(@acc [$($acc,)* $crate::trace::Field::display(stringify!($k), &$v)])
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::trace::{self, CollectingSubscriber};
-    use std::sync::Arc;
-
-    #[test]
-    fn macros_are_noops_until_installed_then_capture() {
-        let _guard = trace::tests_serial();
-        trace::uninstall();
-        assert!(!trace::enabled());
-        // No subscriber: nothing panics, nothing is recorded.
-        crate::event!("noop.event", x = 1);
-        {
-            let _s = crate::span!("noop.span");
-        }
-
-        let sub = Arc::new(CollectingSubscriber::default());
-        trace::install(sub.clone());
-        assert!(trace::enabled());
-        crate::event!("unit.event", a = 2, b = ?vec![1, 2]);
-        {
-            let _s = crate::span!("unit.span", proto = "ble");
-        }
-        trace::uninstall();
-
-        let lines = sub.take();
-        assert_eq!(lines.len(), 3, "{lines:?}");
-        assert!(lines[0].contains("unit.event") && lines[0].contains("a=2"));
-        assert!(lines[0].contains("b=[1, 2]"));
-        assert!(lines[1].contains("enter unit.span"));
-        assert!(lines[2].contains("exit  unit.span") && lines[2].contains("dur_us="));
-    }
-}

@@ -1,7 +1,7 @@
-//! Span profiler: aggregates trace spans and stage timings into a
+//! Span profiler: aggregates named scopes and stage timings into a
 //! call-tree profile.
 //!
-//! When profiling is enabled ([`enable`]) every [`crate::span!`] and
+//! When profiling is enabled ([`enable`]) every [`scope`] and
 //! every [`crate::metrics::time_stage`] call opens a *frame* on a
 //! per-thread call tree. Frames with the same `(parent, name)` pair are
 //! merged, so the tree stays small no matter how many trials run: each
@@ -237,8 +237,7 @@ pub(crate) fn exit_frame() {
     with_tree(|t| t.exit());
 }
 
-/// RAII frame: the explicit-scope counterpart of [`crate::span!`] for
-/// call sites that want profiling without trace fields.
+/// RAII frame opened by [`scope`].
 pub struct ProfScope(bool);
 
 /// Opens a named profiler frame, closed when the guard drops. One

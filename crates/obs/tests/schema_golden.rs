@@ -48,6 +48,8 @@ fn fingerprint() -> String {
             stages: vec![("modulate", 10.0), ("decode", 300.5)],
             scores: vec![("tag_errors", 7.0), ("tag_ber", 0.4375)],
             verdict: "decode_fail".to_string(),
+            // Notes never reach the bundle: the golden shape is unchanged.
+            notes: vec!["rx.decode_err protocol=BLE err=HeaderInvalid".to_string()],
         },
     };
     out.push_str("== flight bundle ==\n");

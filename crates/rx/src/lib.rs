@@ -23,7 +23,7 @@ pub use metrics::{BerCounter, ThroughputMeter};
 
 /// Records one decode attempt's outcome into the observability layer:
 /// `rx.decoded` / `rx.decode_err` counters, delivered tag-bit counter,
-/// and a structured trace event. No-op while observability is disabled.
+/// and a replay note. No-op while observability is disabled.
 pub(crate) fn obs_decode_result(
     protocol: &'static str,
     result: &Result<OverlayDecoded, msc_phy::protocol::DecodeError>,
@@ -39,17 +39,16 @@ pub(crate) fn obs_decode_result(
                     d.tag.len() as u64,
                 );
             }
-            msc_obs::event!(
-                "rx.decoded",
-                protocol = protocol,
-                productive = d.productive.len(),
-                tag = d.tag.len(),
-                header_ok = d.header_ok
+            msc_obs::note!(
+                "rx.decoded protocol={protocol} productive={} tag={} header_ok={}",
+                d.productive.len(),
+                d.tag.len(),
+                d.header_ok
             );
         }
         Err(e) => {
             msc_obs::metrics::counter_add("rx.decode_err", protocol, "decode", 1);
-            msc_obs::event!("rx.decode_err", protocol = protocol, err = ?e);
+            msc_obs::note!("rx.decode_err protocol={protocol} err={e:?}");
         }
     }
 }

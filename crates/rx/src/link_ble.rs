@@ -51,7 +51,7 @@ impl BleOverlayLink {
     /// sequences to expect (carried by the experiment configuration; a
     /// deployed design would put it in the reference header).
     pub fn decode(&self, rx: &IqBuf, n_productive: usize) -> Result<OverlayDecoded, DecodeError> {
-        let _span = msc_obs::span!("rx.decode", protocol = "BLE");
+        let _frame = msc_obs::profile::scope("rx.decode");
         let result = self.decode_inner(rx, n_productive);
         crate::obs_decode_result("BLE", &result);
         result

@@ -83,7 +83,7 @@ impl WifiBOverlayLink {
     /// flip into three payload-bit flips, which the walk below inverts
     /// causally, using the mask to know where flips are even possible.
     pub fn decode(&self, rx: &IqBuf) -> Result<OverlayDecoded, DecodeError> {
-        let _span = msc_obs::span!("rx.decode", protocol = "802.11b");
+        let _frame = msc_obs::profile::scope("rx.decode");
         let result = self.decode_inner(rx);
         crate::obs_decode_result("802.11b", &result);
         result

@@ -93,7 +93,7 @@ impl WifiNOverlayLink {
 
     /// Decodes both data streams.
     pub fn decode(&self, rx: &IqBuf) -> Result<OverlayDecoded, DecodeError> {
-        let _span = msc_obs::span!("rx.decode", protocol = "802.11n");
+        let _frame = msc_obs::profile::scope("rx.decode");
         let result = self.decode_inner(rx);
         crate::obs_decode_result("802.11n", &result);
         result

@@ -52,7 +52,7 @@ impl ZigBeeOverlayLink {
 
     /// Decodes both streams: productive 4-bit symbols + tag bits.
     pub fn decode(&self, rx: &IqBuf) -> Result<OverlayDecoded, DecodeError> {
-        let _span = msc_obs::span!("rx.decode", protocol = "ZigBee");
+        let _frame = msc_obs::profile::scope("rx.decode");
         let result = self.decode_inner(rx);
         crate::obs_decode_result("ZigBee", &result);
         result

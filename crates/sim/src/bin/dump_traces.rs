@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use std::io::Write;
 
 fn main() {
-    msc_obs::trace::install(std::sync::Arc::new(msc_obs::trace::StderrSubscriber));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let what = args.first().map(|s| s.as_str()).unwrap_or("envelopes");
     let path = args.get(1).cloned().unwrap_or_else(|| format!("{what}.csv"));
@@ -38,7 +37,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    msc_obs::event!("dump.wrote", what = what, path = path);
+    eprintln!("wrote {what} to {path}");
 }
 
 fn dump_envelopes(out: &mut impl Write) {

@@ -7,10 +7,10 @@
 //! cargo run -p msc-sim --release --bin paper -- all --full   # larger Monte Carlo
 //! cargo run -p msc-sim --release --bin paper -- all --metrics-out out/
 //! cargo run -p msc-sim --release --bin paper -- all --profile
-//! cargo run -p msc-sim --release --bin paper -- fig13 --trace
 //! cargo run -p msc-sim --release --bin paper -- fig13 --ci       # ±95% column
 //! cargo run -p msc-sim --release --bin paper -- list
-//! cargo run -p msc-sim --release --bin paper -- replay out/flight/bundle_0_decode_fail.json
+//! cargo run -p msc-sim --release --bin paper -- replay out/flight/bundle_0_decode-fail.json
+//! cargo run -p msc-sim --release --bin paper -- replay out/flight/incident_00_tag_starved.json
 //! cargo run -p msc-sim --release --bin paper -- diff outA/ outB/
 //! cargo run -p msc-sim --release --bin paper -- diff --baseline out/
 //! ```
@@ -19,8 +19,7 @@
 //! run manifest (`manifest.json`), the full metric registry
 //! (`metrics.jsonl`, `metrics.csv`), each experiment's table as JSON
 //! (`reports/<id>.json`), and — with the flight recorder armed — any
-//! failure bundles (`flight/bundle_*.json`). `--trace` streams
-//! structured trace events to stderr. `--profile` collects a span
+//! failure bundles (`flight/bundle_*.json`). `--profile` collects a span
 //! profile and writes `profile.folded` (flamegraph-compatible) and
 //! `profile.json` next to the metrics (or into the working directory
 //! without `--metrics-out`). None of these flags change the table
@@ -31,9 +30,21 @@
 //! logs. `--flight-slow-us N` additionally dumps trials whose slowest
 //! stage exceeds N µs.
 //!
-//! `replay <bundle.json>` re-runs exactly the trial a bundle describes
-//! (skipping all other cells) and verifies it reproduces the recorded
-//! scores and verdict — the determinism contract, exercised on demand.
+//! `replay <bundle.json>` reads a bundle of either kind. A flight
+//! bundle re-runs exactly the trial it describes (skipping all other
+//! cells), verifies it reproduces the recorded scores and verdict — the
+//! determinism contract, exercised on demand — and prints the trial's
+//! notes (decode error kind, uplink SNR) on stderr. A fleet incident
+//! bundle re-runs its scenario window through the three-phase
+//! derived-seed contract and verifies the recorded event subsequence
+//! bit-for-bit. Exit 0 REPRODUCED, 1 MISMATCH, 2 unreadable bundle,
+//! unknown kind or impossible field.
+//!
+//! `--no-memo` disables every memo — the waveform cache, the analog
+//! trace memo and the fleet link table — so every request computes
+//! afresh. Reports are byte-identical either way (each memo holds a
+//! pure function of its key); the flag exists to show exactly that and
+//! to measure what the memos save.
 //!
 //! `--threads N` sizes the Monte-Carlo worker pool (default: available
 //! parallelism). Results are bit-identical at any thread count — seeds
@@ -68,10 +79,7 @@
 //! detectors (tag starved past `MSC_FLEET_STARVE_S` seconds, window
 //! collision rate past `MSC_FLEET_COLLISION_RATE`, `--fleet-phy`
 //! DIVERGENT verdicts) dump replayable incident bundles under
-//! `<metrics-out>/flight/incident_*.json`. `fleet-replay <bundle>`
-//! re-runs exactly that scenario window through the three-phase
-//! derived-seed contract and verifies the recorded event subsequence
-//! bit-for-bit (exit 0 REPRODUCED / 1 MISMATCH).
+//! `<metrics-out>/flight/incident_*.json` for `paper replay`.
 //!
 //! `--metrics-out` additionally archives every report under
 //! `<dir>/archive/` keyed by (experiment, seed, git rev, config hash) —
@@ -87,12 +95,11 @@ use std::path::{Path, PathBuf};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--trace] [--profile] \
+        "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--profile] \
          [--threads N] [--no-early-stop] [--metrics-out <dir>] \
-         [--events <path|->] [--no-wave-cache] [--no-trace-cache] [--no-progress] \
+         [--events <path|->] [--no-memo] [--no-progress] \
          [--flight-slow-us N] [--fleet-phy]\n       paper list\n       \
-         paper replay <bundle.json> [--threads N] [--trace]\n       \
-         paper fleet-replay <incident.json> [--threads N]\n       \
+         paper replay <bundle.json|incident.json> [--threads N]\n       \
          paper diff <runA> <runB> [--only-moved]\n       \
          paper diff --baseline <metrics-dir> [--only-moved]"
     );
@@ -120,7 +127,6 @@ fn main() {
     }
     let mut full = false;
     let mut ci = false;
-    let mut trace = false;
     let mut profile = false;
     let mut no_progress = false;
     let mut baseline = false;
@@ -136,19 +142,13 @@ fn main() {
             "--ci" => ci = true,
             "--baseline" => baseline = true,
             "--only-moved" => only_moved = true,
-            "--trace" => trace = true,
             "--profile" => profile = true,
             "--no-progress" => no_progress = true,
-            // Resynthesize every cell's excitation instead of caching.
-            // Results are byte-identical either way (the cache memoizes
-            // a pure synthesis); this exists to demonstrate exactly that
-            // and to measure the cache's speedup.
-            "--no-wave-cache" => msc_sim::set_waveform_cache(false),
-            // Regenerate every identification trace set instead of
-            // sharing it across experiments. Same contract as the
-            // waveform cache: reports are byte-identical either way
-            // (the cache memoizes a pure, seed-keyed generation).
-            "--no-trace-cache" => msc_sim::set_trace_cache(false),
+            // Recompute every waveform, analog trace set and fleet
+            // link table instead of memoizing them. Reports are
+            // byte-identical either way (each memo holds a pure
+            // function of its key).
+            "--no-memo" => msc_sim::memo::set_all_enabled(false),
             "--threads" => {
                 let Some(v) = it.next().and_then(|s| s.parse::<usize>().ok()) else {
                     eprintln!("--threads needs a number\n");
@@ -206,15 +206,7 @@ fn main() {
             eprintln!("replay needs a bundle path\n");
             usage();
         };
-        std::process::exit(run_replay(path, trace));
-    }
-
-    if which == "fleet-replay" {
-        let Some(path) = positional.get(1) else {
-            eprintln!("fleet-replay needs an incident bundle path\n");
-            usage();
-        };
-        std::process::exit(run_fleet_replay(path));
+        std::process::exit(run_replay(path));
     }
 
     if which == "diff" {
@@ -225,9 +217,6 @@ fn main() {
         positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(if full { 60 } else { 12 });
     let seed: u64 = positional.get(2).and_then(|s| s.parse().ok()).unwrap_or(42);
 
-    if trace {
-        msc_obs::trace::install(std::sync::Arc::new(msc_obs::trace::StderrSubscriber));
-    }
     if profile {
         msc_obs::profile::reset();
         msc_obs::profile::enable();
@@ -357,14 +346,10 @@ fn main() {
         write_flight_bundles(dir, n);
         write_fleet_incidents(dir);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
-        // counters, the waveform cache, the trace memo (whose counts are
-        // of analog trace sets, not digitized ones), the fleet link-table
-        // memo, and the worker pool / flight / progress totals.
+        // counters, the memos, and the worker pool / flight / progress
+        // totals.
         msc_obs::metrics::set_experiment("run");
         let ps = msc_dsp::plan::stats();
-        let ws = msc_sim::wavecache::stats();
-        let ts = msc_sim::tracecache::stats();
-        let ls = msc_sim::experiments::fleet::link_table_stats();
         let pool = msc_obs::pool::snapshot();
         let fs = msc_obs::flight::stats();
         let pc = msc_obs::progress::counters();
@@ -375,14 +360,13 @@ fn main() {
         g("dsp.scratch_allocs", "dsp", "scratch", ps.scratch_allocs as f64);
         g("dsp.probe_hits", "dsp", "probe", ps.probe_hits as f64);
         g("dsp.probe_misses", "dsp", "probe", ps.probe_misses as f64);
-        g("wavecache.len", "sim", "", ws.len as f64);
-        g("wavecache.hits_total", "sim", "", ws.hits as f64);
-        g("wavecache.misses_total", "sim", "", ws.misses as f64);
-        g("tracecache.len", "sim", "", ts.len as f64);
-        g("tracecache.hits_total", "sim", "", ts.hits as f64);
-        g("tracecache.misses_total", "sim", "", ts.misses as f64);
-        g("linkcache.hits_total", "sim", "", ls.hits as f64);
-        g("linkcache.misses_total", "sim", "", ls.misses as f64);
+        for (memo, s) in msc_sim::memo::all_stats() {
+            // Metric names are `&'static str`; these are built once per run.
+            let name = |field: &str| &*format!("{memo}.{field}").leak();
+            g(name("len"), "sim", "", s.len as f64);
+            g(name("hits_total"), "sim", "", s.hits as f64);
+            g(name("misses_total"), "sim", "", s.misses as f64);
+        }
         g("pool.busy_us", "par", "", pool.busy_us as f64);
         g("pool.idle_us", "par", "", pool.idle_us as f64);
         g("pool.utilization", "par", "", pool.utilization());
@@ -476,39 +460,6 @@ fn main() {
     }
 }
 
-/// `paper fleet-replay <incident.json>`: re-run the scenario window a
-/// fleet incident bundle captured and verify its event subsequence
-/// bit-for-bit. Returns the process exit code (0 REPRODUCED,
-/// 1 MISMATCH, 2 bad bundle).
-fn run_fleet_replay(path: &str) -> i32 {
-    match msc_sim::experiments::fleet::replay_incident(path) {
-        Ok(out) => {
-            eprintln!(
-                "[fleet-replay] {} incident in {} — {} recorded event(s)",
-                out.reason, out.scenario, out.expected
-            );
-            if out.reproduced() {
-                println!("REPRODUCED: replay matches the bundle's event subsequence bit-for-bit");
-                0
-            } else {
-                if let Some((i, a, b)) = &out.first_diff {
-                    eprintln!("  first diff at event {i}:\n    recorded {a}\n    replayed {b}");
-                }
-                println!(
-                    "MISMATCH: {} of {} event position(s) diverged",
-                    out.diffs,
-                    out.expected.max(1)
-                );
-                1
-            }
-        }
-        Err(e) => {
-            eprintln!("fleet-replay failed: {e}");
-            2
-        }
-    }
-}
-
 /// Drains the fleet MAC incidents recorded during traced runs and
 /// writes each as a replayable bundle under `<dir>/flight/`.
 fn write_fleet_incidents(dir: &std::path::Path) {
@@ -527,7 +478,7 @@ fn write_fleet_incidents(dir: &std::path::Path) {
             .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
     }
     eprintln!(
-        "[flight] {} fleet incident(s) written to {} — inspect with `paper fleet-replay <bundle>`",
+        "[flight] {} fleet incident(s) written to {} — inspect with `paper replay <bundle>`",
         incidents.len(),
         flight_dir.display()
     );
@@ -567,29 +518,23 @@ fn write_profile(dir: Option<&std::path::Path>) {
     msc_obs::profile::disable();
     let profile = msc_obs::profile::take();
     let ps = msc_dsp::plan::stats();
-    let ws = msc_sim::wavecache::stats();
-    let ts = msc_sim::tracecache::stats();
-    let ls = msc_sim::experiments::fleet::link_table_stats();
     let pool = msc_obs::pool::snapshot();
-    let counters: Vec<(String, f64)> = vec![
+    let mut counters: Vec<(String, f64)> = vec![
         ("dsp.plan_hits".into(), ps.plan_hits as f64),
         ("dsp.plan_misses".into(), ps.plan_misses as f64),
         ("dsp.scratch_reuses".into(), ps.scratch_reuses as f64),
         ("dsp.scratch_allocs".into(), ps.scratch_allocs as f64),
-        ("wavecache.hits".into(), ws.hits as f64),
-        ("wavecache.misses".into(), ws.misses as f64),
-        ("wavecache.bypasses".into(), ws.bypasses as f64),
-        // Analog-set lookups: each hit was digitized for its own ADC.
-        ("tracecache.hits".into(), ts.hits as f64),
-        ("tracecache.misses".into(), ts.misses as f64),
-        ("tracecache.bypasses".into(), ts.bypasses as f64),
-        // Fleet link-table lookups: each hit skipped a calibration.
-        ("linkcache.hits".into(), ls.hits as f64),
-        ("linkcache.misses".into(), ls.misses as f64),
+    ];
+    for (memo, s) in msc_sim::memo::all_stats() {
+        counters.push((format!("{memo}.hits"), s.hits as f64));
+        counters.push((format!("{memo}.misses"), s.misses as f64));
+        counters.push((format!("{memo}.bypasses"), s.bypasses as f64));
+    }
+    counters.extend([
         ("pool.busy_us".into(), pool.busy_us as f64),
         ("pool.idle_us".into(), pool.idle_us as f64),
         ("pool.utilization".into(), pool.utilization()),
-    ];
+    ]);
     let dir = dir.unwrap_or_else(|| std::path::Path::new("."));
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("failed to create {}: {e}", dir.display());
@@ -721,59 +666,45 @@ fn run_diff(operands: &[String], baseline: bool, only_moved: bool) -> i32 {
     }
 }
 
-/// `paper replay <bundle>`: re-run one recorded trial and check it
-/// reproduces. Returns the process exit code.
-fn run_replay(path: &str, trace: bool) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+/// `paper replay <bundle>`: re-run what a flight bundle or a fleet
+/// incident bundle recorded and check it reproduces. Returns the
+/// process exit code (0 REPRODUCED, 1 MISMATCH, 2 unreadable bundle).
+fn run_replay(path: &str) -> i32 {
+    let request = match std::fs::read_to_string(path) {
+        Ok(text) => msc_sim::replay::parse(&text),
+        Err(e) => Err(e.to_string()),
+    };
+    let request = match request {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("cannot read {path}: {e}");
+            eprintln!("cannot replay {path}: {e}");
             return 2;
         }
     };
-    let bundle = match msc_obs::flight::parse_bundle(&text) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("cannot parse {path}: {e}");
-            return 2;
-        }
-    };
-    if trace {
-        msc_obs::trace::install(std::sync::Arc::new(msc_obs::trace::StderrSubscriber));
-    }
-    eprintln!(
-        "[replay] {} cell {:?} index {} (n {}, seed {}) — original verdict {:?} ({})",
-        bundle.experiment,
-        bundle.cell,
-        bundle.index,
-        bundle.n,
-        bundle.seed,
-        bundle.verdict,
-        bundle.reason
-    );
-    match msc_sim::replay::replay(&bundle) {
-        Ok(result) => {
-            for (name, value) in &result.record.scores {
-                println!("  {name} = {value}");
-            }
-            println!("  verdict = {}", result.record.verdict);
-            if result.matches {
-                println!("REPRODUCED: replay matches the bundle exactly");
-                0
-            } else {
-                for d in &result.diffs {
-                    eprintln!("  mismatch: {d}");
-                }
-                println!(
-                    "MISMATCH: replay diverged from the bundle ({} diff(s))",
-                    result.diffs.len()
-                );
-                1
-            }
-        }
+    eprintln!("[replay] {}", request.describe());
+    let result = match msc_sim::replay::run(&request) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("replay failed: {e}");
-            2
+            return 2;
         }
+    };
+    if let Some(record) = &result.record {
+        for note in &record.notes {
+            eprintln!("[note] {note}");
+        }
+        for (name, value) in &record.scores {
+            println!("  {name} = {value}");
+        }
+        println!("  verdict = {}", record.verdict);
     }
+    if result.matches {
+        println!("REPRODUCED: replay matches the bundle exactly");
+        return 0;
+    }
+    for d in &result.diffs {
+        eprintln!("  mismatch: {d}");
+    }
+    println!("MISMATCH: replay diverged from the bundle ({} diff(s))", result.diffs.len());
+    1
 }

@@ -22,11 +22,11 @@
 //! anomaly detectors (tag starved past `MSC_FLEET_STARVE_S`, window
 //! collision rate past `MSC_FLEET_COLLISION_RATE`, `--fleet-phy`
 //! DIVERGENT verdicts) dump replayable incident bundles that
-//! `paper fleet-replay` re-runs and verifies bit-for-bit
-//! ([`replay_incident`]). `paper fleet-timeline` ([`run_timeline`])
+//! `paper replay` re-runs and verifies bit-for-bit ([`parse_incident`],
+//! [`replay_incident`]). `paper fleet-timeline` ([`run_timeline`])
 //! renders the same windows as an ASCII carrier-occupancy strip chart.
 
-use crate::memo::{Counters, Memo, MemoStats};
+use crate::memo::{Counters, Memo};
 use crate::pipeline::{run_cells, run_packets, AnyLink, CellSpec, Geometry};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
@@ -36,7 +36,7 @@ use msc_fleet::link::LinkTable;
 use msc_fleet::mac::{Backoff, MacPolicy};
 use msc_fleet::obs::{Detectors, MacTrace};
 use msc_fleet::traffic::{Arrivals, Stream};
-use msc_obs::export::json_escape;
+use msc_obs::export::{int_field, json_escape, Json};
 use msc_obs::stats::{classify, DiffClass, Proportion, Z99};
 use msc_phy::protocol::Protocol;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,8 +70,8 @@ pub fn phy_check() -> bool {
 
 /// MAC event tracing: on when the event sink or `--metrics-out` is
 /// active. Tracing is observational only — the engine result and the
-/// report are byte-identical either way — so, like `--trace` and
-/// `--profile`, it stays outside the archive config hash.
+/// report are byte-identical either way — so, like `--profile`, it
+/// stays outside the archive config hash.
 static TRACE: AtomicBool = AtomicBool::new(false);
 
 /// Enables or disables MAC event tracing for the fleet scenarios.
@@ -163,13 +163,7 @@ fn new_link_memo() -> LinkMemo {
 
 /// The process's link-table memo: `fleet`, `fleet-scale` and
 /// `fleet-timeline` share one calibration per `(n, seed)`.
-static LINK_TABLES: LazyLock<LinkMemo> = LazyLock::new(new_link_memo);
-
-/// Link-table memo counters: a miss calibrated a table, a hit reused
-/// one.
-pub fn link_table_stats() -> MemoStats {
-    LINK_TABLES.stats()
-}
+pub(crate) static LINK_TABLES: LazyLock<LinkMemo> = LazyLock::new(new_link_memo);
 
 /// Calibrates the link abstraction: `n` full-pipeline trials per
 /// (protocol, distance) cell, keyed by the cell's uplink SNR. A
@@ -340,7 +334,7 @@ fn export_windows(key: &str, carriers: &[Stream], tr: &MacTrace) {
 }
 
 /// Serializes one replayable incident bundle: everything
-/// [`replay_incident`] needs to rebuild the scenario (the engine config
+/// [`parse_incident`] needs to rebuild the scenario (the engine config
 /// and calibration inputs) plus the rendered event subsequence the
 /// replay must reproduce. Events are embedded as strings so the
 /// comparison is byte-exact.
@@ -643,154 +637,155 @@ pub fn run_timeline(n: usize, seed: u64) -> Report {
     report
 }
 
-/// Outcome of replaying one `fleet_incident` bundle.
+/// A parsed `fleet_incident` bundle: the scenario window to re-run and
+/// the event subsequence it recorded.
 #[derive(Clone, Debug)]
-pub struct ReplayOutcome {
-    /// Incident reason from the bundle.
+pub struct Incident {
+    /// Detector that flagged the window (`tag_starved`, …).
     pub reason: String,
-    /// Scenario key from the bundle.
+    /// Scenario key (`fleet/paper/<policy>/<power>`).
     pub scenario: String,
-    /// Events the bundle recorded.
-    pub expected: usize,
-    /// Positions that differed (unequal, missing, or extra events).
-    pub diffs: usize,
-    /// First differing position with (recorded, replayed) forms.
-    pub first_diff: Option<(usize, String, String)>,
+    /// The scenario, its horizon cut just past the window.
+    pub cfg: FleetConfig,
+    /// Calibration trials behind the run's link table.
+    pub cal_n: usize,
+    /// The tag whose events the window follows (`None`: every tag).
+    pub tag: Option<u32>,
+    /// Window start, seconds.
+    pub t0: f64,
+    /// Window end, seconds.
+    pub t1: f64,
+    /// The recorded event subsequence.
+    pub events: Vec<String>,
+    /// Events the recording dropped past [`INCIDENT_EVENT_CAP`].
+    pub truncated: u64,
 }
 
-impl ReplayOutcome {
-    /// Whether the replay reproduced the recorded subsequence
-    /// bit-for-bit.
-    pub fn reproduced(&self) -> bool {
-        self.diffs == 0
-    }
-}
-
-/// Re-runs the scenario window captured in a `fleet_incident` bundle
-/// (via the same three-phase derived-seed contract) and verifies the
-/// recorded event subsequence bit-for-bit.
+/// Parses a `fleet_incident` bundle (its `kind` already checked).
 ///
-/// The replay horizon is truncated to just past the incident window —
-/// the carrier/reading arrival processes generate sequentially and the
-/// MAC sweep consumes RNG draws in event order, so events at or before
-/// `t1` are unaffected by anything the original run did afterwards.
-pub fn replay_incident(path: &str) -> Result<ReplayOutcome, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-    let v = msc_obs::export::parse_json(&text).map_err(|e| format!("{path}: {e}"))?;
+/// Integers are read exactly ([`msc_obs::export::int_field`]), never
+/// saturated, and a configuration the engine would assert on (no tags,
+/// more tags than a `u32` indexes, a non-finite time) is an error.
+/// The replay horizon is cut just past the window: the carrier and
+/// reading arrival processes generate sequentially and the MAC sweep
+/// consumes RNG draws in event order, so events at or before `t1` are
+/// unaffected by anything the original run did afterwards.
+pub fn parse_incident(v: &Json) -> Result<Incident, String> {
     let str_of = |k: &str| {
         v.get(k)
             .and_then(|x| x.as_str().map(str::to_string))
-            .ok_or_else(|| format!("bundle missing {k:?}"))
+            .ok_or_else(|| format!("bundle field {k:?} missing or malformed"))
     };
-    let num_of =
-        |k: &str| v.get(k).and_then(|x| x.as_f64()).ok_or_else(|| format!("bundle missing {k:?}"));
-    if str_of("kind")? != "fleet_incident" {
-        return Err(format!("{path} is not a fleet_incident bundle"));
-    }
+    let num_in = |obj: &Json, k: &str| {
+        obj.get(k)
+            .and_then(Json::as_f64)
+            .filter(|x| x.is_finite())
+            .ok_or_else(|| format!("bundle field {k:?} is not a finite number"))
+    };
+    let int_in =
+        |obj: &Json, k: &'static str, max: u64| int_field(obj, k, max).map_err(|e| e.to_string());
     let policy_label = str_of("policy")?;
     let policy = *MacPolicy::ALL
         .iter()
         .find(|p| p.label() == policy_label)
         .ok_or_else(|| format!("unknown policy {policy_label:?}"))?;
     let energy = match v.get("energy") {
-        Some(e) if e.get("charge_s").is_some() => Some(EnergyModel {
-            charge_s: e
-                .get("charge_s")
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| "bundle energy.charge_s is not a number".to_string())?,
-            run_s: e
-                .get("run_s")
-                .and_then(|x| x.as_f64())
-                .ok_or_else(|| "bundle energy.run_s is not a number".to_string())?,
-        }),
+        Some(e @ Json::Obj(_)) => {
+            Some(EnergyModel { charge_s: num_in(e, "charge_s")?, run_s: num_in(e, "run_s")? })
+        }
         _ => None,
     };
-    let backoff = v.get("backoff").ok_or_else(|| "bundle missing backoff".to_string())?;
-    let b_of = |k: &str| {
-        backoff.get(k).and_then(|x| x.as_f64()).ok_or_else(|| format!("bundle missing backoff.{k}"))
-    };
+    let backoff = v.get("backoff").ok_or("bundle field \"backoff\" missing")?;
     let carriers = paper_carriers();
-    let want: Vec<String> = v
+    let want: Vec<&str> = v
         .get("carriers")
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| "bundle missing carriers".to_string())?
+        .and_then(Json::as_arr)
+        .ok_or("bundle field \"carriers\" missing")?
         .iter()
-        .filter_map(|c| c.as_str().map(str::to_string))
+        .filter_map(Json::as_str)
         .collect();
-    let have: Vec<String> = carriers.iter().map(|s| s.protocol.label().to_string()).collect();
+    let have: Vec<&str> = carriers.iter().map(|s| s.protocol.label()).collect();
     if want != have {
         return Err(format!("bundle carriers {want:?} != this build's {have:?}"));
     }
-    let t0 = num_of("t0")?;
-    let t1 = num_of("t1")?;
-    let horizon = num_of("horizon_s")?;
-    let reading_rate = num_of("reading_rate")?;
-    // Truncate the replay just past the window (but never below the
-    // mean reading interval, which phase 2 clamps its phase draw by).
-    let replay_horizon = horizon.min((t1 + 1.0).max(1.0 / reading_rate.max(1e-12)));
+    let u32_max = u32::MAX as u64;
+    let tags = int_in(v, "tags", u32_max)? as usize;
+    if tags == 0 {
+        return Err("bundle field \"tags\" is 0; a fleet needs at least one tag".to_string());
+    }
+    let t1 = num_in(v, "t1")?;
+    let reading_rate = num_in(v, "reading_rate")?;
+    if reading_rate <= 0.0 {
+        // A periodic process at a rate ≤ 0 never passes the horizon.
+        return Err(format!("bundle field \"reading_rate\" is {reading_rate}, not positive"));
+    }
+    // Never below the mean reading interval, which phase 2 clamps its
+    // phase draw by.
+    let horizon_s = num_in(v, "horizon_s")?.min((t1 + 1.0).max(1.0 / reading_rate.max(1e-12)));
     let cfg = FleetConfig {
-        tags: num_of("tags")? as usize,
-        horizon_s: replay_horizon,
+        tags,
+        horizon_s,
         carriers,
         readings: Arrivals::Periodic { rate: reading_rate },
-        reading_bits: num_of("reading_bits")? as usize,
+        reading_bits: int_in(v, "reading_bits", usize::MAX as u64)? as usize,
         policy,
         backoff: Backoff {
-            cw_min: b_of("cw_min")? as u32,
-            cw_max: b_of("cw_max")? as u32,
-            max_retries: b_of("max_retries")? as u32,
+            cw_min: int_in(backoff, "cw_min", u32_max)? as u32,
+            cw_max: int_in(backoff, "cw_max", u32_max)? as u32,
+            max_retries: int_in(backoff, "max_retries", u32_max)? as u32,
         },
         energy,
-        queue_cap: num_of("queue_cap")? as usize,
-        sample_every: num_of("sample_every")? as usize,
-        seed: num_of("seed")? as u64,
+        queue_cap: int_in(v, "queue_cap", usize::MAX as u64)? as usize,
+        sample_every: int_in(v, "sample_every", usize::MAX as u64)? as usize,
+        seed: int_in(v, "seed", u64::MAX)?,
     };
-    let tag = v.get("tag").and_then(|x| x.as_f64()).map(|g| g as u32);
-    let recorded: Vec<String> = v
+    let tag = match v.get("tag") {
+        Some(Json::Null) | None => None,
+        Some(_) => Some(int_in(v, "tag", u32_max)? as u32),
+    };
+    let events = v
         .get("events")
-        .and_then(|x| x.as_arr())
-        .ok_or_else(|| "bundle missing events".to_string())?
+        .and_then(Json::as_arr)
+        .ok_or("bundle field \"events\" missing")?
         .iter()
         .filter_map(|e| e.as_str().map(str::to_string))
         .collect();
-    let recorded_truncated = num_of("truncated")? as u64;
-
-    let table = calibrate(num_of("cal_n")? as usize, cfg.seed);
-    let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default());
-    run_with(&cfg, &table, place_snr_db, &mut tr);
-    tr.finish();
-    let (replayed, truncated) = tr.subsequence(tag, t0, t1, INCIDENT_EVENT_CAP);
-
-    let mut diffs = 0usize;
-    let mut first_diff = None;
-    let longest = recorded.len().max(replayed.len());
-    for i in 0..longest {
-        let a = recorded.get(i).map(String::as_str).unwrap_or("<missing>");
-        let b = replayed.get(i).map(String::as_str).unwrap_or("<missing>");
-        if a != b {
-            diffs += 1;
-            if first_diff.is_none() {
-                first_diff = Some((i, a.to_string(), b.to_string()));
-            }
-        }
-    }
-    if truncated != recorded_truncated {
-        diffs += 1;
-        if first_diff.is_none() {
-            first_diff = Some((
-                longest,
-                format!("truncated={recorded_truncated}"),
-                format!("truncated={truncated}"),
-            ));
-        }
-    }
-    Ok(ReplayOutcome {
+    Ok(Incident {
         reason: str_of("reason")?,
         scenario: str_of("scenario")?,
-        expected: recorded.len(),
-        diffs,
-        first_diff,
+        cfg,
+        cal_n: int_in(v, "cal_n", usize::MAX as u64)? as usize,
+        tag,
+        t0: num_in(v, "t0")?,
+        t1,
+        events,
+        truncated: int_in(v, "truncated", u64::MAX)?,
     })
+}
+
+/// Re-runs an incident's scenario window (via the same three-phase
+/// derived-seed contract) and compares the event subsequence with the
+/// recorded one, position by position: the returned mismatches are
+/// empty when the replay reproduces the bundle bit-for-bit.
+pub fn replay_incident(inc: &Incident) -> Vec<String> {
+    let cfg = &inc.cfg;
+    let table = calibrate(inc.cal_n, cfg.seed);
+    let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default());
+    run_with(cfg, &table, place_snr_db, &mut tr);
+    tr.finish();
+    let (replayed, truncated) = tr.subsequence(inc.tag, inc.t0, inc.t1, INCIDENT_EVENT_CAP);
+    let missing = "<missing>";
+    let mut diffs: Vec<String> = (0..inc.events.len().max(replayed.len()))
+        .filter_map(|i| {
+            let a = inc.events.get(i).map_or(missing, String::as_str);
+            let b = replayed.get(i).map_or(missing, String::as_str);
+            (a != b).then(|| format!("event {i}: bundle {a} vs replay {b}"))
+        })
+        .collect();
+    if truncated != inc.truncated {
+        diffs.push(format!("truncated: bundle {} vs replay {truncated}", inc.truncated));
+    }
+    diffs
 }
 
 /// Runs the `fleet-scale` workload: tags × horizon scaling of the
@@ -906,15 +901,35 @@ mod tests {
             &events,
             truncated,
         );
-        msc_obs::export::parse_json(&json).expect("bundle is valid JSON");
-        let path =
-            std::env::temp_dir().join(format!("msc_incident_test_{}.json", std::process::id()));
-        std::fs::write(&path, &json).unwrap();
-        let out = replay_incident(path.to_str().unwrap()).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(out.reason, "tag_starved");
-        assert_eq!(out.expected, events.len());
-        assert!(out.reproduced(), "first diff: {:?}", out.first_diff);
+        let request = crate::replay::parse(&json).expect("bundle parses");
+        let crate::replay::Request::Incident(parsed) = &request else {
+            panic!("a fleet_incident bundle must parse as an incident: {request:?}");
+        };
+        assert_eq!(parsed.reason, "tag_starved");
+        assert_eq!(parsed.events.len(), events.len());
+        let out = crate::replay::run(&request).unwrap();
+        assert!(out.matches, "diffs: {:?}", out.diffs);
+    }
+
+    #[test]
+    fn bad_incident_integers_are_rejected_not_saturated() {
+        let cfg = paper_cfg(MacPolicy::FixedAssignment, None, 42);
+        let events = ["0.5 reading tag=3".to_string()];
+        let json =
+            incident_json("fleet/test", "tag_starved", &cfg, 8, Some(3), 0.0, 1.0, &events, 0);
+        let parse = |text: &str| parse_incident(&msc_obs::export::parse_json(text).unwrap());
+        assert_eq!(parse(&json).expect("the unedited bundle parses").cfg.tags, 500);
+        for (literal, want) in [
+            ("0", "at least one tag"),
+            ("-3", "negative"),
+            ("2.5", "not an integer"),
+            ("1e30", "not an integer"),
+            ("4294967296", "out of range"),
+        ] {
+            let edited = json.replace("\"tags\":500", &format!("\"tags\":{literal}"));
+            let err = parse(&edited).expect_err(literal);
+            assert!(err.contains(want), "tags = {literal}: {err}");
+        }
     }
 
     #[test]

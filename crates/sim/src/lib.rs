@@ -30,5 +30,4 @@ pub use msc_fleet::traffic;
 
 pub use pipeline::{AnyLink, CellSpec, Geometry, PacketOutcome, StopPolicy, TrialBatch};
 pub use report::Report;
-pub use tracecache::set_trace_cache;
-pub use wavecache::{set_waveform_cache, CellExcitation};
+pub use wavecache::CellExcitation;

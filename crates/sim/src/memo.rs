@@ -15,8 +15,9 @@
 //! hook that bumps the memo's own counters and the matching metric. The
 //! caller that computes a key counts the miss and every other caller
 //! counts a hit, so misses equal the number of distinct keys requested
-//! at any thread count. With the memo disabled ([`Memo::set_enabled`])
-//! every request computes afresh and counts a bypass.
+//! at any thread count. With the memo disabled ([`Memo::set_enabled`],
+//! or [`set_all_enabled`] for every process memo at once) every request
+//! computes afresh and counts a bypass.
 //!
 //! ## Determinism contract
 //!
@@ -168,6 +169,26 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
             len: self.len() as u64,
         }
     }
+}
+
+/// Enables or disables every process memo — the waveform cache, the
+/// analog trace memo and the fleet link table (`paper --no-memo`).
+/// Either way every resident value is dropped, so a re-enable starts
+/// cold. Reports are identical either way; only the work changes.
+pub fn set_all_enabled(enabled: bool) {
+    crate::wavecache::WAVES.set_enabled(enabled);
+    crate::tracecache::TRACES.set_enabled(enabled);
+    crate::experiments::fleet::LINK_TABLES.set_enabled(enabled);
+}
+
+/// Every process memo's counters under its metric prefix. The trace
+/// memo counts *analog* sets: each hit was digitized for its own ADC.
+pub fn all_stats() -> [(&'static str, MemoStats); 3] {
+    [
+        ("wavecache", crate::wavecache::WAVES.stats()),
+        ("tracecache", crate::tracecache::TRACES.stats()),
+        ("linkcache", crate::experiments::fleet::LINK_TABLES.stats()),
+    ]
 }
 
 #[cfg(test)]

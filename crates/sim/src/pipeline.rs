@@ -343,13 +343,6 @@ pub fn run_packet<R: Rng>(
     let result = metrics::time_stage(label, "decode", || link.decode(&rx, n_productive));
     let outcome = score_decode(label, result, &tag_bits, &productive);
     metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
-    msc_obs::event!(
-        "pipe.packet",
-        protocol = label,
-        snr_db = format_args!("{snr:.1}"),
-        decoded = outcome.decoded,
-        tag_ber = format_args!("{:.3}", outcome.tag_ber())
-    );
     outcome
 }
 
@@ -537,13 +530,7 @@ impl TrialBatch {
             let bits = &self.tag_bits[l * self.cap..(l + 1) * self.cap];
             let outcome = score_decode(label, result, bits, &exc.productive);
             metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
-            msc_obs::event!(
-                "pipe.packet",
-                protocol = label,
-                snr_db = format_args!("{snr_db:.1}"),
-                decoded = outcome.decoded,
-                tag_ber = format_args!("{:.3}", outcome.tag_ber())
-            );
+            msc_obs::note!("pipe.packet protocol={label} snr_db={snr_db:.1}");
             if flight {
                 let f = msc_obs::flight::note_score;
                 f("tag_errors", outcome.tag_errors as f64);

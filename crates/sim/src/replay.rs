@@ -1,29 +1,95 @@
-//! Deterministic replay of flight-recorder bundles (`paper replay`).
+//! Deterministic replay of recorded bundles (`paper replay`).
 //!
-//! A bundle pins `(experiment, n, seed, cell, index)`. Replay re-runs
-//! the whole experiment runner with the flight recorder armed and the
-//! bundle's `(cell, index)` set as the capture target; the packet
-//! pipeline skips every non-target cell and trial (cheap placeholders)
-//! and runs the target as a one-lane batch, so only the trial under
-//! investigation does real work. Because every trial's RNG derives
-//! from `derive_seed(seed, hash_label(cell), index)` and never from
-//! shared state, the captured record must reproduce the bundle's
-//! derived seed, scores and verdict bit-for-bit — at any thread count.
+//! [`parse`] reads a bundle's text once and dispatches on its `kind`;
+//! [`run`] re-runs what it describes and compares the result with the
+//! recording. Parsing never runs a simulation, and a bundle it accepts
+//! is one the engines can run.
+//!
+//! * A `flight_bundle` pins `(experiment, n, seed, cell, index)`.
+//!   [`replay`] re-runs the whole experiment runner with the flight
+//!   recorder armed and the bundle's `(cell, index)` set as the capture
+//!   target; the packet pipeline skips every non-target cell and trial
+//!   (cheap placeholders) and runs the target as a one-lane batch, so
+//!   only the trial under investigation does real work. Because every
+//!   trial's RNG derives from `derive_seed(seed, hash_label(cell),
+//!   index)` and never from shared state, the captured record must
+//!   reproduce the bundle's derived seed, scores and verdict
+//!   bit-for-bit — at any thread count. The record also carries the
+//!   trial's [`msc_obs::note!`] lines.
+//! * A `fleet_incident` pins one fleet scenario window
+//!   ([`experiments::fleet::parse_incident`]); its replay must
+//!   reproduce the recorded MAC event subsequence bit-for-bit.
+//!
 //! A mismatch means the determinism contract is broken.
 
-use crate::experiments;
+use crate::experiments::{self, fleet};
+use msc_obs::export::{parse_json, Json};
 use msc_obs::flight::{self, Bundle, FlightConfig, TrialRecord};
 
-/// What a replay run reproduced.
+/// A parsed bundle, ready to replay.
+#[derive(Clone, Debug)]
+pub enum Request {
+    /// A `flight_bundle`: one Monte-Carlo trial.
+    Trial(Bundle),
+    /// A `fleet_incident`: one fleet scenario window.
+    Incident(fleet::Incident),
+}
+
+impl Request {
+    /// One line naming what the bundle recorded.
+    pub fn describe(&self) -> String {
+        match self {
+            Request::Trial(b) => format!(
+                "{} cell {:?} index {} (n {}, seed {}) — original verdict {:?} ({})",
+                b.experiment, b.cell, b.index, b.n, b.seed, b.verdict, b.reason
+            ),
+            Request::Incident(inc) => format!(
+                "{} incident in {} — {} recorded event(s)",
+                inc.reason,
+                inc.scenario,
+                inc.events.len()
+            ),
+        }
+    }
+}
+
+/// What a replay reproduced.
 #[derive(Clone, Debug)]
 pub struct ReplayResult {
-    /// The re-run trial's record.
-    pub record: TrialRecord,
-    /// Whether derived seed, verdict and every score matched the
-    /// bundle exactly.
+    /// The re-run trial's record, notes included (`None` for a fleet
+    /// incident, which re-runs a MAC window rather than a trial).
+    pub record: Option<TrialRecord>,
+    /// Whether the replay matched the bundle exactly.
     pub matches: bool,
     /// Human-readable mismatch descriptions (empty when `matches`).
     pub diffs: Vec<String>,
+}
+
+impl ReplayResult {
+    fn new(record: Option<TrialRecord>, diffs: Vec<String>) -> Self {
+        ReplayResult { record, matches: diffs.is_empty(), diffs }
+    }
+}
+
+/// Parses a bundle of either kind. Any other `kind` is an error, as is
+/// a field the bundle's engine could not run.
+pub fn parse(text: &str) -> Result<Request, String> {
+    let json = parse_json(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    match json.get("kind").and_then(Json::as_str) {
+        Some("flight_bundle") => {
+            flight::bundle_from_json(&json).map(Request::Trial).map_err(|e| e.to_string())
+        }
+        Some("fleet_incident") => fleet::parse_incident(&json).map(Request::Incident),
+        kind => Err(format!("unknown bundle kind {:?}", kind.unwrap_or_default())),
+    }
+}
+
+/// Replays a parsed bundle and compares it against the recording.
+pub fn run(request: &Request) -> Result<ReplayResult, String> {
+    match request {
+        Request::Trial(bundle) => replay(bundle),
+        Request::Incident(inc) => Ok(ReplayResult::new(None, fleet::replay_incident(inc))),
+    }
 }
 
 /// Re-runs the bundle's trial and compares it against the original.
@@ -83,5 +149,5 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
             None => diffs.push(format!("score[{i}]: bundle {name}={want} missing in replay")),
         }
     }
-    Ok(ReplayResult { matches: diffs.is_empty(), record, diffs })
+    Ok(ReplayResult::new(Some(record), diffs))
 }

@@ -27,7 +27,7 @@
 //! and the ADC draws nothing — so the analog buffer, truth and jitter
 //! are the same at every ADC configuration, and digitizing a memoized
 //! analog set is bit-identical to a fresh generation. Disabling the memo
-//! (`paper --no-trace-cache`, [`set_trace_cache`]) changes *work*, never
+//! (`paper --no-memo`, [`crate::memo::set_all_enabled`]) changes *work*, never
 //! *results*: reports are byte-identical with it on or off, at any
 //! thread count (asserted by `tests/thread_determinism.rs`).
 //!
@@ -36,7 +36,7 @@
 //! and digitizing one again costs far less than generating it.
 
 use crate::idtraces::{self, AnalogTrace, Trace};
-use crate::memo::{Counters, Memo, MemoStats};
+use crate::memo::{Counters, Memo};
 use msc_core::envelope::FrontEnd;
 use std::ops::Range;
 use std::sync::{Arc, LazyLock};
@@ -69,7 +69,7 @@ fn analog_fingerprint(fe: &FrontEnd) -> u64 {
 
 /// Everything that determines an analog trace set.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub(crate) struct CacheKey {
     fe_fingerprint: u64,
     n_per_protocol: usize,
     seed: u64,
@@ -113,7 +113,11 @@ fn new_memo() -> TraceMemo {
     })
 }
 
-static TRACES: LazyLock<TraceMemo> = LazyLock::new(new_memo);
+/// The process's analog-set memo. Its counters count *analog* sets: a
+/// hit is a request served by digitizing a resident analog set, a miss
+/// generated and kept one, a bypass generated one for its request alone
+/// with the memo off, and `len` is the number of analog sets resident.
+pub(crate) static TRACES: LazyLock<TraceMemo> = LazyLock::new(new_memo);
 
 /// The analog set for a request: shared on a hit, generated (and kept)
 /// on a miss.
@@ -157,31 +161,6 @@ fn traces_in(
 ) -> TraceSet {
     let set = analog_set(memo, front_end, n_per_protocol, seed, incident_dbm, max_jitter);
     TraceSet(idtraces::digitize_traces(front_end, &set))
-}
-
-/// Reads the memo's counters. They count *analog* sets: a hit is a
-/// request served by digitizing a resident analog set, a miss generated
-/// and kept one, a bypass generated one for its request alone with the
-/// memo off, and `len` is the number of analog sets resident.
-pub fn stats() -> MemoStats {
-    TRACES.stats()
-}
-
-/// Enables or disables the global memo (`paper --no-trace-cache`).
-/// Disabling also drops every analog set, so a re-enable starts cold.
-/// Results are identical either way; only the generation work changes.
-pub fn set_trace_cache(enabled: bool) {
-    TRACES.set_enabled(enabled);
-}
-
-/// Whether the memo is currently enabled.
-pub fn trace_cache_enabled() -> bool {
-    TRACES.enabled()
-}
-
-/// Number of analog sets currently resident.
-pub fn trace_cache_len() -> usize {
-    TRACES.len()
 }
 
 /// [`crate::idtraces::generate_traces_at`] through the memo: the analog
@@ -333,12 +312,12 @@ mod tests {
             let b = crate::experiments::fig08::run(16, 31).to_json();
             (a, b)
         };
-        let before = stats().hits;
+        let before = TRACES.stats().hits;
         let on = run();
-        assert!(stats().hits >= before + 5, "fig8 must reuse fig5's analog set");
-        set_trace_cache(false);
+        assert!(TRACES.stats().hits >= before + 5, "fig8 must reuse fig5's analog set");
+        TRACES.set_enabled(false);
         let off = run();
-        set_trace_cache(true);
+        TRACES.set_enabled(true);
         assert_eq!(on, off);
     }
 }

@@ -14,11 +14,11 @@
 //!
 //! Carrier synthesis is a pure function of the cache key, so a cache
 //! hit returns a waveform bit-identical to what a fresh synthesis would
-//! produce. Disabling the cache ([`set_waveform_cache`]) therefore
+//! produce. Disabling it ([`crate::memo::set_all_enabled`]) therefore
 //! changes *work*, never *results*: reports are byte-identical with the
 //! cache on or off, at any thread count.
 
-use crate::memo::{Counters, Memo, MemoStats};
+use crate::memo::{Counters, Memo};
 use crate::pipeline::AnyLink;
 use msc_core::overlay::Mode;
 use msc_core::tag::payload_start_seconds;
@@ -31,7 +31,7 @@ use std::sync::{Arc, LazyLock};
 
 /// Everything that determines a synthesized overlay carrier.
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
+pub(crate) struct CacheKey {
     protocol: Protocol,
     kappa: usize,
     gamma: usize,
@@ -42,32 +42,9 @@ struct CacheKey {
 /// The process's waveform memo. Its counters are always on
 /// (independent of the metrics registry), so `paper --profile` can
 /// surface cache effectiveness without `--metrics-out`.
-static WAVES: LazyLock<Memo<CacheKey, Arc<IqBuf>>> = LazyLock::new(|| {
+pub(crate) static WAVES: LazyLock<Memo<CacheKey, Arc<IqBuf>>> = LazyLock::new(|| {
     Memo::new(Counters { hit: "wavecache.hit", miss: "wavecache.miss", bypass: "wavecache.bypass" })
 });
-
-/// Reads the cache counters (process lifetime).
-pub fn stats() -> MemoStats {
-    WAVES.stats()
-}
-
-/// Enables or disables the global waveform cache (`paper
-/// --no-wave-cache`). Disabling also drops every cached waveform, so a
-/// re-enable starts cold. Results are identical either way; only the
-/// synthesis work changes.
-pub fn set_waveform_cache(enabled: bool) {
-    WAVES.set_enabled(enabled);
-}
-
-/// Whether the waveform cache is currently enabled.
-pub fn waveform_cache_enabled() -> bool {
-    WAVES.enabled()
-}
-
-/// Number of waveforms currently cached.
-pub fn waveform_cache_len() -> usize {
-    WAVES.len()
-}
 
 /// One experiment cell's shared excitation: the per-cell payload and
 /// its clean carrier, synthesized (or fetched) exactly once and shared
@@ -135,18 +112,18 @@ mod tests {
     #[test]
     fn cache_returns_shared_waveform_and_bypass_matches() {
         let link = AnyLink::new(Protocol::Ble, Mode::Mode1);
-        set_waveform_cache(true);
+        WAVES.set_enabled(true);
         let a = CellExcitation::prepare(&link, Mode::Mode1, 8, 42, "wc-test/cell");
         let b = CellExcitation::prepare(&link, Mode::Mode1, 8, 42, "wc-test/cell");
         assert!(Arc::ptr_eq(&a.carrier, &b.carrier), "second prepare must hit the cache");
         assert_eq!(a.productive, b.productive);
 
-        set_waveform_cache(false);
+        WAVES.set_enabled(false);
         let c = CellExcitation::prepare(&link, Mode::Mode1, 8, 42, "wc-test/cell");
         assert!(!Arc::ptr_eq(&a.carrier, &c.carrier));
         assert_eq!(a.carrier.samples(), c.carrier.samples(), "bypass must be bit-identical");
         assert_eq!(a.productive, c.productive);
-        set_waveform_cache(true);
+        WAVES.set_enabled(true);
     }
 
     #[test]

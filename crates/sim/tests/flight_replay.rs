@@ -37,10 +37,31 @@ fn forced_decode_failure_replays_identically_at_1_and_8_threads() {
         let result = msc_sim::replay::replay(&bundle)
             .unwrap_or_else(|e| panic!("replay at {threads} threads: {e}"));
         assert!(result.matches, "replay at {threads} threads diverged: {:?}", result.diffs);
-        assert_eq!(result.record.verdict, dump.record.verdict);
-        assert_eq!(result.record.scores, dump.record.scores);
-        assert_eq!(result.record.derived_seed, dump.record.derived_seed);
+        let record = result.record.expect("a trial replay carries its record");
+        assert_eq!(record.verdict, dump.record.verdict);
+        assert_eq!(record.scores, dump.record.scores);
+        assert_eq!(record.derived_seed, dump.record.derived_seed);
     }
+    msc_par::set_threads(0);
+}
+
+#[test]
+fn replay_notes_name_the_decode_error_at_1_and_8_threads() {
+    let _guard = flight::tests_serial();
+    msc_par::set_threads(2);
+    let dumps = record_failures(2, 7);
+    let dump = &dumps[0];
+    assert!(dump.record.notes.is_empty(), "notes are kept only while replaying");
+    let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, 2)).expect("parse");
+    let notes = |threads: usize| {
+        msc_par::set_threads(threads);
+        let result = msc_sim::replay::replay(&bundle).expect("replay runs");
+        result.record.expect("a trial replay carries its record").notes
+    };
+    let one = notes(1);
+    assert!(one.iter().any(|n| n.starts_with("rx.decode_err ")), "{one:?}");
+    assert!(one.iter().any(|n| n.starts_with("pipe.packet ")), "{one:?}");
+    assert_eq!(one, notes(8), "notes must not depend on the thread count");
     msc_par::set_threads(0);
 }
 

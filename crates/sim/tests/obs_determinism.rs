@@ -13,10 +13,10 @@ use rand::SeedableRng;
 
 fn run_once(seed: u64) -> String {
     Registry::global().reset();
-    // Start each run with a cold trace cache: the cache outlives the
-    // registry reset, and its hit/miss counters (correctly) reflect
-    // cache state, not the run's inputs.
-    msc_sim::set_trace_cache(true);
+    // Start each run with cold memos: they outlive the registry reset,
+    // and their hit/miss counters (correctly) reflect memo state, not
+    // the run's inputs.
+    msc_sim::memo::set_all_enabled(true);
     metrics::set_experiment("det");
     // Identification path: per-template score histograms + decisions.
     let _ = msc_sim::experiments::fig05::run(4, seed);

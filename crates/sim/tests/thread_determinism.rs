@@ -40,7 +40,7 @@ fn cached_and_fresh_reports_identical_at_1_4_8_threads() {
     let mut outputs = Vec::new();
     for threads in ["1", "4", "8"] {
         let cached = paper_stdout(&["fig13", "2", "7", "--threads", threads]);
-        let fresh = paper_stdout(&["fig13", "2", "7", "--threads", threads, "--no-wave-cache"]);
+        let fresh = paper_stdout(&["fig13", "2", "7", "--threads", threads, "--no-memo"]);
         assert!(!cached.trim().is_empty(), "fig13 produced no output at {threads} threads");
         assert_eq!(cached, fresh, "cache must not change results at {threads} threads");
         outputs.push(cached);
@@ -59,13 +59,53 @@ fn trace_cache_reports_identical_at_1_4_8_threads() {
     let mut outputs = Vec::new();
     for threads in ["1", "4", "8"] {
         let cached = paper_stdout(&["fig7", "4", "42", "--threads", threads]);
-        let fresh = paper_stdout(&["fig7", "4", "42", "--threads", threads, "--no-trace-cache"]);
+        let fresh = paper_stdout(&["fig7", "4", "42", "--threads", threads, "--no-memo"]);
         assert!(!cached.trim().is_empty(), "fig7 produced no output at {threads} threads");
         assert_eq!(cached, fresh, "trace cache must not change results at {threads} threads");
         outputs.push(cached);
     }
     assert_eq!(outputs[0], outputs[1], "trace cache: 1 vs 4 threads");
     assert_eq!(outputs[0], outputs[2], "trace cache: 1 vs 8 threads");
+}
+
+#[test]
+fn no_memo_counts_only_bypasses_and_keeps_reports() {
+    // `--no-memo` switches off all three memos: fig5 requests analog
+    // trace sets, fleet requests waveforms (through calibration) and a
+    // link table. Every request must count a bypass, none a miss, and
+    // each report must match the memoized run byte for byte.
+    let dir = std::env::temp_dir().join(format!("msc-no-memo-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut bypasses = std::collections::BTreeMap::new();
+    for args in [["fig5", "4", "42"], ["fleet", "8", "42"]] {
+        let run = |extra: &[&str]| {
+            let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+                .args(args)
+                .args(["--no-progress"])
+                .args(extra)
+                .env("MSC_FLEET_HORIZON_S", "2.0")
+                .current_dir(&dir) // profile.json lands here
+                .output()
+                .expect("run paper binary");
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            String::from_utf8(out.stdout).unwrap()
+        };
+        assert_eq!(run(&[]), run(&["--no-memo", "--profile"]), "--no-memo changed {args:?}");
+        let text = std::fs::read_to_string(dir.join("profile.json")).expect("profile.json");
+        let profile = msc_obs::export::parse_json(&text).expect("profile.json parses");
+        let counters = profile.get("counters").expect("counters object");
+        for memo in ["wavecache", "tracecache", "linkcache"] {
+            let count = |field: &str| {
+                let key = format!("{memo}.{field}");
+                counters.get(&key).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("no {key}"))
+            };
+            assert_eq!(count("misses"), 0.0, "{memo} missed under --no-memo in {args:?}");
+            assert_eq!(count("hits"), 0.0, "{memo} hit under --no-memo in {args:?}");
+            *bypasses.entry(memo).or_insert(0.0) += count("bypasses");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(bypasses.values().all(|&b| b > 0.0), "every memo must be bypassed: {bypasses:?}");
 }
 
 #[test]
