@@ -3,7 +3,7 @@
 //! notes 1 and 3).
 
 use msc_dsp::rate::SampleRate;
-use msc_dsp::resample::resample_linear;
+use msc_dsp::simd::resample_quantize;
 
 /// An ADC configuration (modeled on the AD9235 used by the prototype).
 #[derive(Clone, Copy, Debug)]
@@ -60,12 +60,13 @@ impl Adc {
     /// Samples an analog voltage sequence captured at `input_rate` down
     /// to the ADC rate and quantizes. Returns reconstructed voltages
     /// (quantization applied), which is what the FPGA matcher consumes.
+    ///
+    /// One fused pass (`msc_dsp::simd::resample_quantize`), `to_bits`-equal
+    /// to `resample_linear` followed by [`Adc::quantize`] and
+    /// [`Adc::dequantize`] per sample.
     pub fn sample(&self, analog: &[f64], input_rate: SampleRate) -> Vec<f64> {
-        let mut out = resample_linear(analog, input_rate, self.rate);
-        for v in &mut out {
-            *v = self.dequantize(self.quantize(*v));
-        }
-        out
+        let ratio = input_rate.as_hz() / self.rate.as_hz();
+        resample_quantize(analog, ratio, self.v_ref, self.codes())
     }
 
     /// Power draw in mW, scaling linearly with sample rate from the
@@ -149,6 +150,33 @@ mod tests {
         for v in edges.into_iter().chain(sweep).chain([f64::INFINITY, f64::NEG_INFINITY, f64::NAN])
         {
             assert_eq!(adc.quantize(v), floor_quantize(v), "v {v}");
+        }
+    }
+
+    #[test]
+    fn sample_is_resample_then_quantize_bitwise() {
+        // The fused pass against its definition, at every ADC rate from
+        // an 8 MHz and a 20 MHz input, with inputs below 0 and above the
+        // reference.
+        let input: Vec<f64> = (0..997).map(|i| 0.45 * (i as f64 * 0.037).sin() + 0.1).collect();
+        for from in [SampleRate::mhz(8.0), SampleRate::ADC_FULL] {
+            for rate in [
+                SampleRate::ADC_FULL,
+                SampleRate::ADC_HALF,
+                SampleRate::ADC_LOW,
+                SampleRate::ADC_FLOOR,
+            ] {
+                for bits in [1, 4, 9, 12] {
+                    let adc = Adc { rate, bits, v_ref: 0.5 };
+                    let want: Vec<f64> = msc_dsp::resample::resample_linear(&input, from, rate)
+                        .into_iter()
+                        .map(|v| adc.dequantize(adc.quantize(v)))
+                        .collect();
+                    let got = adc.sample(&input, from);
+                    assert_eq!(got.len(), want.len());
+                    assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+                }
+            }
         }
     }
 

@@ -1,34 +1,9 @@
-//! Memory-layer benchmarks behind `BENCH_mem.json`: waveform-cache hit
-//! vs miss, overlap-save vs direct FIR convolution, and FFT plan-cache
-//! lookups — the steady-state costs the zero-allocation hot path relies
-//! on.
+//! Memory-layer benchmarks behind `BENCH_mem.json`: overlap-save vs
+//! direct FIR convolution, and FFT plan-cache lookups — the
+//! steady-state costs the zero-allocation hot path relies on.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use msc_core::overlay::Mode;
 use msc_dsp::{plan, Complex64, Fir};
-use msc_phy::protocol::Protocol;
-use msc_sim::memo::set_all_enabled;
-use msc_sim::pipeline::AnyLink;
-use msc_sim::wavecache::CellExcitation;
-
-fn bench_waveform_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("waveform_cache");
-    let link = AnyLink::new(Protocol::ZigBee, Mode::Mode1);
-    set_all_enabled(true);
-    let _ = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "bench/mem-cell");
-    group.bench_function("hit", |b| {
-        b.iter(|| CellExcitation::prepare(black_box(&link), Mode::Mode1, 16, 42, "bench/mem-cell"))
-    });
-    group.bench_function("miss", |b| {
-        b.iter(|| {
-            // Re-enabling clears the memos, so every prepare
-            // resynthesizes and reinserts.
-            set_all_enabled(true);
-            CellExcitation::prepare(black_box(&link), Mode::Mode1, 16, 42, "bench/mem-cell")
-        })
-    });
-    group.finish();
-}
 
 fn bench_fir(c: &mut Criterion) {
     let mut group = c.benchmark_group("fir_convolve");
@@ -58,6 +33,6 @@ fn bench_plan_cache(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(300));
-    targets = bench_waveform_cache, bench_fir, bench_plan_cache
+    targets = bench_fir, bench_plan_cache
 }
 criterion_main!(benches);

@@ -79,21 +79,9 @@ impl FrontEnd {
             }
             _ => buf.samples(),
         };
-        let rate = buf.rate().as_hz();
-        let mut out = Vec::with_capacity(samples.len());
-        let mut prev = msc_dsp::Complex64::ZERO;
-        for &s in samples.iter() {
-            let amp = s.abs();
-            // Instantaneous frequency in MHz via one-sample discriminator.
-            let f_mhz = if prev.norm_sqr() > 1e-20 && amp > 1e-10 {
-                (s * prev.conj()).arg() * rate / (std::f64::consts::TAU * 1e6)
-            } else {
-                0.0
-            };
-            prev = s;
-            out.push(amp * (1.0 + self.fm_slope * f_mhz).max(0.0));
-        }
-        out
+        // |s|·max(0, 1 + slope·f), f the one-sample discriminator's
+        // instantaneous frequency in MHz, on the vector kernel.
+        msc_dsp::simd::fm_am_envelope(samples, buf.rate().as_hz(), self.fm_slope)
     }
 
     /// Full acquisition: [`FrontEnd::analog`] then [`FrontEnd::digitize`].
@@ -194,6 +182,47 @@ mod tests {
             for _ in 0..5000 {
                 let want = msc_channel::awgn::complex_gaussian(&mut a, sigma2).re;
                 assert_eq!(gaussian_re(&mut b, sigma).to_bits(), want.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn envelope_kernel_tracks_scalar_on_protocol_waveforms() {
+        use crate::templates::canonical_waveform;
+        use msc_dsp::simd::fm_am_envelope_scalar;
+        use msc_phy::bits::{random_bits, random_bytes};
+        use msc_phy::protocol::Protocol;
+        // Each protocol's canonical waveform and two random packets.
+        let mut rng = StdRng::seed_from_u64(106);
+        let mut waves = Vec::new();
+        for p in Protocol::ALL {
+            waves.push(canonical_waveform(p));
+            for _ in 0..2 {
+                waves.push(match p {
+                    Protocol::WifiB => msc_phy::wifi_b::WifiBModulator::new(Default::default())
+                        .modulate(&random_bits(&mut rng, 160)),
+                    Protocol::WifiN => msc_phy::wifi_n::WifiNModulator::new(Default::default())
+                        .modulate(&random_bits(&mut rng, 320)),
+                    Protocol::Ble => msc_phy::ble::BleModulator::new(Default::default())
+                        .modulate(0x02, &random_bytes(&mut rng, 28)),
+                    Protocol::ZigBee => msc_phy::zigbee::ZigBeeModulator::new(Default::default())
+                        .modulate(&random_bytes(&mut rng, 36)),
+                });
+            }
+        }
+        for fm_slope in [0.0, 0.05, 0.25, 0.5] {
+            let fe = FrontEnd { fm_slope, ..FrontEnd::prototype(SampleRate::ADC_FULL) };
+            for wave in &waves {
+                let got = fe.rf_envelope(wave);
+                let want = fm_am_envelope_scalar(wave.samples(), wave.rate().as_hz(), fm_slope);
+                assert_eq!(got.len(), want.len());
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        (g - w).abs() <= 1e-12 * w.abs(),
+                        "slope {fm_slope} at {:?}, sample {k}: {g:?} vs {w:?}",
+                        wave.rate()
+                    );
+                }
             }
         }
     }

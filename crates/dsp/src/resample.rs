@@ -36,24 +36,31 @@ pub fn upsample_hold(signal: &[f64], factor: usize) -> Vec<f64> {
 ///
 /// Output length is `round(len * to/from)`. Endpoint samples clamp.
 pub fn resample_linear(signal: &[f64], from: SampleRate, to: SampleRate) -> Vec<f64> {
-    if signal.is_empty() {
-        return Vec::new();
-    }
     let ratio = from.as_hz() / to.as_hz();
-    let out_len = ((signal.len() as f64) / ratio).round() as usize;
-    (0..out_len)
-        .map(|i| {
-            let pos = i as f64 * ratio;
-            // `as` truncates, which is `floor` for the non-negative
-            // `pos` (and saturates alike otherwise), without a libm call
-            // per output sample.
-            let i0 = pos as usize;
-            let frac = pos - i0 as f64;
-            let a = signal[i0.min(signal.len() - 1)];
-            let b = signal[(i0 + 1).min(signal.len() - 1)];
-            a + (b - a) * frac
-        })
-        .collect()
+    (0..resampled_len(signal.len(), ratio)).map(|i| lerp_at(signal, i as f64 * ratio)).collect()
+}
+
+/// Output length of resampling `len` samples at `ratio` input samples
+/// per output sample: `round(len / ratio)`, and 0 for an empty input.
+pub(crate) fn resampled_len(len: usize, ratio: f64) -> usize {
+    if len == 0 {
+        0
+    } else {
+        ((len as f64) / ratio).round() as usize
+    }
+}
+
+/// The linear interpolation of a non-empty `signal` at `pos ≥ 0`, with
+/// both neighbours clamped to the last sample.
+#[inline]
+pub(crate) fn lerp_at(signal: &[f64], pos: f64) -> f64 {
+    // `as` truncates, which is `floor` for the non-negative `pos` (and
+    // saturates alike otherwise), without a libm call per sample.
+    let i0 = pos as usize;
+    let frac = pos - i0 as f64;
+    let a = signal[i0.min(signal.len() - 1)];
+    let b = signal[(i0 + 1).min(signal.len() - 1)];
+    a + (b - a) * frac
 }
 
 /// Resamples a complex buffer *upward* with an anti-image low-pass at

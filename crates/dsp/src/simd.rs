@@ -6,12 +6,14 @@
 //! `is_x86_feature_detected!` — one relaxed load per call. On non-x86
 //! targets both return `false` and every kernel takes its scalar path.
 //!
-//! This is the one home for vector transcendentals (a four-wide `ln`
-//! and `sin`/`cos`). They back [`rotate`], the mixer behind every CFO
-//! (the channel's offset and each receiver's correction), and
-//! [`add_box_muller`], the AWGN kernel; both stay within `1e-12` of
-//! their `*_scalar` twins. [`mul_by_gain`] is bit-identical to
-//! `Complex64: Mul`.
+//! This is the one home for vector transcendentals (a four-wide `ln`,
+//! `sin`/`cos` and `atan2`). They back [`rotate`], the mixer behind
+//! every CFO (the channel's offset and each receiver's correction),
+//! [`add_box_muller`], the AWGN kernel, and [`fm_am_envelope`], the
+//! tag's slope detector; all three stay within `1e-12` of their
+//! `*_scalar` twins. [`mul_by_gain`] is bit-identical to
+//! `Complex64: Mul`, and [`resample_quantize`], the tag's ADC, to its
+//! scalar twin.
 
 use crate::complex::Complex64;
 
@@ -123,6 +125,99 @@ pub fn add_box_muller_scalar(
         let theta = std::f64::consts::TAU * u2;
         *s += Complex64::new(r * theta.cos(), r * theta.sin());
     }
+}
+
+/// The FM-to-AM (slope-detector) envelope of a waveform sampled at
+/// `rate_hz`: `|s|·max(0, 1 + fm_slope·f)`, where `f` is the one-sample
+/// discriminator's instantaneous frequency in MHz, `arg(s·conj(prev))`
+/// scaled by the rate. `f` is zero at the first sample and wherever
+/// `|prev|² ≤ 1e-20` or `|s| ≤ 1e-10`. The AVX2 path computes `|s|`,
+/// the conjugate product and the guards with the same IEEE operations
+/// as [`fm_am_envelope_scalar`] and differs only through its vector
+/// `atan2`, which is correctly rounded where libm's may be an ulp off
+/// (≤ 1e-12 relative). A quad with a non-finite discriminator input
+/// takes the scalar path.
+pub fn fm_am_envelope(samples: &[Complex64], rate_hz: f64, fm_slope: f64) -> Vec<f64> {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2+FMA support was just probed at runtime.
+        return unsafe { avx::fm_am_envelope(samples, rate_hz, fm_slope) };
+    }
+    fm_am_envelope_scalar(samples, rate_hz, fm_slope)
+}
+
+/// [`fm_am_envelope`]'s scalar reference (libm `atan2`).
+pub fn fm_am_envelope_scalar(samples: &[Complex64], rate_hz: f64, fm_slope: f64) -> Vec<f64> {
+    let mut prev = Complex64::ZERO;
+    samples
+        .iter()
+        .map(|&s| {
+            let out = fm_am_sample(s, prev, rate_hz, fm_slope);
+            prev = s;
+            out
+        })
+        .collect()
+}
+
+/// One sample of [`fm_am_envelope_scalar`].
+#[inline]
+fn fm_am_sample(s: Complex64, prev: Complex64, rate_hz: f64, fm_slope: f64) -> f64 {
+    let amp = s.abs();
+    // Instantaneous frequency in MHz via one-sample discriminator.
+    let f_mhz = if prev.norm_sqr() > 1e-20 && amp > 1e-10 {
+        (s * prev.conj()).arg() * rate_hz / (std::f64::consts::TAU * 1e6)
+    } else {
+        0.0
+    };
+    amp * (1.0 + fm_slope * f_mhz).max(0.0)
+}
+
+/// A sampling ADC in one pass: linearly resamples `signal` at `ratio`
+/// input samples per output sample (`round(len / ratio)` outputs), then
+/// quantizes each value to one of `codes` mid-rise levels of `[0,
+/// v_ref)`, saturating, and returns the reconstructed voltages. The
+/// AVX2 path gathers the two neighbours and performs the same IEEE
+/// operations in the same order as [`resample_quantize_scalar`], so
+/// the two agree `to_bits`. `codes` must be a power of two, so that
+/// multiplying by its reciprocal is exactly the division by it.
+pub fn resample_quantize(signal: &[f64], ratio: f64, v_ref: f64, codes: u32) -> Vec<f64> {
+    assert!(codes.is_power_of_two(), "codes must be a power of two, got {codes}");
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() && signal.len() <= i32::MAX as usize {
+        // SAFETY: AVX2 support was just probed at runtime, and the
+        // length fits the kernel's 32-bit gather indices.
+        return unsafe { avx::resample_quantize(signal, ratio, v_ref, codes) };
+    }
+    resample_quantize_scalar(signal, ratio, v_ref, codes)
+}
+
+/// [`resample_quantize`]'s scalar reference: `resample_linear`'s
+/// interpolation, then a saturating truncating quantizer and mid-rise
+/// reconstruction, per output sample.
+pub fn resample_quantize_scalar(signal: &[f64], ratio: f64, v_ref: f64, codes: u32) -> Vec<f64> {
+    (0..crate::resample::resampled_len(signal.len(), ratio))
+        .map(|i| {
+            let v = crate::resample::lerp_at(signal, i as f64 * ratio);
+            quantize_sample(v, v_ref, codes)
+        })
+        .collect()
+}
+
+/// Quantizes `v` to a code of `[0, codes)` against `v_ref` (saturating;
+/// truncation, which is `floor` in range) and returns the code's
+/// mid-rise voltage.
+#[inline]
+fn quantize_sample(v: f64, v_ref: f64, codes: u32) -> f64 {
+    let n = codes as f64;
+    let x = v / v_ref * n;
+    let code = if x < 0.0 {
+        0
+    } else if x >= n {
+        codes - 1
+    } else {
+        x as u32
+    };
+    (code as f64 + 0.5) * (1.0 / n) * v_ref
 }
 
 /// AVX/AVX2 inner loops, reached only behind the runtime probes above.
@@ -321,6 +416,294 @@ mod avx {
             *s = s.rotate(step * i as f64);
         }
     }
+
+    /// `atan(k/64)` for `k = 0..=64` as a double-double `[hi, lo]`:
+    /// `hi` is the value rounded to `f64`, `lo` the rounding error
+    /// rounded to `f64` (both from 300-bit arithmetic). The breakpoints
+    /// of [`atan2_pd`]'s argument reduction.
+    // The last row is π/4 split in two, not a stand-in for FRAC_PI_4.
+    #[allow(clippy::approx_constant)]
+    pub static ATAN_K64: [[f64; 2]; 65] = [
+        [0.0, 0.0],
+        [0.015623728620476831, -4.913600136566304e-19],
+        [0.031239833430268277, -1.188442711587748e-18],
+        [0.046840712915969654, -1.655677442254952e-19],
+        [0.06241880999595735, -1.5490756308295046e-18],
+        [0.0779666338315423, 5.804551873143357e-18],
+        [0.09347678115858947, -6.2844725995420954e-18],
+        [0.10894195698986579, 6.8267122072409585e-18],
+        [0.12435499454676144, -3.1253241424539383e-18],
+        [0.13970887428916365, -2.9579864247315813e-18],
+        [0.15499674192394097, 9.585415594114324e-18],
+        [0.1702119252854744, -3.541164079802125e-18],
+        [0.18534794999569476, 4.180692268843079e-18],
+        [0.2003985538258785, 3.1399542871844493e-18],
+        [0.21535769969773805, 4.738160130078733e-19],
+        [0.23021958727684372, 1.2313404529142703e-17],
+        [0.24497866312686414, 1.0698755618734451e-17],
+        [0.2596296294082575, 1.9238754924615304e-17],
+        [0.2741674511196588, 8.261353575163773e-18],
+        [0.2885873618940774, -1.428369957377257e-17],
+        [0.3028848683749714, -1.1010827903001369e-17],
+        [0.31705575320914703, -1.893928924292642e-17],
+        [0.3310960767041321, -7.952610375793799e-18],
+        [0.34500217720710513, -2.2938804755578304e-17],
+        [0.35877067027057225, -2.4623815582638635e-17],
+        [0.3723984466767542, 1.9612311504845653e-17],
+        [0.38588266939807375, 2.378822732491941e-17],
+        [0.39922076957525254, 2.246598105617042e-17],
+        [0.4124104415973873, -1.587652227770689e-17],
+        [0.42544963737004227, 2.3315530741892885e-17],
+        [0.43833655985795783, -2.494277030626541e-17],
+        [0.4510696559885235, -2.2703795229420475e-17],
+        [0.4636476090008061, 2.2698777452961687e-17],
+        [0.4760693303227612, 1.4654487332256713e-17],
+        [0.48833395105640554, -1.1373236189329585e-17],
+        [0.5004408131472942, -4.7181675085518756e-17],
+        [0.5123894603107377, -2.5462781472855804e-17],
+        [0.5241796287829132, 5.520094119641666e-18],
+        [0.5358112379604637, -4.0637956834825575e-18],
+        [0.5472843809874369, 4.923709671396255e-17],
+        [0.5585993153435624, -5.4556305485916264e-18],
+        [0.5697564534829784, 1.2255062085054184e-17],
+        [0.5807563535676704, -1.441464378193067e-17],
+        [0.5915997103351114, 4.920495453686772e-17],
+        [0.6022873461349642, 2.950430737228402e-17],
+        [0.6128202021652414, -3.1552061848586226e-17],
+        [0.6231993299340659, 2.672403885140095e-17],
+        [0.6334258829691446, -2.7290767436015276e-17],
+        [0.6435011087932844, 1.5834785051444286e-17],
+        [0.6534263411807619, 3.5800634857340095e-17],
+        [0.6632029927060933, -3.076054864429649e-17],
+        [0.6728325475937632, -1.899315009714705e-17],
+        [0.6823165548747481, 6.943223671560008e-18],
+        [0.6916566218531999, -8.117151192285796e-18],
+        [0.7008544078844502, -1.987626234335816e-17],
+        [0.7099116184635249, -4.597166450584887e-17],
+        [0.7188299996216245, -2.1478388444456983e-17],
+        [0.7276113326265107, 2.569325697391839e-18],
+        [0.7362574289814281, 3.473937648299457e-17],
+        [0.7447701257160751, 3.708315849135547e-17],
+        [0.7531512809621944, -2.4256934659182068e-17],
+        [0.7614027698055784, 9.850030332752822e-18],
+        [0.7695264804056583, -3.704991905602721e-17],
+        [0.7775243103733478, -2.6676490951944502e-17],
+        [0.7853981633974483, 3.061616997868383e-17],
+    ];
+
+    /// Knuth's two-sum: `a + b = s + err` exactly.
+    /// # Safety
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    unsafe fn two_sum(a: __m256d, b: __m256d) -> (__m256d, __m256d) {
+        let s = _mm256_add_pd(a, b);
+        let bb = _mm256_sub_pd(s, a);
+        let err = _mm256_add_pd(_mm256_sub_pd(a, _mm256_sub_pd(s, bb)), _mm256_sub_pd(b, bb));
+        (s, err)
+    }
+
+    /// Four-way `atan2(y, x)` for finite `x` and `y`, with libm's
+    /// quadrants and signed zeros (`atan2(±0, x<0) = ±π`,
+    /// `atan2(y≠0, ±0) = ±π/2`, `atan2(±0, −0) = ±π`).
+    ///
+    /// `t = min(|x|,|y|)/max(|x|,|y|)` is carried with its FMA division
+    /// residual, reduced against the nearest `c = k/64` through
+    /// `atan t = atan c + atan((t − c)/(1 + t·c))`, and the quadrant
+    /// fixes `π/2 − a` and `π − a` run in double-double, so the one
+    /// final rounding sees the exact value to about 1e-21 relative: the
+    /// result is the correctly rounded `atan2` except within that
+    /// distance of a rounding tie.
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and every lane of `x` and `y`
+    /// must be finite: the table index `k = round(64·t)` lies in 0..=64
+    /// only for `t` in [0, 1], and a NaN lane would gather outside it.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn atan2_pd(y: __m256d, x: __m256d) -> __m256d {
+        const PI_LO: f64 = 1.224_646_799_147_353_2e-16;
+        const PIO2_LO: f64 = 6.123_233_995_736_766e-17;
+        let sign = _mm256_set1_pd(-0.0);
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let (ax, ay) = (_mm256_andnot_pd(sign, x), _mm256_andnot_pd(sign, y));
+        let swap = _mm256_cmp_pd::<_CMP_GT_OQ>(ay, ax);
+        let num = _mm256_blendv_pd(ay, ax, swap);
+        let den = _mm256_blendv_pd(ax, ay, swap);
+        // x = y = ±0: t = 0/1 rather than 0/0.
+        let den = _mm256_blendv_pd(den, one, _mm256_cmp_pd::<_CMP_EQ_OQ>(den, zero));
+        // t + t_lo = num/den: the FMA residual `num − t·den` is exact.
+        let t = _mm256_div_pd(num, den);
+        let t_lo = _mm256_div_pd(_mm256_fnmadd_pd(t, den, num), den);
+        // c = k/64 nearest t; t − c is exact (Sterbenz) and |u| ≤ 1/128.
+        let k = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm256_mul_pd(t, _mm256_set1_pd(64.0)),
+        );
+        let c = _mm256_mul_pd(k, _mm256_set1_pd(1.0 / 64.0));
+        let nh = _mm256_sub_pd(t, c);
+        // dh + dl = 1 + (t + t_lo)·c; `1 − dh` is exact for dh ∈ [1, 2].
+        let dh = _mm256_fmadd_pd(t, c, one);
+        let dl = _mm256_fmadd_pd(t_lo, c, _mm256_fmadd_pd(t, c, _mm256_sub_pd(one, dh)));
+        let u = _mm256_div_pd(nh, dh);
+        // u_lo = (nh + t_lo)/(dh + dl) − u to first order.
+        let u_lo = _mm256_div_pd(
+            _mm256_fnmadd_pd(u, dl, _mm256_add_pd(_mm256_fnmadd_pd(u, dh, nh), t_lo)),
+            dh,
+        );
+        // atan(u + u_lo) = u + u·w·P(w) + u_lo/(1 + w), w = u²; the
+        // Taylor series to u¹¹ truncates below 1e-22 relative.
+        let w = _mm256_mul_pd(u, u);
+        let mut poly = _mm256_set1_pd(-1.0 / 11.0);
+        for coef in [1.0 / 9.0, -1.0 / 7.0, 1.0 / 5.0, -1.0 / 3.0] {
+            poly = _mm256_fmadd_pd(poly, w, _mm256_set1_pd(coef));
+        }
+        let tail = _mm256_fmadd_pd(_mm256_mul_pd(u, w), poly, _mm256_fnmadd_pd(u_lo, w, u_lo));
+        // Table rows are two doubles wide: hi at 2k, lo at 2k + 1.
+        let row = _mm_slli_epi32::<1>(_mm256_cvtpd_epi32(k));
+        let base = ATAN_K64.as_ptr() as *const f64;
+        let a_hi = _mm256_i32gather_pd::<8>(base, row);
+        let a_lo = _mm256_i32gather_pd::<8>(base.add(1), row);
+        let (h, e) = two_sum(a_hi, u);
+        let l = _mm256_add_pd(e, _mm256_add_pd(a_lo, tail));
+        // |y| > |x|: π/2 − a.
+        let (h2, e2) = two_sum(_mm256_set1_pd(std::f64::consts::FRAC_PI_2), _mm256_xor_pd(h, sign));
+        let l2 = _mm256_add_pd(e2, _mm256_sub_pd(_mm256_set1_pd(PIO2_LO), l));
+        let (h, l) = (_mm256_blendv_pd(h, h2, swap), _mm256_blendv_pd(l, l2, swap));
+        // x's sign bit set (−0 included): π − a.
+        let (h3, e3) = two_sum(_mm256_set1_pd(std::f64::consts::PI), _mm256_xor_pd(h, sign));
+        let l3 = _mm256_add_pd(e3, _mm256_sub_pd(_mm256_set1_pd(PI_LO), l));
+        let (h, l) = (_mm256_blendv_pd(h, h3, x), _mm256_blendv_pd(l, l3, x));
+        // y's sign, zeros included.
+        let r = _mm256_add_pd(h, l);
+        _mm256_or_pd(_mm256_andnot_pd(sign, r), _mm256_and_pd(sign, y))
+    }
+
+    /// [`super::fm_am_envelope`] over quads of samples from index 1:
+    /// lanes run in `[i, i+2, i+1, i+3]` order after the unpack, and
+    /// one cross-lane permute restores it on the store.
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn fm_am_envelope(samples: &[Complex64], rate_hz: f64, fm_slope: f64) -> Vec<f64> {
+        let n = samples.len();
+        let mut out = vec![0.0f64; n];
+        let Some(&first) = samples.first() else {
+            return out;
+        };
+        out[0] = super::fm_am_sample(first, Complex64::ZERO, rate_hz, fm_slope);
+        let sign = _mm256_set1_pd(-0.0);
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let inf = _mm256_set1_pd(f64::INFINITY);
+        let rate = _mm256_set1_pd(rate_hz);
+        let per_mhz = _mm256_set1_pd(std::f64::consts::TAU * 1e6);
+        let slope = _mm256_set1_pd(fm_slope);
+        let p = samples.as_ptr() as *const f64;
+        let mut i = 1;
+        while i + 4 <= n {
+            // SAFETY: samples i − 1 ..= i + 3 are in bounds (i ≥ 1,
+            // i + 4 ≤ n); each load reads two whole samples.
+            let (s01, s23) = (_mm256_loadu_pd(p.add(2 * i)), _mm256_loadu_pd(p.add(2 * i + 4)));
+            let (q01, q23) = (_mm256_loadu_pd(p.add(2 * i - 2)), _mm256_loadu_pd(p.add(2 * i + 2)));
+            let (re, im) = (_mm256_unpacklo_pd(s01, s23), _mm256_unpackhi_pd(s01, s23));
+            let (pre, pim) = (_mm256_unpacklo_pd(q01, q23), _mm256_unpackhi_pd(q01, q23));
+            // s·conj(prev) exactly as `Complex64: Mul` forms it.
+            let npim = _mm256_xor_pd(pim, sign);
+            let x = _mm256_sub_pd(_mm256_mul_pd(re, pre), _mm256_mul_pd(im, npim));
+            let y = _mm256_add_pd(_mm256_mul_pd(re, npim), _mm256_mul_pd(im, pre));
+            let finite = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, x), inf),
+                _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_andnot_pd(sign, y), inf),
+            );
+            // atan2_pd needs finite lanes; a quad with any other takes
+            // the scalar path whole.
+            if _mm256_movemask_pd(finite) != 0b1111 {
+                for j in i..i + 4 {
+                    out[j] = super::fm_am_sample(samples[j], samples[j - 1], rate_hz, fm_slope);
+                }
+                i += 4;
+                continue;
+            }
+            let amp = _mm256_sqrt_pd(_mm256_add_pd(_mm256_mul_pd(re, re), _mm256_mul_pd(im, im)));
+            let prev_pow = _mm256_add_pd(_mm256_mul_pd(pre, pre), _mm256_mul_pd(pim, pim));
+            let guard = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(prev_pow, _mm256_set1_pd(1e-20)),
+                _mm256_cmp_pd::<_CMP_GT_OQ>(amp, _mm256_set1_pd(1e-10)),
+            );
+            let f_mhz =
+                _mm256_and_pd(guard, _mm256_div_pd(_mm256_mul_pd(atan2_pd(y, x), rate), per_mhz));
+            // MAXPD returns its second operand for a NaN, as f64::max.
+            let gain = _mm256_max_pd(_mm256_add_pd(one, _mm256_mul_pd(slope, f_mhz)), zero);
+            let env = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_mul_pd(amp, gain));
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), env);
+            i += 4;
+        }
+        for j in i..n {
+            out[j] = super::fm_am_sample(samples[j], samples[j - 1], rate_hz, fm_slope);
+        }
+        out
+    }
+
+    /// [`super::resample_quantize`], four output samples per pass: the
+    /// positions `i·ratio`, truncation, a gather of both clamped
+    /// neighbours, the interpolation and the quantizer, each the same
+    /// IEEE operation as the scalar path (no FMA).
+    /// # Safety
+    /// The CPU must support AVX2, and `signal.len() ≤ i32::MAX` (the
+    /// gather indices are 32-bit).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn resample_quantize(
+        signal: &[f64],
+        ratio: f64,
+        v_ref: f64,
+        codes: u32,
+    ) -> Vec<f64> {
+        let n_out = crate::resample::resampled_len(signal.len(), ratio);
+        let mut out = vec![0.0f64; n_out];
+        if n_out == 0 {
+            return out;
+        }
+        let n = codes as f64;
+        let zero = _mm256_setzero_pd();
+        let one = _mm256_set1_pd(1.0);
+        let last = _mm256_set1_pd((signal.len() - 1) as f64);
+        let ratio_v = _mm256_set1_pd(ratio);
+        let (vref, nv) = (_mm256_set1_pd(v_ref), _mm256_set1_pd(n));
+        let top = _mm256_set1_pd((codes - 1) as f64);
+        let (half, inv) = (_mm256_set1_pd(0.5), _mm256_set1_pd(1.0 / n));
+        let mut idx = _mm256_set_pd(3.0, 2.0, 1.0, 0.0);
+        let mut i = 0;
+        while i + 4 <= n_out {
+            let pos = _mm256_mul_pd(idx, ratio_v);
+            let i0 = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(pos);
+            let frac = _mm256_sub_pd(pos, i0);
+            // Clamped in f64, where both are whole numbers ≤ len − 1, so
+            // the 32-bit conversions are exact and the gathers in bounds.
+            let ia = _mm256_cvttpd_epi32(_mm256_min_pd(i0, last));
+            let ib = _mm256_cvttpd_epi32(_mm256_min_pd(_mm256_add_pd(i0, one), last));
+            // SAFETY: ia and ib index 0 ..= len − 1 (clamped above).
+            let a = _mm256_i32gather_pd::<8>(signal.as_ptr(), ia);
+            let b = _mm256_i32gather_pd::<8>(signal.as_ptr(), ib);
+            let v = _mm256_add_pd(a, _mm256_mul_pd(_mm256_sub_pd(b, a), frac));
+            let x = _mm256_mul_pd(_mm256_div_pd(v, vref), nv);
+            // x ≥ n saturates; x < 0 and NaN give code 0 (as `as u32`).
+            let code = _mm256_and_pd(
+                _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x),
+                _mm256_cmp_pd::<_CMP_GE_OQ>(x, zero),
+            );
+            let code = _mm256_blendv_pd(code, top, _mm256_cmp_pd::<_CMP_GE_OQ>(x, nv));
+            let volts = _mm256_mul_pd(_mm256_mul_pd(_mm256_add_pd(code, half), inv), vref);
+            _mm256_storeu_pd(out.as_mut_ptr().add(i), volts);
+            idx = _mm256_add_pd(idx, _mm256_set1_pd(4.0));
+            i += 4;
+        }
+        for (k, o) in out.iter_mut().enumerate().skip(i) {
+            *o = super::quantize_sample(
+                crate::resample::lerp_at(signal, k as f64 * ratio),
+                v_ref,
+                codes,
+            );
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -432,6 +815,277 @@ mod tests {
                     out[k],
                     want
                 );
+            }
+        }
+    }
+
+    /// Applies the vector `atan2` to `(y, x)` pairs, four at a time.
+    #[cfg(target_arch = "x86_64")]
+    fn atan2_quads(pairs: &[(f64, f64)]) -> Vec<f64> {
+        use std::arch::x86_64::*;
+        assert_eq!(pairs.len() % 4, 0);
+        let mut out = Vec::with_capacity(pairs.len());
+        for q in pairs.chunks_exact(4) {
+            let mut r = [0.0f64; 4];
+            // SAFETY: the caller checked AVX2+FMA; the store writes the
+            // four-element array.
+            unsafe {
+                let y = _mm256_set_pd(q[3].0, q[2].0, q[1].0, q[0].0);
+                let x = _mm256_set_pd(q[3].1, q[2].1, q[1].1, q[0].1);
+                _mm256_storeu_pd(r.as_mut_ptr(), avx::atan2_pd(y, x));
+            }
+            out.extend_from_slice(&r);
+        }
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn atan2_pd_gives_libm_signed_zeros_and_quadrants() {
+        if !avx2_available() {
+            return;
+        }
+        let (z, nz) = (0.0f64, -0.0f64);
+        let pairs = [
+            (z, -1.0),
+            (nz, -1.0),
+            (z, 1.0),
+            (nz, 1.0),
+            (1.0, z),
+            (1.0, nz),
+            (-1.0, z),
+            (-1.0, nz),
+            (z, nz),
+            (nz, nz),
+            (z, z),
+            (nz, z),
+            (1.0, 1.0),
+            (-1.0, -1.0),
+            (1.0, -1.0),
+            (1e-300, -2.0),
+            (3.0, -1e-300),
+            (5e-324, 1.0),
+            (-2.5, 7.0),
+            (7.0, -2.5),
+        ];
+        for (got, &(y, x)) in atan2_quads(&pairs).iter().zip(&pairs) {
+            assert_eq!(got.to_bits(), y.atan2(x).to_bits(), "atan2({y:?}, {x:?}) = {got:?}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn atan_table_rows_split_atan_k_over_64() {
+        for (k, &[hi, lo]) in avx::ATAN_K64.iter().enumerate() {
+            let want = (k as f64 / 64.0).atan();
+            let ulp = f64::from_bits(hi.to_bits() + 1) - hi;
+            assert!((hi - want).abs() <= ulp, "row {k}: hi {hi:e} vs libm {want:e}");
+            assert!(lo.abs() <= ulp / 2.0, "row {k}: lo {lo:e} exceeds half an ulp of hi");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn atan2_pd_rounds_correctly_at_near_ties() {
+        if !avx2_available() {
+            return;
+        }
+        // Exact values within 0.01 ulp of a rounding tie, one per
+        // reduction branch (plain, π − a, π/2 − a with x < 0, π/2 − a
+        // with y < 0); the expected doubles are the correctly rounded
+        // values from 200-bit arithmetic.
+        let cases = [
+            (0.9181139444119708, 6.179597619603345, 0.1474928836369159),
+            (199.8117762468221, -1509.8232053739275, 3.0100160762799946),
+            (5880.391339660624, -1571.9164062287848, 1.8320038470028694),
+            (-0.07429946118797513, 0.05407826373688025, -0.9416278473492675),
+        ];
+        let pairs: Vec<(f64, f64)> = cases.iter().map(|&(y, x, _)| (y, x)).collect();
+        for (got, &(y, x, want)) in atan2_quads(&pairs).iter().zip(&cases) {
+            assert_eq!(got.to_bits(), f64::to_bits(want), "atan2({y:?}, {x:?}) = {got:?}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn atan2_pd_tracks_libm_within_1e12() {
+        if !avx2_available() {
+            return;
+        }
+        // Magnitudes over twelve decades and every sign combination.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut draw = || rng.gen_range(-1.0..1.0) * 10f64.powf(rng.gen_range(-6.0..6.0));
+        let pairs: Vec<(f64, f64)> = (0..40_000).map(|_| (draw(), draw())).collect();
+        for (got, &(y, x)) in atan2_quads(&pairs).iter().zip(&pairs) {
+            let want = y.atan2(x);
+            assert!((got - want).abs() <= 1e-12 * want.abs(), "atan2({y}, {x}) = {got} vs {want}");
+        }
+    }
+
+    /// Each dispatched envelope sample equals the scalar twin's bits, or
+    /// lies within 1e-12 of it relative to the sample's magnitude (the
+    /// vector `atan2` is the only difference; near the `max(0, ·)` knee
+    /// the gain's own cancellation is relative to 1, not to itself).
+    fn assert_envelope_tracks_scalar(samples: &[Complex64], rate_hz: f64, slope: f64) {
+        let got = fm_am_envelope(samples, rate_hz, slope);
+        let want = fm_am_envelope_scalar(samples, rate_hz, slope);
+        assert_eq!(got.len(), want.len());
+        for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+            let scale = w.abs().max(samples[k].abs());
+            assert!(
+                g.to_bits() == w.to_bits() || (g - w).abs() <= 1e-12 * scale,
+                "slope {slope}, sample {k} of {}: {g:?} vs {w:?}",
+                samples.len()
+            );
+        }
+    }
+
+    #[test]
+    fn fm_am_envelope_edge_cases_track_scalar() {
+        let c = Complex64::new;
+        let (z, nz) = (0.0f64, -0.0f64);
+        // 802.11b chips: real-only, both zero signs, sign flips that make
+        // the discriminator see atan2(±0, x < 0) = ±π.
+        let chips: Vec<Complex64> = (0..37)
+            .map(|k| c(if k % 3 == 0 { -1.0 } else { 1.0 }, if k % 2 == 0 { z } else { nz }))
+            .collect();
+        // Zero real parts (atan2(y, ±0) = ±π/2) and samples that fail
+        // the |prev|² and |s| guards in some lanes of a quad. Two sit
+        // exactly on a bound, each after or before a sample that passes
+        // the other guard: |s| = 1e-10 (index 1) and |prev|² = 1e-20
+        // (index 6, the prev of index 7). Both fail the strict `>`.
+        let axes: Vec<Complex64> = (0..41)
+            .map(|k| match k % 8 {
+                0 => c(z, 0.7),
+                1 => c(1e-10, z),
+                2 => c(nz, -0.3),
+                3 => c(-0.5, nz),
+                4 => c(1e-11, 1e-12),
+                5 => c(z, z),
+                6 => c(9.999_999_999_999_994e-11, 3.469_446_951_953_614e-18),
+                _ => c(0.25, -0.9),
+            })
+            .collect();
+        assert_eq!(axes[1].abs(), 1e-10);
+        assert_eq!(axes[6].norm_sqr(), 1e-20);
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut random = |n: usize| samples(rng.gen(), n);
+        let mut waves = vec![chips, axes];
+        for n in 0..=9 {
+            waves.push(random(n));
+        }
+        for slope in [0.0, 0.05, 0.25, 0.5, -3.0, 40.0] {
+            for rate_hz in [8e6, 20e6, 22e6] {
+                for wave in &waves {
+                    assert_envelope_tracks_scalar(wave, rate_hz, slope);
+                }
+            }
+        }
+        // Real-only chips hit only exactly rounded angles (0, ±π): the
+        // kernel must give the scalar path's bits, signed zeros included.
+        for slope in [0.05, 0.25] {
+            let got = fm_am_envelope(&waves[0], 11e6, slope);
+            let want = fm_am_envelope_scalar(&waves[0], 11e6, slope);
+            assert!(got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits()));
+        }
+    }
+
+    #[test]
+    fn fm_am_envelope_non_finite_input_takes_the_scalar_path() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200] {
+            for at in [1usize, 4, 6, 10, 12] {
+                let mut wave = samples(at as u64, 13);
+                wave[at].re = bad;
+                let got = fm_am_envelope(&wave, 20e6, 0.25);
+                let want = fm_am_envelope_scalar(&wave, 20e6, 0.25);
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let same = g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan());
+                    assert!(same || (g - w).abs() <= 1e-12 * w.abs(), "{bad} at {at}: {k}");
+                }
+            }
+        }
+    }
+
+    /// The two-pass ADC `resample_quantize` replaced: `resample_linear`,
+    /// then quantize (saturating, truncating) and reconstruct.
+    fn two_pass_adc(signal: &[f64], from: f64, to: f64, v_ref: f64, codes: u32) -> Vec<f64> {
+        use crate::rate::SampleRate;
+        let n = codes as f64;
+        crate::resample::resample_linear(signal, SampleRate::hz(from), SampleRate::hz(to))
+            .into_iter()
+            .map(|v| {
+                let x = v / v_ref * n;
+                let code = if x < 0.0 {
+                    0
+                } else if x >= n {
+                    codes - 1
+                } else {
+                    x as u32
+                };
+                (code as f64 + 0.5) * (1.0 / n) * v_ref
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resample_quantize_does_not_contract_the_interpolation() {
+        // Where a fused multiply-add rounds `a + (b − a)·frac` apart
+        // from the multiply-then-add, a code boundary set at the larger
+        // of the two splits them: only the unfused kernel lands on the
+        // scalar path's code.
+        let mut rng = StdRng::seed_from_u64(41);
+        let ratio = 0.4; // 8 → 20 MHz
+        let mut checked = 0;
+        while checked < 64 {
+            let signal: Vec<f64> = (0..8).map(|_| rng.gen_range(0.0..1.0)).collect();
+            for i in 0..16 {
+                let pos = i as f64 * ratio;
+                let (i0, frac) = (pos as usize, pos - (pos as usize) as f64);
+                let (a, b) = (signal[i0], signal[i0 + 1]);
+                let (unfused, fused) = (a + (b - a) * frac, (b - a).mul_add(frac, a));
+                if unfused == fused {
+                    continue;
+                }
+                let v_ref = 2.0 * unfused.max(fused);
+                let got = resample_quantize(&signal, ratio, v_ref, 2);
+                let want = resample_quantize_scalar(&signal, ratio, v_ref, 2);
+                assert_eq!(got[i].to_bits(), want[i].to_bits(), "output {i} of {signal:?}");
+                checked += 1;
+            }
+        }
+    }
+
+    #[test]
+    fn resample_quantize_matches_two_pass_bitwise() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let v_ref = 0.37;
+        for len in [0usize, 1, 2, 3, 5, 9, 1000, 11_268] {
+            // Negative and above-reference inputs exercise both rails.
+            let mut signal: Vec<f64> = (0..len).map(|_| rng.gen_range(-0.1..0.45)).collect();
+            if len > 9 {
+                signal[3] = f64::NAN;
+                signal[7] = f64::INFINITY;
+                signal[8] = f64::NEG_INFINITY;
+                // A run at exactly full scale (x = codes): every rate
+                // pair interpolates inside it, and it must saturate.
+                signal[16..26].fill(v_ref);
+            }
+            for from in [8e6, 20e6, 22e6] {
+                for to in [20e6, 10e6, 2.5e6, 1e6] {
+                    for bits in 1..=16 {
+                        let codes = 1u32 << bits;
+                        let ratio = from / to;
+                        let got = resample_quantize(&signal, ratio, v_ref, codes);
+                        let scalar = resample_quantize_scalar(&signal, ratio, v_ref, codes);
+                        let want = two_pass_adc(&signal, from, to, v_ref, codes);
+                        assert_eq!(got.len(), want.len(), "len {len} {from}->{to}");
+                        for (k, ((g, s), w)) in got.iter().zip(&scalar).zip(&want).enumerate() {
+                            let what = format!("len {len} {from}->{to} bits {bits} at {k}");
+                            assert_eq!(g.to_bits(), w.to_bits(), "{what}");
+                            assert_eq!(s.to_bits(), w.to_bits(), "{what} (scalar)");
+                        }
+                    }
+                }
             }
         }
     }

@@ -1,6 +1,9 @@
 //! Structured event stream: a bounded, run-scoped JSONL sink
-//! (`paper --events <path|->`) — the serving seam a future scenario
-//! daemon will stream to clients.
+//! (`paper --events <path|->`) that records a run's progress as data —
+//! experiment and cell start/done, early stops, fleet MAC windows and
+//! incidents — for offline inspection (`events_check`, `jq`) and for
+//! the thread-count determinism check, which compares stripped streams
+//! of one run at two `--threads` values.
 //!
 //! Every line is one event:
 //!

@@ -59,7 +59,7 @@ fn fingerprint() -> String {
     // are timing-dependent; the envelope and key set are not).
     let profile = Profile { nodes: Vec::new(), threads: Vec::new() };
     out.push_str("== profile.json ==\n");
-    out.push_str(&profile.to_json(&[("wavecache.hits".to_string(), 9.0)]));
+    out.push_str(&profile.to_json(&[("tracecache.hits".to_string(), 9.0)]));
     out.push_str("== profile.folded ==\n");
     out.push_str(&profile.to_folded());
 

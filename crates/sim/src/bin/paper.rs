@@ -40,9 +40,8 @@
 //! bit-for-bit. Exit 0 REPRODUCED, 1 MISMATCH, 2 unreadable bundle,
 //! unknown kind or impossible field.
 //!
-//! `--no-memo` disables every memo — the waveform cache, the analog
-//! trace memo and the fleet link table — so every request computes
-//! afresh. Reports are byte-identical either way (each memo holds a
+//! `--no-memo` disables both memos — the analog trace memo and the
+//! fleet link table — so every request computes afresh. Reports are byte-identical either way (each memo holds a
 //! pure function of its key); the flag exists to show exactly that and
 //! to measure what the memos save.
 //!
@@ -144,8 +143,8 @@ fn main() {
             "--only-moved" => only_moved = true,
             "--profile" => profile = true,
             "--no-progress" => no_progress = true,
-            // Recompute every waveform, analog trace set and fleet
-            // link table instead of memoizing them. Reports are
+            // Recompute every analog trace set and fleet link table
+            // instead of memoizing them. Reports are
             // byte-identical either way (each memo holds a pure
             // function of its key).
             "--no-memo" => msc_sim::memo::set_all_enabled(false),

@@ -21,13 +21,13 @@ pub mod replay;
 pub mod report;
 pub mod throughput;
 pub mod tracecache;
-pub mod wavecache;
 
 // Traffic models moved down into msc-fleet (the fleet engine composes
 // them per tag); re-exported here so existing `msc_sim::traffic` paths
 // keep working.
 pub use msc_fleet::traffic;
 
-pub use pipeline::{AnyLink, CellSpec, Geometry, PacketOutcome, StopPolicy, TrialBatch};
+pub use pipeline::{
+    AnyLink, CellExcitation, CellSpec, Geometry, PacketOutcome, StopPolicy, TrialBatch,
+};
 pub use report::Report;
-pub use wavecache::CellExcitation;

@@ -1,7 +1,6 @@
 //! Single-flight memo: the one memoizing-cache abstraction behind the
-//! waveform cache ([`crate::wavecache`]), the identification analog-trace
-//! memo ([`crate::tracecache`]) and the fleet link table
-//! ([`crate::experiments::fleet::calibrate`]).
+//! identification analog-trace memo ([`crate::tracecache`]) and the
+//! fleet link table ([`crate::experiments::fleet::calibrate`]).
 //!
 //! A [`Memo`] maps a key to a lazily computed value. Concurrent requests
 //! for one key compute it once: the first caller runs the computation
@@ -34,7 +33,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 /// The metric names a memo counts its requests under.
 #[derive(Clone, Copy, Debug)]
 pub struct Counters {
-    /// Requests served from a resident value (e.g. `"wavecache.hit"`).
+    /// Requests served from a resident value (e.g. `"tracecache.hit"`).
     pub hit: &'static str,
     /// Requests that computed and kept a value.
     pub miss: &'static str,
@@ -171,21 +170,19 @@ impl<K: Eq + Hash, V: Clone> Memo<K, V> {
     }
 }
 
-/// Enables or disables every process memo — the waveform cache, the
-/// analog trace memo and the fleet link table (`paper --no-memo`).
+/// Enables or disables every process memo — the analog trace memo and
+/// the fleet link table (`paper --no-memo`).
 /// Either way every resident value is dropped, so a re-enable starts
 /// cold. Reports are identical either way; only the work changes.
 pub fn set_all_enabled(enabled: bool) {
-    crate::wavecache::WAVES.set_enabled(enabled);
     crate::tracecache::TRACES.set_enabled(enabled);
     crate::experiments::fleet::LINK_TABLES.set_enabled(enabled);
 }
 
 /// Every process memo's counters under its metric prefix. The trace
 /// memo counts *analog* sets: each hit was digitized for its own ADC.
-pub fn all_stats() -> [(&'static str, MemoStats); 3] {
+pub fn all_stats() -> [(&'static str, MemoStats); 2] {
     [
-        ("wavecache", crate::wavecache::WAVES.stats()),
         ("tracecache", crate::tracecache::TRACES.stats()),
         ("linkcache", crate::experiments::fleet::LINK_TABLES.stats()),
     ]

@@ -215,25 +215,13 @@ impl AnyLink {
     }
 
     /// Synthesizes the clean overlay carrier for a given payload — a
-    /// pure function of `(self, productive)`, which is what makes the
-    /// waveform cache sound.
+    /// pure function of `(self, productive)`.
     pub fn carrier_for(&self, productive: &[u8]) -> IqBuf {
         match self {
             AnyLink::WifiB(l) => l.make_carrier(productive),
             AnyLink::WifiN(l) => l.make_carrier(productive),
             AnyLink::Ble(l) => l.make_carrier(productive),
             AnyLink::ZigBee(l) => l.make_carrier(productive),
-        }
-    }
-
-    /// A salt distinguishing link variants that share a protocol but
-    /// synthesize different carriers (MCS, DSSS/CCK rate) — part of the
-    /// waveform-cache key.
-    pub fn variant_salt(&self) -> u64 {
-        match self {
-            AnyLink::WifiB(l) => 1 + l.rate() as u64,
-            AnyLink::WifiN(l) => 1 + l.mcs() as u64,
-            AnyLink::Ble(_) | AnyLink::ZigBee(_) => 0,
         }
     }
 
@@ -402,6 +390,45 @@ const BATCH_WIDTH: usize = 8;
 /// samples of matched-filter ambiguity under noise.
 const FAST_SYNC_RADIUS: usize = 8;
 
+/// One experiment cell's shared excitation: the per-cell payload and
+/// its clean overlay carrier, synthesized once per cell and read by
+/// reference from every trial and worker thread of the cell. Per-trial
+/// randomness — tag bits, fading, noise, CFO — is applied downstream
+/// onto pooled lane buffers, never onto the carrier.
+pub struct CellExcitation {
+    /// The cell's productive payload units (bits; 4-bit symbols for
+    /// ZigBee), drawn once from the cell's payload RNG stream.
+    pub productive: Vec<u8>,
+    /// Tag bits one carrier of this payload can carry.
+    pub tag_capacity: usize,
+    /// Sample index where the payload (tag-modulatable) region starts.
+    pub payload_start: usize,
+    /// The clean overlay carrier.
+    pub carrier: IqBuf,
+}
+
+impl CellExcitation {
+    /// Draws the cell payload from `(seed, cell, u64::MAX)`, a stream
+    /// disjoint from every per-trial stream, and synthesizes its
+    /// carrier.
+    pub fn prepare(link: &AnyLink, n_productive: usize, seed: u64, cell: &str) -> Self {
+        let cellh = msc_par::hash_label(cell);
+        let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cellh, u64::MAX));
+        let productive = link.draw_productive(&mut rng, n_productive);
+        let protocol = link.protocol();
+        let carrier =
+            metrics::time_stage(protocol.label(), "carrier", || link.carrier_for(&productive));
+        let payload_start =
+            (payload_start_seconds(protocol) * carrier.rate().as_hz()).round() as usize;
+        CellExcitation {
+            tag_capacity: link.tag_capacity(n_productive),
+            payload_start,
+            productive,
+            carrier,
+        }
+    }
+}
+
 /// A structure-of-arrays batch of Monte-Carlo trials from one cell:
 /// `count` IQ lanes modulated from the shared cached excitation, each
 /// with its own tag-bit draw and RNG streams.
@@ -445,7 +472,7 @@ impl TrialBatch {
     pub fn materialize(
         &mut self,
         modulator: &TagOverlayModulator,
-        exc: &crate::wavecache::CellExcitation,
+        exc: &CellExcitation,
         seed: u64,
         cellh: u64,
         crn_hash: Option<u64>,
@@ -497,7 +524,7 @@ impl TrialBatch {
     pub fn decode_into(
         &self,
         link: &AnyLink,
-        exc: &crate::wavecache::CellExcitation,
+        exc: &CellExcitation,
         snr_db: f64,
         cell: (&str, u64),
         out: &mut Vec<PacketOutcome>,
@@ -605,7 +632,7 @@ pub struct CellSpec<'a> {
 ///
 /// The cells fan out across the `msc-par` pool, one cell per item. Each
 /// cell prepares its excitation once
-/// ([`crate::wavecache::CellExcitation`]: the productive payload comes
+/// ([`CellExcitation`]: the productive payload comes
 /// from the cell's own RNG stream `(seed, cell, u64::MAX)` and the
 /// carrier is shared read-only across trials), then runs its trials in
 /// [`TrialBatch`] chunks along its wave plan. A cell's batches are pool
@@ -614,7 +641,7 @@ pub struct CellSpec<'a> {
 /// trial draws its tag bits and channel realization from its own RNG
 /// seeded by `(seed, cell, index)`, so the outcomes — and every
 /// downstream table — are bit-identical at any thread count, including
-/// 1, and with the waveform cache on or off.
+/// 1.
 ///
 /// Each cell buffers its `cell_start` / `early_stop` / `cell_done`
 /// events, and this call emits the buffers in cell order after the
@@ -725,7 +752,7 @@ fn run_cell(spec: &CellSpec, ordinal: u64, width: usize) -> (Vec<PacketOutcome>,
 
     let exc = {
         let _prep = msc_obs::profile::scope("cell.prepare");
-        crate::wavecache::CellExcitation::prepare(link, mode, n_productive, seed, cell)
+        CellExcitation::prepare(link, n_productive, seed, cell)
     };
     let label = link.protocol().label();
     let cellh = msc_par::hash_label(cell);
@@ -809,6 +836,14 @@ fn placeholder_outcome() -> PacketOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn distinct_cells_get_distinct_payloads() {
+        let link = AnyLink::new(Protocol::WifiB, Mode::Mode1);
+        let a = CellExcitation::prepare(&link, 16, 42, "exc-test/cell-a");
+        let b = CellExcitation::prepare(&link, 16, 42, "exc-test/cell-b");
+        assert_ne!(a.productive, b.productive, "payload streams must be disjoint across cells");
+    }
 
     #[test]
     fn all_excitations_amplified_to_30dbm() {

@@ -1,7 +1,7 @@
 //! Steady-state allocation guard for the packet hot path.
 //!
-//! With the waveform cache, the FFT-plan/scratch registry, and a
-//! pooled one-lane trial batch all warm, one end-to-end packet should
+//! With the cell's excitation prepared, the FFT-plan/scratch registry
+//! and a pooled one-lane trial batch warm, one end-to-end packet should
 //! allocate only its small, unavoidable outputs (decoded streams,
 //! outcome). This test counts allocator calls around one
 //! representative packet — cold versus steady-state — and exports the
@@ -12,7 +12,7 @@ use msc_core::overlay::{params_for, Mode};
 use msc_core::TagOverlayModulator;
 use msc_phy::protocol::Protocol;
 use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, TrialBatch};
-use msc_sim::wavecache::CellExcitation;
+use msc_sim::CellExcitation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -67,7 +67,7 @@ fn steady_state_packet_allocates_far_less_than_cold() {
     let link = AnyLink::new(p, Mode::Mode1);
     let geo = Geometry::los(4.0);
     let cell = "alloc-guard/cell";
-    let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, cell);
+    let exc = CellExcitation::prepare(&link, 16, 42, cell);
     let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
     let cellh = msc_par::hash_label(cell);
     let snr = geo.uplink_snr_db(p);
@@ -172,7 +172,7 @@ fn batched_materialize_and_channel_are_allocation_free_when_warm() {
     let p = Protocol::Ble;
     let link = AnyLink::new(p, Mode::Mode1);
     let geo = Geometry::los(4.0);
-    let exc = CellExcitation::prepare(&link, Mode::Mode1, 16, 42, "alloc-guard/batch");
+    let exc = CellExcitation::prepare(&link, 16, 42, "alloc-guard/batch");
     let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
     let cellh = msc_par::hash_label("alloc-guard/batch");
     let crn = Some(msc_par::hash_label("alloc-guard/crn"));

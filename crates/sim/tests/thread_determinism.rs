@@ -34,14 +34,14 @@ fn fig13_report_identical_at_1_and_3_threads() {
 
 #[test]
 fn cached_and_fresh_reports_identical_at_1_4_8_threads() {
-    // The waveform cache memoizes a pure synthesis, so a fixed-seed
-    // report must be byte-identical with the cache on or off, at every
-    // thread count.
+    // The analog trace memo holds a pure function of its key, so a
+    // fixed-seed report must be byte-identical with the memo on or off,
+    // at every thread count. fig7 reads its traces through the memo.
     let mut outputs = Vec::new();
     for threads in ["1", "4", "8"] {
-        let cached = paper_stdout(&["fig13", "2", "7", "--threads", threads]);
-        let fresh = paper_stdout(&["fig13", "2", "7", "--threads", threads, "--no-memo"]);
-        assert!(!cached.trim().is_empty(), "fig13 produced no output at {threads} threads");
+        let cached = paper_stdout(&["fig7", "2", "7", "--threads", threads]);
+        let fresh = paper_stdout(&["fig7", "2", "7", "--threads", threads, "--no-memo"]);
+        assert!(!cached.trim().is_empty(), "fig7 produced no output at {threads} threads");
         assert_eq!(cached, fresh, "cache must not change results at {threads} threads");
         outputs.push(cached);
     }
@@ -94,7 +94,7 @@ fn no_memo_counts_only_bypasses_and_keeps_reports() {
         let text = std::fs::read_to_string(dir.join("profile.json")).expect("profile.json");
         let profile = msc_obs::export::parse_json(&text).expect("profile.json parses");
         let counters = profile.get("counters").expect("counters object");
-        for memo in ["wavecache", "tracecache", "linkcache"] {
+        for memo in ["tracecache", "linkcache"] {
             let count = |field: &str| {
                 let key = format!("{memo}.{field}");
                 counters.get(&key).and_then(|v| v.as_f64()).unwrap_or_else(|| panic!("no {key}"))
