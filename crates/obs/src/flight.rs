@@ -6,8 +6,7 @@
 //! base and derived RNG seeds, per-stage timings, and the matcher /
 //! decode scores that produced the verdict. Records land in a bounded
 //! ring (recent history for postmortems); trials whose verdict is not
-//! `"ok"`, or whose slowest stage exceeds the configured threshold,
-//! are additionally captured as *dumps* — each convertible to a
+//! `"ok"` are additionally captured as *dumps* — each convertible to a
 //! replayable JSON bundle ([`bundle_to_json`]) that `paper replay`
 //! feeds back through [`parse_bundle`].
 //!
@@ -41,20 +40,18 @@ pub struct FlightConfig {
     /// Ring capacity: how many recent trials to keep (0 disables the
     /// ring but keeps failure dumps).
     pub ring: usize,
-    /// Stage-time threshold in µs: any stage slower than this marks
-    /// the trial as a `slow_stage` dump (`paper --flight-slow-us`).
-    pub slow_stage_us: f64,
-    /// Cap on retained dumps per run; excess failures only bump the
-    /// suppressed counter so pathological cells can't flood the disk.
-    /// The dumps kept are the first `max_dumps` in run order — cell
-    /// ordinal ([`reserve_cells`]), then trial index — whatever order
-    /// worker threads finish them in.
+    /// Cap on retained dumps per `(experiment, reason)`; excess
+    /// failures only bump the suppressed counter so pathological cells
+    /// can't flood the disk, and one runner's failures can't crowd out
+    /// another's. The dumps kept are each pair's first `max_dumps` in
+    /// run order — cell ordinal ([`reserve_cells`]), then trial index —
+    /// whatever order worker threads finish them in.
     pub max_dumps: usize,
 }
 
 impl Default for FlightConfig {
     fn default() -> Self {
-        FlightConfig { ring: 256, slow_stage_us: f64::INFINITY, max_dumps: 32 }
+        FlightConfig { ring: 256, max_dumps: 32 }
     }
 }
 
@@ -89,8 +86,8 @@ pub struct TrialRecord {
 /// One captured failure: the trigger plus the full trial record.
 #[derive(Clone, Debug)]
 pub struct Dump {
-    /// Why this trial was captured (`decode_fail`, `id_miss`,
-    /// `slow_stage:<name>`).
+    /// Why this trial was captured: its verdict (`decode_fail`,
+    /// `id_miss`, …).
     pub reason: String,
     /// The trial itself.
     pub record: TrialRecord,
@@ -278,25 +275,20 @@ pub fn end_trial(verdict: &str) {
             s.captured = Some(rec.clone());
         }
     }
-    let reason = if rec.verdict != "ok" {
-        Some(rec.verdict.clone())
-    } else {
-        rec.stages
-            .iter()
-            .find(|&&(_, us)| us > s.cfg.slow_stage_us)
-            .map(|&(stage, _)| format!("slow_stage:{stage}"))
-    };
-    if let Some(reason) = reason {
-        // Keep the `max_dumps` smallest ranks: a failure that outranks
-        // the latest kept one takes its place. Either way exactly one
-        // failure beyond the cap is suppressed.
+    if rec.verdict != "ok" {
+        // Keep each `(experiment, reason)` pair's `max_dumps` smallest
+        // ranks: a failure that outranks the pair's latest kept one
+        // takes its place. Either way exactly one failure beyond the
+        // cap is suppressed.
         let rank = (ordinal, rec.index);
-        let dump = Dump { reason, record: rec.clone() };
-        if s.dumps.len() < s.cfg.max_dumps {
-            s.dumps.push((rank, dump));
+        let dump = Dump { reason: rec.verdict.clone(), record: rec.clone() };
+        let State { dumps, cfg, suppressed, .. } = &mut *s;
+        let peer = |d: &Dump| d.reason == dump.reason && d.record.experiment == rec.experiment;
+        if dumps.iter().filter(|(_, d)| peer(d)).count() < cfg.max_dumps {
+            dumps.push((rank, dump));
         } else {
-            s.suppressed += 1;
-            let latest = s.dumps.iter_mut().max_by_key(|(r, _)| *r);
+            *suppressed += 1;
+            let latest = dumps.iter_mut().filter(|(_, d)| peer(d)).max_by_key(|(r, _)| *r);
             if let Some(slot) = latest.filter(|(r, _)| rank < *r) {
                 *slot = (rank, dump);
             }
@@ -554,18 +546,43 @@ mod tests {
     }
 
     #[test]
-    fn slow_stage_threshold_and_dump_cap() {
+    fn dump_cap_counts_the_suppressed_failures() {
         let _guard = tests_serial();
-        arm(FlightConfig { slow_stage_us: 100.0, max_dumps: 2, ..FlightConfig::default() });
+        arm(FlightConfig { max_dumps: 2, ..FlightConfig::default() });
         for i in 0..5 {
-            trial("cell/slow", i, "ok"); // decode stage is 250 µs > 100
+            trial("cell/fail", i, "decode_fail");
         }
         let stats = stats();
         assert_eq!(stats.dumps, 2, "dump cap");
         assert_eq!(stats.suppressed, 3);
         let dumps = take_dumps();
         disarm();
-        assert!(dumps.iter().all(|d| d.reason == "slow_stage:decode"));
+        assert!(dumps.iter().all(|d| d.reason == "decode_fail"));
+        assert_eq!(dumps.iter().map(|d| d.record.index).collect::<Vec<_>>(), [0, 1]);
+    }
+
+    #[test]
+    fn dump_cap_holds_per_experiment_and_reason() {
+        let _guard = tests_serial();
+        arm(FlightConfig { max_dumps: 2, ..FlightConfig::default() });
+        let first = reserve_cells(3);
+        for (experiment, verdict) in
+            [("fig7", "id_miss"), ("fig13", "decode_fail"), ("fig13", "id_miss")]
+        {
+            for i in 0..3 {
+                begin_trial(experiment, "cell", first, i, 42, i, "BLE");
+                end_trial(verdict);
+            }
+        }
+        let stats = stats();
+        let mut kept: Vec<(String, String)> =
+            take_dumps().into_iter().map(|d| (d.record.experiment, d.reason)).collect();
+        disarm();
+        kept.sort();
+        kept.dedup();
+        assert_eq!(stats.dumps, 6, "two per (experiment, reason)");
+        assert_eq!(stats.suppressed, 3);
+        assert_eq!(kept.len(), 3, "every pair keeps its own failures: {kept:?}");
     }
 
     #[test]

@@ -27,8 +27,7 @@
 //!
 //! A progress ticker reports cells/trials/ETA/worker-utilization on
 //! stderr while experiments run; `--no-progress` silences it for CI
-//! logs. `--flight-slow-us N` additionally dumps trials whose slowest
-//! stage exceeds N µs.
+//! logs.
 //!
 //! `replay <bundle.json>` reads a bundle of either kind. A flight
 //! bundle re-runs exactly the trial it describes (skipping all other
@@ -97,7 +96,7 @@ fn usage() -> ! {
         "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--profile] \
          [--threads N] [--no-early-stop] [--metrics-out <dir>] \
          [--events <path|->] [--no-memo] [--no-progress] \
-         [--flight-slow-us N] [--fleet-phy]\n       paper list\n       \
+         [--fleet-phy]\n       paper list\n       \
          paper replay <bundle.json|incident.json> [--threads N]\n       \
          paper diff <runA> <runB> [--only-moved]\n       \
          paper diff --baseline <metrics-dir> [--only-moved]"
@@ -130,7 +129,6 @@ fn main() {
     let mut no_progress = false;
     let mut baseline = false;
     let mut only_moved = false;
-    let mut flight_slow_us = f64::INFINITY;
     let mut metrics_out: Option<PathBuf> = None;
     let mut events_path: Option<String> = None;
     let mut positional: Vec<String> = Vec::new();
@@ -163,13 +161,6 @@ fn main() {
             // pipeline (fleet experiments only; changes report notes,
             // so it feeds the archive config hash).
             "--fleet-phy" => msc_sim::experiments::fleet::set_phy_check(true),
-            "--flight-slow-us" => {
-                let Some(v) = it.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    eprintln!("--flight-slow-us needs a number (µs)\n");
-                    usage();
-                };
-                flight_slow_us = v;
-            }
             "--metrics-out" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--metrics-out needs a directory\n");
@@ -228,10 +219,7 @@ fn main() {
     let mut manifest = if metrics_out.is_some() {
         msc_obs::metrics::Registry::global().reset();
         msc_obs::metrics::enable();
-        msc_obs::flight::arm(msc_obs::flight::FlightConfig {
-            slow_stage_us: flight_slow_us,
-            ..Default::default()
-        });
+        msc_obs::flight::arm(msc_obs::flight::FlightConfig::default());
         Some(
             msc_obs::RunManifest::start(std::path::Path::new("."), n, seed, full)
                 .with_threads(msc_par::threads())

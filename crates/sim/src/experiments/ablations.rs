@@ -13,21 +13,18 @@
 //!   modeling) vs accuracy.
 
 use crate::idtraces::front_end;
-use crate::pipeline::apply_uplink;
+use crate::pipeline::{run_cells, tag_ber, tag_packet, AnyLink, CellSpec, Impairments};
 use crate::report::{f1, pct, Report};
 use crate::tracecache::traces_hard;
+use msc_channel::Fading;
 use msc_core::envelope::FrontEnd;
-use msc_core::overlay::{OverlayParams, TagOverlayModulator};
+use msc_core::overlay::{params_for, Mode, OverlayParams, TagOverlayModulator};
 use msc_core::resources::{Arithmetic, MatcherCost};
 use msc_core::search::{blind_accuracy, collect_scores_labeled};
-use msc_core::tag::payload_start_seconds;
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
-use msc_phy::bits::random_bits;
 use msc_phy::protocol::Protocol;
 use msc_rx::ZigBeeOverlayLink;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Quantization-width sweep: identification accuracy vs FPGA cost.
 pub fn abl_bits(n: usize, seed: u64) -> Report {
@@ -72,41 +69,31 @@ pub fn abl_gamma(n: usize, seed: u64) -> Report {
         "abl-gamma — ZigBee tag BER vs γ spreading (paper §2.4.2: γ≥2; γ=3 → ~0.1% on hardware)",
         &["γ", "SNR 6 dB", "SNR 2 dB", "SNR -2 dB", "tag bits/packet"],
     );
-    for gamma in [2usize, 4, 6] {
+    let n_prod = 12;
+    let links = [2usize, 4, 6].map(|gamma| {
         let params = OverlayParams::new(2 * gamma, gamma);
-        let link = ZigBeeOverlayLink::new(params);
-        let n_prod = 12;
-        let cap = link.tag_capacity(n_prod);
         let tag = TagOverlayModulator::new(Protocol::ZigBee, params);
-        let start = (payload_start_seconds(Protocol::ZigBee) * 8e6).round() as usize;
-        let mut cells = Vec::new();
-        for snr in [6.0, 2.0, -2.0] {
-            let cell = msc_par::hash_label(&format!("abl-gamma/{gamma}/{snr}"));
-            let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-                let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-                let productive: Vec<u8> = (0..n_prod).map(|_| rng.gen_range(0..16)).collect();
-                let tag_bits = random_bits(&mut rng, cap);
-                let carrier = link.make_carrier(&productive);
-                let modulated = tag.modulate(&carrier, start, &tag_bits);
-                let rx = apply_uplink(&mut rng, &modulated, snr, msc_channel::Fading::None);
-                match link.decode(&rx) {
-                    Ok(d) => {
-                        (tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(), cap)
-                    }
-                    Err(_) => (cap, cap),
-                }
+        (gamma, AnyLink::ZigBee(Box::new(ZigBeeOverlayLink::new(params))), tag)
+    });
+    let snrs = [6.0, 2.0, -2.0];
+    let cells: Vec<_> = links
+        .iter()
+        .flat_map(|(gamma, link, tag)| {
+            snrs.map(|snr| {
+                let imp = Impairments::snr(snr, Fading::None);
+                let label = format!("abl-gamma/{gamma}/{snr}");
+                CellSpec::each(label, n, seed, "ZigBee", move |rng, _| {
+                    tag_packet(rng, link, tag, n_prod, imp)
+                })
             })
-            .into_iter()
-            .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-            cells.push(pct(errors as f64 / bits.max(1) as f64));
-        }
-        report.row(&[
-            gamma.to_string(),
-            cells[0].clone(),
-            cells[1].clone(),
-            cells[2].clone(),
-            cap.to_string(),
-        ]);
+        })
+        .collect();
+    let outs = run_cells(&cells);
+    for ((gamma, link, _), row) in links.iter().zip(outs.chunks(snrs.len())) {
+        let mut cols = vec![gamma.to_string()];
+        cols.extend(row.iter().map(|outs| pct(tag_ber(outs))));
+        cols.push(link.tag_capacity(n_prod).to_string());
+        report.row(&cols);
     }
     report.note(
         "Longer γ trades tag rate for SNR margin — the Miller-code intuition the paper cites.",
@@ -172,46 +159,36 @@ pub fn abl_lag(n: usize, seed: u64) -> Report {
 /// CFO tolerance ablation: every protocol's end-to-end overlay loop under
 /// crystal-grade carrier offsets (the receivers' estimators at work).
 pub fn abl_cfo(n: usize, seed: u64) -> Report {
-    use crate::pipeline::{apply_uplink_impaired, AnyLink, Impairments};
-    use msc_core::overlay::Mode;
     let n = n.max(6);
     let mut report = Report::new(
         "abl-cfo — overlay tag BER vs carrier frequency offset (SNR 15 dB, no fading)",
         &["protocol", "0 Hz", "±20 kHz", "±48.8 kHz (20 ppm)"],
     );
-    for p in Protocol::ALL {
-        let mode = Mode::Mode1;
-        let link = AnyLink::new(p, mode);
-        let mut cells = Vec::new();
-        for &cfo in &[0.0, 20e3, 48.8e3] {
-            // ZigBee's periodicity estimator caps at ±31 kHz — report
-            // honestly beyond it.
-            let cell = msc_par::hash_label(&format!("abl-cfo/{}/{cfo}", p.label()));
-            let (errors, bits) = msc_par::par_map_indexed(n, |k| {
-                let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, k as u64));
-                let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
-                let (productive, carrier) = link.make_carrier(&mut rng, 12);
-                let cap = link.tag_capacity(12);
-                let tag_bits: Vec<u8> = (0..cap).map(|_| rng.gen_range(0..=1)).collect();
-                let modulator =
-                    msc_core::TagOverlayModulator::new(p, msc_core::overlay::params_for(p, mode));
-                let start = (msc_core::tag::payload_start_seconds(p) * carrier.rate().as_hz())
-                    .round() as usize;
-                let modulated = modulator.modulate(&carrier, start, &tag_bits);
-                let imp = Impairments::snr(15.0, msc_channel::Fading::None).with_cfo(sign * cfo);
-                let rx = apply_uplink_impaired(&mut rng, &modulated, imp);
-                match link.decode(&rx, productive.len()) {
-                    Ok(d) => {
-                        (tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(), cap)
-                    }
-                    Err(_) => (cap, cap),
-                }
+    let links = Protocol::ALL.map(|p| {
+        let tag = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
+        (AnyLink::new(p, Mode::Mode1), tag)
+    });
+    let cfos = [0.0, 20e3, 48.8e3];
+    // ZigBee's periodicity estimator caps at ±31 kHz — report honestly
+    // beyond it. Even trials see +cfo, odd ones −cfo.
+    let cells: Vec<_> = links
+        .iter()
+        .flat_map(|(link, tag)| {
+            let p = link.protocol().label();
+            cfos.map(|cfo| {
+                CellSpec::each(format!("abl-cfo/{p}/{cfo}"), n, seed, p, move |rng, k| {
+                    let sign = if k % 2 == 0 { 1.0 } else { -1.0 };
+                    let imp = Impairments::snr(15.0, Fading::None).with_cfo(sign * cfo);
+                    tag_packet(rng, link, tag, 12, imp)
+                })
             })
-            .into_iter()
-            .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-            cells.push(pct(errors as f64 / bits.max(1) as f64));
-        }
-        report.row(&[p.label().into(), cells[0].clone(), cells[1].clone(), cells[2].clone()]);
+        })
+        .collect();
+    let outs = run_cells(&cells);
+    for ((link, _), row) in links.iter().zip(outs.chunks(cfos.len())) {
+        let mut cols = vec![link.protocol().label().to_string()];
+        cols.extend(row.iter().map(|outs| pct(tag_ber(outs))));
+        report.row(&cols);
     }
     report.note("11n: STF autocorrelation CFO estimate; BLE: discriminator DC estimate + offset-invariant sync fallback; 11b: differential demod needs nothing; ZigBee: 16 µs-periodicity estimate (unambiguous to ±31 kHz, so 48.8 kHz aliases — a real CC2650 uses a wider-range synchronizer).");
     report

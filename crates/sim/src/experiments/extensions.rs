@@ -7,7 +7,9 @@
 //! * **wake-up-receiver gating** of the acquisition chain (§2.3 note 1)
 //!   — `ext-wakeup`
 
-use crate::pipeline::apply_uplink;
+use crate::pipeline::{
+    apply_uplink, mismatches, run_cells, tag_ber, unit_errors, CellSpec, Identified, PacketOutcome,
+};
 use crate::report::{f1, pct, Report};
 use msc_analog::WakeUpReceiver;
 use msc_core::coding::TagCoding;
@@ -20,8 +22,7 @@ use msc_dsp::SampleRate;
 use msc_phy::bits::random_bits;
 use msc_phy::protocol::Protocol;
 use msc_rx::BleOverlayLink;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 /// FEC vs repetition tag coding: BER across the SNR range where the
 /// overlay channel starts erring (the range edge of Fig. 13).
@@ -38,37 +39,39 @@ pub fn ext_fec(n: usize, seed: u64) -> Report {
     let tag = TagOverlayModulator::new(Protocol::Ble, params);
     let start = (payload_start_seconds(Protocol::Ble) * 8e6).round() as usize;
 
-    for snr in [8.0, 6.0, 4.0, 2.0, 0.0] {
-        let mut bers = [0.0f64; 2];
-        for (ci, coding) in [TagCoding::Repetition, TagCoding::Fec].iter().enumerate() {
+    let snrs = [8.0, 6.0, 4.0, 2.0, 0.0];
+    let codings = [TagCoding::Repetition, TagCoding::Fec];
+    let cells: Vec<_> = snrs
+        .iter()
+        .flat_map(|snr| codings.iter().enumerate().map(move |(ci, coding)| (*snr, ci, coding)))
+        .map(|(snr, ci, coding)| {
             let info_bits = coding.info_capacity(raw_cap);
-            let cell = msc_par::hash_label(&format!("ext-fec/{snr}/{ci}"));
-            let errors: usize = msc_par::par_map_indexed(n, |i| {
-                let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-                let info = random_bits(&mut rng, info_bits);
+            let (link, tag) = (&link, &tag);
+            CellSpec::each(format!("ext-fec/{snr}/{ci}"), n, seed, "BLE", move |rng, _| {
+                let info = random_bits(rng, info_bits);
                 let coded = coding.encode(&info);
-                let productive = random_bits(&mut rng, n_productive);
+                let productive = random_bits(rng, n_productive);
                 let carrier = link.make_carrier(&productive);
                 let modulated = tag.modulate(&carrier, start, &coded);
-                let rx = apply_uplink(&mut rng, &modulated, snr, msc_channel::Fading::None);
-                match link.decode(&rx, n_productive) {
-                    Ok(d) => {
-                        let back = coding.decode(&d.tag, info_bits);
-                        info.iter().zip(back.iter()).filter(|(a, b)| a != b).count()
-                            + info.len().saturating_sub(back.len())
-                    }
-                    Err(_) => info_bits,
+                let rx = apply_uplink(rng, &modulated, snr, msc_channel::Fading::None);
+                let back =
+                    link.decode(&rx, n_productive).ok().map(|d| coding.decode(&d.tag, info_bits));
+                let tag_errors = back.as_ref().map_or(info_bits, |back| unit_errors(&info, back));
+                PacketOutcome {
+                    decoded: back.is_some(),
+                    tag_errors,
+                    tag_bits: info_bits,
+                    ..Default::default()
                 }
             })
-            .into_iter()
-            .sum();
-            let bits = n * info_bits;
-            bers[ci] = errors as f64 / bits.max(1) as f64;
-        }
+        })
+        .collect();
+    let outs = run_cells(&cells);
+    for (snr, row) in snrs.iter().zip(outs.chunks(codings.len())) {
         report.row(&[
-            f1(snr),
-            pct(bers[0]),
-            pct(bers[1]),
+            f1(*snr),
+            pct(tag_ber(&row[0])),
+            pct(tag_ber(&row[1])),
             TagCoding::Repetition.info_capacity(raw_cap).to_string(),
             TagCoding::Fec.info_capacity(raw_cap).to_string(),
         ]);
@@ -85,37 +88,38 @@ pub fn ext_filter(n: usize, seed: u64) -> Report {
         "ext-filter — tag band filter vs time-domain collisions (§4.1.4 future work)",
         &["front end", "BLE identified", "802.11n identified", "other/none"],
     );
-    for (label, fe) in [
+    let front_ends = [
         ("filterless (paper)", FrontEnd::prototype(SampleRate::ADC_FULL)),
         ("1.2 MHz band filter", FrontEnd::prototype(SampleRate::ADC_FULL).with_band_filter(1.2e6)),
-    ] {
+    ]
+    .map(|(label, fe)| {
         // With a band filter the analog response depends on the common
         // RF grid, so templates are rendered at the collision grid too.
         let bank =
             TemplateBank::build_at_rf_rate(&fe, TemplateConfig::full_rate(), SampleRate::mhz(20.0));
-        let matcher = Matcher::new(bank, MatchMode::Quantized);
-        let cell = msc_par::hash_label(&format!("ext-filter/{label}"));
-        let ids = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let wb = crate::idtraces::random_packet(Protocol::Ble, &mut rng);
-            let wn = crate::idtraces::random_packet(Protocol::WifiN, &mut rng);
-            // Collide: BLE resampled onto the 20 Msps grid, WiFi burst on
-            // top at comparable incident power.
-            let wb20 = upsample_iq_clean(&wb, wn.rate());
-            let mixed = wb20.mix(&wn.scaled(1.2));
-            let incident = rng.gen_range(-8.0..-4.0);
-            let acq = fe.acquire(&mut rng, &mixed, incident);
-            matcher.identify_blind(&acq, 0)
-        });
-        let ble = ids.iter().filter(|&&id| id == Some(Protocol::Ble)).count();
-        let wifin = ids.iter().filter(|&&id| id == Some(Protocol::WifiN)).count();
-        let other = n - ble - wifin;
-        report.row(&[
-            label.into(),
-            pct(ble as f64 / n as f64),
-            pct(wifin as f64 / n as f64),
-            pct(other as f64 / n as f64),
-        ]);
+        (label, fe, Matcher::new(bank, MatchMode::Quantized))
+    });
+    let cells: Vec<_> = front_ends
+        .iter()
+        .map(|(label, fe, matcher)| {
+            CellSpec::each(format!("ext-filter/{label}"), n, seed, "BLE", move |rng, _| {
+                let wb = crate::idtraces::random_packet(Protocol::Ble, rng);
+                let wn = crate::idtraces::random_packet(Protocol::WifiN, rng);
+                // Collide: BLE resampled onto the 20 Msps grid, WiFi
+                // burst on top at comparable incident power.
+                let wb20 = upsample_iq_clean(&wb, wn.rate());
+                let mixed = wb20.mix(&wn.scaled(1.2));
+                let incident = rng.gen_range(-8.0..-4.0);
+                let acq = fe.acquire(rng, &mixed, incident);
+                Identified { id: matcher.identify_blind(&acq, 0), truth: Some(Protocol::Ble) }
+            })
+        })
+        .collect();
+    for ((label, ..), ids) in front_ends.iter().zip(run_cells(&cells)) {
+        let count = |p| ids.iter().filter(|o| o.id == Some(p)).count();
+        let (ble, wifin) = (count(Protocol::Ble), count(Protocol::WifiN));
+        let share = |k: usize| pct(k as f64 / n as f64);
+        report.row(&[label.to_string(), share(ble), share(wifin), share(n - ble - wifin)]);
     }
     report.note("The filter attenuates the colliding 20 MHz 11n burst ~12 dB relative to the in-band BLE signal: the WiFi capture effect (filterless: 100% identified as 11n) disappears, and most collided BLE packets survive identification outright.");
     report
@@ -179,51 +183,49 @@ pub fn ext_multitag(n: usize, seed: u64) -> Report {
     debug_assert_eq!(slot_b.len(), half, "even capacity splits evenly");
     let tag = TagOverlayModulator::new(Protocol::WifiB, params);
 
-    for snr in [15.0, 6.0, 0.0] {
-        let cell = msc_par::hash_label(&format!("ext-multitag/{snr}"));
-        let per_packet = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let productive = random_bits(&mut rng, n_prod);
-            let a_bits = random_bits(&mut rng, half);
-            let b_bits = random_bits(&mut rng, half);
-            let carrier = link.make_carrier(&productive);
-            let start =
-                (payload_start_seconds(Protocol::WifiB) * carrier.rate().as_hz()).round() as usize;
-            // Tag A owns the first slot range…
-            let mut a_padded = a_bits.clone();
-            a_padded.extend(std::iter::repeat_n(0u8, slot_b.len()));
-            let after_a = tag.modulate(&carrier, start, &a_padded);
-            // …tag B the second, modulating A's backscatter.
-            let mut b_padded = vec![0u8; slot_a.len()];
-            b_padded.extend_from_slice(&b_bits);
-            let after_b = tag.modulate(&after_a, start, &b_padded);
-            let rx = apply_uplink(&mut rng, &after_b, snr, msc_channel::Fading::None);
-            match link.decode(&rx) {
-                Ok(d) => [
-                    a_bits.iter().zip(d.tag.iter()).filter(|(x, y)| x != y).count(),
-                    b_bits
-                        .iter()
-                        .zip(d.tag.iter().skip(slot_b.start))
-                        .filter(|(x, y)| x != y)
-                        .count(),
-                    productive.iter().zip(d.productive.iter()).filter(|(x, y)| x != y).count(),
-                ],
-                Err(_) => [half, half, n_prod],
-            }
+    let snrs = [15.0, 6.0, 0.0];
+    let cells: Vec<_> = snrs
+        .iter()
+        .map(|&snr| {
+            let (link, tag, slot_a, slot_b) = (&link, &tag, &slot_a, &slot_b);
+            CellSpec::each(format!("ext-multitag/{snr}"), n, seed, "802.11b", move |rng, _| {
+                let productive = random_bits(rng, n_prod);
+                let a_bits = random_bits(rng, half);
+                let b_bits = random_bits(rng, half);
+                let carrier = link.make_carrier(&productive);
+                let start = (payload_start_seconds(Protocol::WifiB) * carrier.rate().as_hz())
+                    .round() as usize;
+                // Tag A owns the first slot range…
+                let mut a_padded = a_bits.clone();
+                a_padded.extend(std::iter::repeat_n(0u8, slot_b.len()));
+                let after_a = tag.modulate(&carrier, start, &a_padded);
+                // …tag B the second, modulating A's backscatter.
+                let mut b_padded = vec![0u8; slot_a.len()];
+                b_padded.extend_from_slice(&b_bits);
+                let after_b = tag.modulate(&after_a, start, &b_padded);
+                let rx = apply_uplink(rng, &after_b, snr, msc_channel::Fading::None);
+                // Tag A is the packet's tag stream; tag B's errors ride along.
+                let d = link.decode(&rx).ok();
+                let packet = PacketOutcome {
+                    decoded: d.is_some(),
+                    tag_errors: d.as_ref().map_or(half, |d| mismatches(&a_bits, &d.tag)),
+                    tag_bits: half,
+                    productive_errors: d
+                        .as_ref()
+                        .map_or(n_prod, |d| mismatches(&productive, &d.productive)),
+                    productive_units: n_prod,
+                };
+                let b_got = d.as_ref().map(|d| d.tag.get(slot_b.start..).unwrap_or_default());
+                (packet, b_got.map_or(half, |got| mismatches(&b_bits, got)))
+            })
+        })
+        .collect();
+    for (snr, outs) in snrs.iter().zip(run_cells(&cells)) {
+        let errs = outs.iter().fold([0usize; 3], |[a, b, p], (o, o_b)| {
+            [a + o.tag_errors, b + o_b, p + o.productive_errors]
         });
-        let mut errs = [0usize; 3];
-        for e in &per_packet {
-            for (t, v) in errs.iter_mut().zip(e) {
-                *t += v;
-            }
-        }
-        let bits = [n * half, n * half, n * n_prod];
-        report.row(&[
-            f1(snr),
-            pct(errs[0] as f64 / bits[0] as f64),
-            pct(errs[1] as f64 / bits[1] as f64),
-            pct(errs[2] as f64 / bits[2] as f64),
-        ]);
+        let ber = |k: usize, bits: usize| pct(errs[k] as f64 / (n * bits) as f64);
+        report.row(&[f1(*snr), ber(0, half), ber(1, half), ber(2, n_prod)]);
     }
     report.note("Tag modulations are ±1 phase states and compose multiplicatively, so TDM sequence-slicing needs no new mechanism — only slot assignment. Both tags and the productive stream decode on the same single radio.");
 

@@ -3,36 +3,11 @@
 //! locations; delivery statistics come from the IQ pipeline at a
 //! representative mid-range geometry with fading).
 
-use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, PacketOutcome};
+use crate::pipeline::{run_cells, AnyLink, CellSpec, Delivery, Geometry, Overlay};
 use crate::report::{f1, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::{gamma_for, Mode};
 use msc_phy::protocol::Protocol;
-
-/// Per-cell delivery outcome for (protocol, mode) over `n` placements:
-/// mean fractions for the throughput model plus the raw counts behind
-/// them (for the report's statistics columns).
-struct Delivery {
-    prod_ok: f64,
-    tag_ok: f64,
-    delivered: usize,
-    tag_err: usize,
-    tag_bits: usize,
-}
-
-fn delivery(outs: &[PacketOutcome], n: usize) -> Delivery {
-    let mut d = Delivery { prod_ok: 0.0, tag_ok: 0.0, delivered: 0, tag_err: 0, tag_bits: 0 };
-    for out in outs.iter().filter(|o| o.decoded) {
-        d.delivered += 1;
-        d.tag_err += out.tag_errors;
-        d.tag_bits += out.tag_bits;
-        d.prod_ok += 1.0 - out.productive_errors as f64 / out.productive_units.max(1) as f64;
-        d.tag_ok += 1.0 - out.tag_errors as f64 / out.tag_bits.max(1) as f64;
-    }
-    d.prod_ok /= n as f64;
-    d.tag_ok /= n as f64;
-    d
-}
 
 /// Runs with `n` placements per cell.
 pub fn run(n: usize, seed: u64) -> Report {
@@ -66,21 +41,16 @@ pub fn run(n: usize, seed: u64) -> Report {
     let cells: Vec<CellSpec> = rows
         .iter()
         .zip(&links)
-        .map(|(&(p, _, stage, mode), link)| CellSpec {
-            link,
-            geometry: Geometry::los(6.0), // the paper's spatial-diversity sweep
-            mode: meas_mode(mode),
-            n_productive: 16,
-            n,
-            seed,
-            label: format!("fig12/{}/{stage}", p.label()),
-            stop: None,
+        .map(|(&(p, _, stage, mode), link)| {
+            // The paper's spatial-diversity sweep.
+            let trial = Overlay { mode: meas_mode(mode), ..Overlay::new(link, Geometry::los(6.0)) };
+            CellSpec::new(trial, format!("fig12/{}/{stage}", p.label()), n, seed)
         })
         .collect();
     for ((&(p, label, stage, mode), cell), outs) in rows.iter().zip(&cells).zip(run_cells(&cells)) {
         let profile = ExcitationProfile::paper_default(p);
-        let d = delivery(&outs, n);
-        let g = goodput(&profile, mode, d.prod_ok, d.tag_ok);
+        let d = Delivery::of(&outs);
+        let g = goodput(&profile, mode, d.prod_ok / n as f64, d.tag_ok / n as f64);
         msc_obs::metrics::gauge_set("link.productive_bps", p.label(), stage, g.productive_bps);
         msc_obs::metrics::gauge_set("link.tag_bps", p.label(), stage, g.tag_bps);
         msc_obs::metrics::gauge_set("link.aggregate_bps", p.label(), stage, g.aggregate_bps());

@@ -2,7 +2,9 @@
 //! Paper: maximal ranges 28 m (WiFi b/n), 22 m (ZigBee), 20 m (BLE); low
 //! BERs out to 16 m.
 
-use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, PacketOutcome, StopPolicy};
+use crate::pipeline::{
+    run_cells, AnyLink, CellSpec, Delivery, Geometry, Overlay, PacketOutcome, StopPolicy,
+};
 use crate::report::{f1, pct, Report};
 use crate::throughput::{goodput, ExcitationProfile};
 use msc_core::overlay::Mode;
@@ -19,13 +21,10 @@ pub const DISTANCES: [f64; 8] = [2.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0];
 /// (either lower bound crosses it). Otherwise keep simulating.
 fn verdict_settled(outs: &[PacketOutcome]) -> bool {
     let m = outs.len() as u64;
-    let delivered = outs.iter().filter(|o| o.decoded).count() as u64;
-    let (errs, bits) = outs
-        .iter()
-        .filter(|o| o.decoded)
-        .fold((0u64, 0u64), |a, o| (a.0 + o.tag_errors as u64, a.1 + o.tag_bits as u64));
+    let d = Delivery::of(outs);
+    let delivered = d.delivered as u64;
     let per = Proportion::new(m - delivered, m).wilson(Z99);
-    let ber = Proportion::clustered(errs, bits, delivered).wilson(Z99);
+    let ber = Proportion::clustered(d.tag_err as u64, d.tag_bits as u64, delivered).wilson(Z99);
     let in_range = per.hi < 0.5 && ber.hi < 0.3;
     let out_of_range = per.lo > 0.5 || ber.lo > 0.3;
     in_range || out_of_range
@@ -60,19 +59,12 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
         .iter()
         .zip(&crn_groups)
         .flat_map(|(link, crn_group)| {
-            DISTANCES.map(|d| CellSpec {
-                link,
-                geometry: geometry(d),
-                mode: Mode::Mode1,
-                n_productive: 16,
-                n,
-                seed,
-                label: format!("{stage}/{}/{d}", link.protocol().label()),
-                stop: Some(StopPolicy {
-                    floor: floor.min(n),
-                    crn_group: Some(crn_group),
-                    decide: &verdict_settled,
-                }),
+            DISTANCES.map(|d| {
+                let trial =
+                    Overlay { crn_group: Some(crn_group), ..Overlay::new(link, geometry(d)) };
+                let label = format!("{stage}/{}/{d}", link.protocol().label());
+                let stop = Some(StopPolicy { floor: floor.min(n), decide: &verdict_settled });
+                CellSpec { stop, ..CellSpec::new(trial, label, n, seed) }
             })
         })
         .collect();
@@ -83,29 +75,19 @@ pub fn run_deployment(n: usize, seed: u64, nlos: bool) -> Report {
         let mut counter = msc_rx::BerCounter::new();
         for d in DISTANCES {
             let (cell, outs) = runs.next().expect("one outcome list per cell");
-            let geo = cell.geometry;
-            let mut delivered = 0usize;
-            let mut tag_err = 0usize;
-            let mut tag_bits = 0usize;
-            let mut prod_ok_acc = 0.0;
-            let m = outs.len();
+            let geo = cell.trial.geometry;
             for out in &outs {
-                if out.decoded {
-                    delivered += 1;
-                    tag_err += out.tag_errors;
-                    tag_bits += out.tag_bits;
-                    prod_ok_acc +=
-                        1.0 - out.productive_errors as f64 / out.productive_units.max(1) as f64;
-                    counter.record_counts(out.tag_bits, out.tag_errors);
-                } else {
-                    counter.record_lost(out.tag_bits);
+                match out.decoded {
+                    true => counter.record_counts(out.tag_bits, out.tag_errors),
+                    false => counter.record_lost(out.tag_bits),
                 }
             }
+            let m = outs.len();
+            let Delivery { delivered, tag_err, tag_bits, prod_ok, .. } = Delivery::of(&outs);
             let per = 1.0 - delivered as f64 / m as f64;
             let ber = if tag_bits > 0 { tag_err as f64 / tag_bits as f64 } else { 1.0 };
             let tag_ok = (1.0 - per) * (1.0 - ber);
-            let prod_ok = prod_ok_acc / m as f64;
-            let g = goodput(&profile, Mode::Mode1, prod_ok, tag_ok);
+            let g = goodput(&profile, Mode::Mode1, prod_ok / m as f64, tag_ok);
             if per < 0.5 && ber < 0.3 {
                 max_range = d;
             }

@@ -4,16 +4,15 @@
 //! across all schemes — overlay modulation is agnostic to the reference
 //! content's modulation.
 
-use crate::pipeline::{apply_uplink, Geometry};
+use crate::pipeline::{
+    run_cells, tag_ber, tag_packet, tag_totals, AnyLink, CellSpec, Geometry, Impairments,
+};
 use crate::report::{pct, Report};
 use msc_core::overlay::{params_for, Mode, TagOverlayModulator};
-use msc_core::tag::payload_start_seconds;
-use msc_phy::bits::random_bits;
 use msc_phy::protocol::Protocol;
+use msc_phy::wifi_b::DsssRate;
 use msc_phy::wifi_n::Mcs;
-use msc_rx::WifiNOverlayLink;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use msc_rx::{WifiBOverlayLink, WifiNOverlayLink};
 
 /// Runs with `n` packets per scheme.
 pub fn run(n: usize, seed: u64) -> Report {
@@ -25,85 +24,43 @@ pub fn run(n: usize, seed: u64) -> Report {
     );
 
     // 802.11n: the overlay link supports all three constellations.
+    let params = params_for(Protocol::WifiN, Mode::Mode1);
+    let tag = TagOverlayModulator::new(Protocol::WifiN, params);
+    let mut schemes = Vec::new();
     for (label, mcs) in
         [("OFDM-BPSK", Mcs::Mcs0), ("OFDM-QPSK", Mcs::Mcs1), ("OFDM-16QAM", Mcs::Mcs3)]
     {
-        let params = params_for(Protocol::WifiN, Mode::Mode1);
-        let link = WifiNOverlayLink::new(params).with_mcs(mcs);
-        let tag = TagOverlayModulator::new(Protocol::WifiN, params);
-        let cell = msc_par::hash_label(&format!("fig17/{label}"));
-        let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let productive = random_bits(&mut rng, 12);
-            let tag_bits = random_bits(&mut rng, link.tag_capacity(12));
-            let carrier = link.make_carrier(&productive);
-            let start =
-                (payload_start_seconds(Protocol::WifiN) * carrier.rate().as_hz()).round() as usize;
-            let modulated = tag.modulate(&carrier, start, &tag_bits);
-            let snr = geo.uplink_snr_db(Protocol::WifiN);
-            let rx = apply_uplink(&mut rng, &modulated, snr, geo.fading);
-            match link.decode(&rx) {
-                Ok(d) => (
-                    tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(),
-                    tag_bits.len(),
-                ),
-                Err(_) => (tag_bits.len(), tag_bits.len()),
-            }
-        })
-        .into_iter()
-        .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
-        report.keyed_row(
-            format!("fig17/{label}"),
-            &[
-                "802.11n".into(),
-                label.into(),
-                pct(errors as f64 / bits.max(1) as f64),
-                n.to_string(),
-            ],
-        );
-        report.stat_clustered("tag_ber", errors as u64, bits as u64, n as u64);
+        let link = AnyLink::WifiN(WifiNOverlayLink::new(params).with_mcs(mcs));
+        schemes.push((label, link, tag.clone(), 12));
     }
-
     // 802.11b: the overlay link itself supports all reference-symbol
     // rates (DSSS-BPSK/DQPSK/CCK) — single receiver, no oracle.
+    let params = params_for(Protocol::WifiB, Mode::Mode1);
     for (label, rate, sym_s) in [
-        ("DSSS-BPSK (1M)", msc_phy::wifi_b::DsssRate::R1M, 1e-6),
-        ("DSSS-DQPSK (2M)", msc_phy::wifi_b::DsssRate::R2M, 1e-6),
-        ("CCK (5.5M)", msc_phy::wifi_b::DsssRate::R5M5, 8.0 / 11e6),
+        ("DSSS-BPSK (1M)", DsssRate::R1M, 1e-6),
+        ("DSSS-DQPSK (2M)", DsssRate::R2M, 1e-6),
+        ("CCK (5.5M)", DsssRate::R5M5, 8.0 / 11e6),
     ] {
-        let params = params_for(Protocol::WifiB, Mode::Mode1);
-        let link = msc_rx::WifiBOverlayLink::new(params).with_rate(rate);
+        let link = AnyLink::WifiB(WifiBOverlayLink::new(params).with_rate(rate));
         let tag = TagOverlayModulator::new(Protocol::WifiB, params).with_symbol_duration(sym_s);
-        let cell = msc_par::hash_label(&format!("fig17/{label}"));
-        let (errors, bits) = msc_par::par_map_indexed(n, |i| {
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cell, i as u64));
-            let b = rate.bits_per_symbol();
-            let productive = random_bits(&mut rng, 24 * b);
-            let tag_bits = random_bits(&mut rng, link.tag_capacity(productive.len()));
-            let carrier = link.make_carrier(&productive);
-            let start =
-                (payload_start_seconds(Protocol::WifiB) * carrier.rate().as_hz()).round() as usize;
-            let modulated = tag.modulate(&carrier, start, &tag_bits);
-            let snr = geo.uplink_snr_db(Protocol::WifiB);
-            let rx = apply_uplink(&mut rng, &modulated, snr, geo.fading);
-            match link.decode(&rx) {
-                Ok(d) => (
-                    tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| a != b).count(),
-                    tag_bits.len(),
-                ),
-                Err(_) => (tag_bits.len(), tag_bits.len()),
-            }
+        schemes.push((label, link, tag, 24 * rate.bits_per_symbol()));
+    }
+    let cells: Vec<_> = schemes
+        .iter()
+        .map(|(label, link, tag, n_productive)| {
+            let p = link.protocol();
+            let imp = Impairments::snr(geo.uplink_snr_db(p), geo.fading);
+            CellSpec::each(format!("fig17/{label}"), n, seed, p.label(), move |rng, _| {
+                tag_packet(rng, link, tag, *n_productive, imp)
+            })
         })
-        .into_iter()
-        .fold((0usize, 0usize), |(e, b), (de, db)| (e + de, b + db));
+        .collect();
+    for ((label, link, ..), outs) in schemes.iter().zip(run_cells(&cells)) {
+        let (errors, bits) = tag_totals(&outs);
+        let carrier = link.protocol().label().into();
         report.keyed_row(
             format!("fig17/{label}"),
-            &[
-                "802.11b".into(),
-                label.into(),
-                pct(errors as f64 / bits.max(1) as f64),
-                n.to_string(),
-            ],
+            &[carrier, label.to_string(), pct(tag_ber(&outs)), n.to_string()],
         );
         report.stat_clustered("tag_ber", errors as u64, bits as u64, n as u64);
     }

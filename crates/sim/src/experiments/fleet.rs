@@ -27,7 +27,7 @@
 //! renders the same windows as an ASCII carrier-occupancy strip chart.
 
 use crate::memo::{Counters, Memo};
-use crate::pipeline::{run_cells, run_packets, AnyLink, CellSpec, Geometry};
+use crate::pipeline::{run_cells, run_packets, AnyLink, CellSpec, Geometry, Overlay};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
 use msc_core::overlay::{params_for, Mode};
@@ -183,23 +183,21 @@ fn calibrate_in(memo: &LinkMemo, n: usize, seed: u64) -> LinkTable {
         let cells: Vec<CellSpec> = links
             .iter()
             .flat_map(|link| {
-                CAL_DISTANCES.map(|d| CellSpec {
-                    link,
-                    geometry: Geometry::los(d),
-                    mode: Mode::Mode1,
-                    n_productive: 16,
-                    n,
-                    seed,
-                    label: format!("fleet/cal/{}/{d}", link.protocol().label()),
-                    stop: None,
+                CAL_DISTANCES.map(|d| {
+                    let label = format!("fleet/cal/{}/{d}", link.protocol().label());
+                    CellSpec::new(Overlay::new(link, Geometry::los(d)), label, n, seed)
                 })
             })
             .collect();
         let mut table = LinkTable::new();
         for (cell, outs) in cells.iter().zip(run_cells(&cells)) {
-            let p = cell.link.protocol();
+            let p = cell.trial.link.protocol();
             let lost = outs.iter().filter(|o| !o.decoded).count();
-            table.insert(p, cell.geometry.uplink_snr_db(p), lost as f64 / outs.len().max(1) as f64);
+            table.insert(
+                p,
+                cell.trial.geometry.uplink_snr_db(p),
+                lost as f64 / outs.len().max(1) as f64,
+            );
         }
         table
     })

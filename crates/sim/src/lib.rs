@@ -28,6 +28,6 @@ pub mod tracecache;
 pub use msc_fleet::traffic;
 
 pub use pipeline::{
-    AnyLink, CellExcitation, CellSpec, Geometry, PacketOutcome, StopPolicy, TrialBatch,
+    AnyLink, CellExcitation, CellSpec, Geometry, Overlay, PacketOutcome, StopPolicy, TrialBatch,
 };
 pub use report::Report;

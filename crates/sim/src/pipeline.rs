@@ -9,13 +9,16 @@ use msc_core::tag::payload_start_seconds;
 use msc_core::TagOverlayModulator;
 use msc_dsp::units::db_to_lin;
 use msc_dsp::IqBuf;
+use msc_obs::flight;
 use msc_obs::metrics::{self, buckets};
+use msc_phy::bits::random_bits;
 use msc_phy::protocol::Protocol;
 use msc_rx::{
     BleOverlayLink, OverlayDecoded, WifiBOverlayLink, WifiNOverlayLink, ZigBeeOverlayLink,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Excitation transmit power, dBm. All excitations run at 30 dBm EIRP:
 /// the paper amplifies its carriers (§2.2.1 states 30 dBm explicitly for
@@ -154,19 +157,13 @@ impl Impairments {
     }
 }
 
-/// Applies the uplink channel: unit-power normalization, fading gain,
-/// then AWGN at the target SNR.
+/// Applies the uplink channel to a copy of `wave`: unit-power
+/// normalization, fading gain, then AWGN at the target SNR, inside a
+/// `channel` profiler frame (a frame only, no metric).
 pub fn apply_uplink<R: Rng>(rng: &mut R, wave: &IqBuf, snr_db: f64, fading: Fading) -> IqBuf {
-    apply_uplink_impaired(rng, wave, Impairments::snr(snr_db, fading))
-}
-
-/// [`Impairments::apply`] on a copy of `wave`, inside a `channel`
-/// profiler frame that names the runners' own trial loops' channel
-/// time (a frame only, no metric).
-pub fn apply_uplink_impaired<R: Rng>(rng: &mut R, wave: &IqBuf, imp: Impairments) -> IqBuf {
     let _frame = msc_obs::profile::scope("channel");
     let mut out = wave.clone();
-    imp.apply(rng, &mut out);
+    Impairments::snr(snr_db, fading).apply(rng, &mut out);
     out
 }
 
@@ -256,20 +253,20 @@ impl AnyLink {
             AnyLink::ZigBee(l) => l.decode(rx),
         }
     }
+}
 
-    /// The overlay parameters.
-    pub fn params(&self) -> msc_core::OverlayParams {
-        match self {
-            AnyLink::WifiB(l) => l.params(),
-            AnyLink::WifiN(l) => l.params(),
-            AnyLink::Ble(l) => l.params(),
-            AnyLink::ZigBee(l) => l.params(),
-        }
-    }
+/// What one trial hands the engine besides its value: the verdict and
+/// scores of its flight record. `Default` is the stand-in for trials a
+/// replay skips; it never reaches a report a caller keeps.
+pub trait Outcome: Send + Default {
+    /// `"ok"`, or the failure reason the flight recorder dumps under.
+    fn verdict(&self) -> &'static str;
+    /// The named scores a replay must reproduce, in order.
+    fn scores(&self) -> Vec<(&'static str, f64)>;
 }
 
 /// Outcome of one end-to-end packet.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PacketOutcome {
     /// Whether the receiver decoded the frame at all.
     pub decoded: bool,
@@ -297,6 +294,147 @@ impl PacketOutcome {
     }
 }
 
+impl Outcome for PacketOutcome {
+    fn verdict(&self) -> &'static str {
+        if self.decoded {
+            "ok"
+        } else {
+            "decode_fail"
+        }
+    }
+
+    fn scores(&self) -> Vec<(&'static str, f64)> {
+        vec![
+            ("tag_errors", self.tag_errors as f64),
+            ("tag_bits", self.tag_bits as f64),
+            ("productive_errors", self.productive_errors as f64),
+            ("productive_units", self.productive_units as f64),
+            ("tag_ber", self.tag_ber()),
+        ]
+    }
+}
+
+/// A packet plus a runner's own tally of it (what the packet's fields
+/// cannot hold); the packet names the verdict and scores.
+impl<X: Send + Default> Outcome for (PacketOutcome, X) {
+    fn verdict(&self) -> &'static str {
+        self.0.verdict()
+    }
+
+    fn scores(&self) -> Vec<(&'static str, f64)> {
+        self.0.scores()
+    }
+}
+
+/// Summed `(tag_errors, tag_bits)` over outcomes, decoded or not.
+pub(crate) fn tag_totals(outs: &[PacketOutcome]) -> (usize, usize) {
+    outs.iter().fold((0, 0), |(e, b), o| (e + o.tag_errors, b + o.tag_bits))
+}
+
+/// Tag BER over outcomes, decoded or not ([`tag_totals`]).
+pub(crate) fn tag_ber(outs: &[PacketOutcome]) -> f64 {
+    let (errors, bits) = tag_totals(outs);
+    errors as f64 / bits.max(1) as f64
+}
+
+/// A cell's decoded packets, totalled in trial order.
+#[derive(Default)]
+pub(crate) struct Delivery {
+    /// Packets decoded.
+    pub(crate) delivered: usize,
+    /// Their tag-bit errors.
+    pub(crate) tag_err: usize,
+    /// Their tag bits.
+    pub(crate) tag_bits: usize,
+    /// Summed fraction of each one's productive units received intact.
+    pub(crate) prod_ok: f64,
+    /// Summed fraction of each one's tag bits received intact.
+    pub(crate) tag_ok: f64,
+}
+
+impl Delivery {
+    /// Totals `outs`.
+    pub(crate) fn of(outs: &[PacketOutcome]) -> Self {
+        let mut d = Delivery::default();
+        for o in outs.iter().filter(|o| o.decoded) {
+            d.delivered += 1;
+            d.tag_err += o.tag_errors;
+            d.tag_bits += o.tag_bits;
+            d.prod_ok += 1.0 - o.productive_errors as f64 / o.productive_units.max(1) as f64;
+            d.tag_ok += 1.0 - o.tag_errors as f64 / o.tag_bits.max(1) as f64;
+        }
+        d
+    }
+}
+
+/// One overlay packet of `n_productive` units and a full load of tag
+/// bits (drawn from `rng` in that order), modulated by `tag`, pushed in
+/// place through `imp` and decoded. Only tag bits are scored, position
+/// by position (`!=`); an undecoded packet errs on every one.
+pub(crate) fn tag_packet<R: Rng>(
+    rng: &mut R,
+    link: &AnyLink,
+    tag: &TagOverlayModulator,
+    n_productive: usize,
+    imp: Impairments,
+) -> PacketOutcome {
+    let (_, carrier) = link.make_carrier(rng, n_productive);
+    let tag_bits = random_bits(rng, link.tag_capacity(n_productive));
+    let start = (payload_start_seconds(link.protocol()) * carrier.rate().as_hz()).round() as usize;
+    let mut rx = tag.modulate(&carrier, start, &tag_bits);
+    {
+        let _frame = msc_obs::profile::scope("channel");
+        imp.apply(rng, &mut rx);
+    }
+    let decoded = link.decode(&rx, n_productive).ok();
+    let tag_errors = decoded.as_ref().map_or(tag_bits.len(), |d| mismatches(&tag_bits, &d.tag));
+    let tag_bits = tag_bits.len();
+    PacketOutcome { decoded: decoded.is_some(), tag_errors, tag_bits, ..PacketOutcome::default() }
+}
+
+/// One identification trial of a waveform the runner built itself (a
+/// collision): the blind matcher's decision and the protocol a correct
+/// decision names.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Identified {
+    /// The matcher's decision.
+    pub(crate) id: Option<Protocol>,
+    /// The protocol it should name.
+    pub(crate) truth: Option<Protocol>,
+}
+
+impl Outcome for Identified {
+    fn verdict(&self) -> &'static str {
+        if self.id == self.truth {
+            "ok"
+        } else {
+            "id_miss"
+        }
+    }
+
+    fn scores(&self) -> Vec<(&'static str, f64)> {
+        vec![("identified", self.id.map_or(-1.0, |p| p.index() as f64))]
+    }
+}
+
+/// Bit errors of `got` against `sent`: differing low bits plus every
+/// sent bit `got` is missing.
+pub(crate) fn bit_errors(sent: &[u8], got: &[u8]) -> usize {
+    sent.iter().zip(got).filter(|(a, b)| (*a ^ *b) & 1 == 1).count()
+        + sent.len().saturating_sub(got.len())
+}
+
+/// Positions where `got` differs from `sent`, over their common length.
+pub(crate) fn mismatches(sent: &[u8], got: &[u8]) -> usize {
+    sent.iter().zip(got).filter(|(a, b)| a != b).count()
+}
+
+/// Unit (bit or symbol) errors of `got` against `sent`: mismatches plus
+/// every sent unit `got` is missing.
+pub(crate) fn unit_errors(sent: &[u8], got: &[u8]) -> usize {
+    mismatches(sent, got) + sent.len().saturating_sub(got.len())
+}
+
 /// Runs one overlay packet end to end through a geometry.
 pub fn run_packet<R: Rng>(
     rng: &mut R,
@@ -309,8 +447,7 @@ pub fn run_packet<R: Rng>(
     let label = p.label();
     let (productive, carrier) =
         metrics::time_stage(label, "carrier", || link.make_carrier(rng, n_productive));
-    let cap = link.tag_capacity(n_productive);
-    let tag_bits: Vec<u8> = (0..cap).map(|_| rng.gen_range(0..=1)).collect();
+    let tag_bits = random_bits(rng, link.tag_capacity(n_productive));
 
     // Tag side: modulation (identification is exercised separately; at
     // 0.8 m incident power identification succeeds essentially always —
@@ -342,32 +479,16 @@ fn score_decode(
     tag_bits: &[u8],
     productive: &[u8],
 ) -> PacketOutcome {
-    match result {
-        Ok(d) => {
-            let tag_errors =
-                tag_bits.iter().zip(d.tag.iter()).filter(|(a, b)| (*a ^ *b) & 1 == 1).count()
-                    + tag_bits.len().saturating_sub(d.tag.len());
-            let productive_errors =
-                productive.iter().zip(d.productive.iter()).filter(|(a, b)| a != b).count()
-                    + productive.len().saturating_sub(d.productive.len());
-            PacketOutcome {
-                decoded: true,
-                tag_errors,
-                tag_bits: tag_bits.len(),
-                productive_errors,
-                productive_units: productive.len(),
-            }
-        }
-        Err(_) => {
-            metrics::counter_add("pipe.decode_fail", label, "", 1);
-            PacketOutcome {
-                decoded: false,
-                tag_errors: tag_bits.len(),
-                tag_bits: tag_bits.len(),
-                productive_errors: productive.len(),
-                productive_units: productive.len(),
-            }
-        }
+    let d = result.ok();
+    if d.is_none() {
+        metrics::counter_add("pipe.decode_fail", label, "", 1);
+    }
+    PacketOutcome {
+        decoded: d.is_some(),
+        tag_errors: d.as_ref().map_or(tag_bits.len(), |d| bit_errors(tag_bits, &d.tag)),
+        tag_bits: tag_bits.len(),
+        productive_errors: d.map_or(productive.len(), |d| unit_errors(productive, &d.productive)),
+        productive_units: productive.len(),
     }
 }
 
@@ -378,11 +499,6 @@ thread_local! {
     /// allocations (asserted by `alloc_guard`).
     static BATCH_POOL: std::cell::RefCell<TrialBatch> = std::cell::RefCell::new(TrialBatch::default());
 }
-
-/// Trials per [`TrialBatch`] chunk. Lanes are independent, so every
-/// width gives identical outcomes; the width only sets how a cell's
-/// trials are chunked across the pool.
-const BATCH_WIDTH: usize = 8;
 
 /// Sync-window radius (samples) handed to demodulators via
 /// [`msc_phy::fastsync`] on the batched path: the engine's trial
@@ -429,23 +545,178 @@ impl CellExcitation {
     }
 }
 
+/// The engine's view of one running cell: what a trial needs to seed
+/// its RNG and to file its flight record.
+pub struct TrialCell<'s> {
+    label: &'s str,
+    ordinal: u64,
+    seed: u64,
+    cellh: u64,
+    protocol: &'static str,
+    /// The experiment id, read once per cell while the recorder is armed.
+    experiment: String,
+}
+
+impl<'s> TrialCell<'s> {
+    /// Cell `label` of `protocol` (`""` for none) with flight ordinal
+    /// `ordinal` ([`msc_obs::flight::reserve_cells`]) under base seed
+    /// `seed`.
+    pub fn new(label: &'s str, protocol: &'static str, ordinal: u64, seed: u64) -> Self {
+        let experiment =
+            if flight::armed() { metrics::current_experiment() } else { String::new() };
+        let cellh = msc_par::hash_label(label);
+        TrialCell { label, ordinal, seed, cellh, protocol, experiment }
+    }
+
+    /// Trial `i`'s RNG, seeded by `derive_seed(seed, hash_label(label), i)`.
+    pub fn rng(&self, i: u64) -> StdRng {
+        StdRng::seed_from_u64(msc_par::derive_seed(self.seed, self.cellh, i))
+    }
+
+    /// Runs trial `i`'s `body` as one flight record: while the recorder
+    /// is armed, the record opens before `body` (so its stage timings
+    /// land in it) and closes with the outcome's scores and verdict.
+    pub fn record<O: Outcome>(&self, i: u64, body: impl FnOnce() -> O) -> O {
+        let armed = flight::armed();
+        if armed {
+            let (cell, seed, proto) = (self.label, self.seed, self.protocol);
+            let derived = msc_par::derive_seed(seed, self.cellh, i);
+            flight::begin_trial(&self.experiment, cell, self.ordinal, i, seed, derived, proto);
+        }
+        let outcome = body();
+        if armed {
+            for (name, value) in outcome.scores() {
+                flight::note_score(name, value);
+            }
+            flight::end_trial(outcome.verdict());
+        }
+        outcome
+    }
+}
+
+/// A cell's Monte-Carlo trial as a value [`run_cells`] runs. The engine
+/// owns everything around the trial: cell ordinals, replay skipping,
+/// the wave plan, fan-out, events and progress; a trial only prepares
+/// its cell and runs a chunk of trial indices, each through
+/// [`TrialCell::record`].
+pub trait Trial: Sync {
+    /// What one trial yields.
+    type Outcome: Outcome;
+    /// Per-cell state built once, before the cell's trials run.
+    type Prepared: Sync;
+    /// Trials per pool item when a cell fans its trials out.
+    const WIDTH: usize;
+    /// Whether [`run_cells`] runs the cells one after another, each
+    /// fanning its trials out, instead of fanning the cells out: a
+    /// runner's few cells of uneven cost would leave the pool waiting on
+    /// the slowest.
+    const CELLS_IN_TURN: bool;
+    /// Protocol label for events and flight records (`""` for none).
+    fn protocol(&self) -> &'static str;
+    /// Builds the cell's shared state.
+    fn prepare(&self, cell: &TrialCell) -> Self::Prepared;
+    /// The outcomes of trials `ids`, in order.
+    fn run(&self, prep: &Self::Prepared, cell: &TrialCell, ids: Range<u64>) -> Vec<Self::Outcome>;
+}
+
+/// The batched [`Trial`]: overlay packets of one link through one
+/// geometry, run in [`TrialBatch`] chunks on the cell's
+/// [`CellExcitation`].
+pub struct Overlay<'a> {
+    /// The protocol's overlay link.
+    pub link: &'a AnyLink,
+    /// The deployment the packets cross.
+    pub geometry: Geometry,
+    /// Overlay mode.
+    pub mode: Mode,
+    /// Productive units per carrier.
+    pub n_productive: usize,
+    /// Common-random-number group label: cells passing the same group
+    /// share per-index channel RNG streams, so sweep-axis neighbors
+    /// (Fig. 13's distance grid) see the same channel luck while their
+    /// tag payloads stay cell-specific. Typically the cell label minus
+    /// the sweep axis.
+    pub crn_group: Option<&'a str>,
+}
+
+impl<'a> Overlay<'a> {
+    /// Mode-1 packets of 16 productive units, with no CRN group.
+    pub fn new(link: &'a AnyLink, geometry: Geometry) -> Self {
+        Overlay { link, geometry, mode: Mode::Mode1, n_productive: 16, crn_group: None }
+    }
+}
+
+impl Trial for Overlay<'_> {
+    type Outcome = PacketOutcome;
+    type Prepared = CellExcitation;
+    /// Lanes per [`TrialBatch`]. Lanes are independent, so every width
+    /// gives identical outcomes.
+    const WIDTH: usize = 8;
+    const CELLS_IN_TURN: bool = false;
+
+    fn protocol(&self) -> &'static str {
+        self.link.protocol().label()
+    }
+
+    fn prepare(&self, cell: &TrialCell) -> CellExcitation {
+        CellExcitation::prepare(self.link, self.n_productive, cell.seed, cell.label)
+    }
+
+    fn run(&self, exc: &CellExcitation, cell: &TrialCell, ids: Range<u64>) -> Vec<PacketOutcome> {
+        let (lo, len) = (ids.start, (ids.end - ids.start) as usize);
+        let p = self.link.protocol();
+        let (label, snr) = (p.label(), self.geometry.uplink_snr_db(p));
+        let crn = self.crn_group.map(msc_par::hash_label);
+        let imp = Impairments::snr(snr, self.geometry.fading);
+        let modulator = TagOverlayModulator::new(p, params_for(p, self.mode));
+        BATCH_POOL.with(|tb| {
+            let mut tb = tb.borrow_mut();
+            let materialize = || tb.materialize(&modulator, exc, cell, crn, lo, len);
+            metrics::time_stage(label, "modulate", materialize);
+            metrics::time_stage(label, "channel", || tb.apply_channel(imp));
+            let mut out = Vec::with_capacity(len);
+            tb.decode_into(self.link, exc, snr, cell, &mut out);
+            out
+        })
+    }
+}
+
+/// The per-trial [`Trial`]: trial `i` runs a runner's own body on its
+/// own RNG ([`TrialCell::rng`]), inside a `cell.trial` profiler frame.
+pub struct Each<F> {
+    protocol: &'static str,
+    body: F,
+}
+
+impl<O: Outcome, F: Fn(&mut StdRng, u64) -> O + Sync> Trial for Each<F> {
+    type Outcome = O;
+    type Prepared = ();
+    const WIDTH: usize = 1;
+    const CELLS_IN_TURN: bool = true;
+
+    fn protocol(&self) -> &'static str {
+        self.protocol
+    }
+
+    fn prepare(&self, _: &TrialCell) {}
+
+    fn run(&self, _: &(), cell: &TrialCell, ids: Range<u64>) -> Vec<O> {
+        ids.map(|i| {
+            let _frame = msc_obs::profile::scope("cell.trial");
+            cell.record(i, || (self.body)(&mut cell.rng(i), i))
+        })
+        .collect()
+    }
+}
+
 /// A structure-of-arrays batch of Monte-Carlo trials from one cell:
-/// `count` IQ lanes modulated from the shared cached excitation, each
-/// with its own tag-bit draw and RNG streams.
-///
-/// Per-trial randomness is exact: lane `l` of a batch starting at
-/// trial `start` seeds its RNG with `derive_seed(seed, cell, start + l)`,
-/// so outcomes are a function of `(seed, cell, index)` at any batch
-/// width and thread count.
-///
-/// The channel stream is either the continuation of the lane's tag-bit
-/// stream (tag bits → fading → noise) or, when a common-random-number
-/// group is supplied, a stream derived from the group label instead of
-/// the cell label — sweep-axis neighbors (e.g. the distance grid of
-/// Fig. 13) then share channel realizations per trial index, which
-/// cancels channel luck out of adjacent-cell comparisons while tag
-/// payloads stay cell-specific. A default batch is empty; its buffers
-/// grow on first use and are reused after.
+/// `count` IQ lanes modulated from the shared excitation, lane `l` of a
+/// batch starting at trial `start` on trial `start + l`'s own RNG
+/// ([`TrialCell::rng`]), so outcomes are a function of
+/// `(seed, cell, index)` at any batch width and thread count. The
+/// channel draws continue the lane's tag-bit stream, or come from the
+/// CRN group's stream for the same index ([`Overlay::crn_group`]). A
+/// default batch is empty; its buffers grow on first use.
 #[derive(Default)]
 pub struct TrialBatch {
     lanes: Vec<IqBuf>,
@@ -453,8 +724,6 @@ pub struct TrialBatch {
     tag_bits: Vec<u8>,
     cap: usize,
     count: usize,
-    seed: u64,
-    cellh: u64,
     start: u64,
 }
 
@@ -468,20 +737,18 @@ impl TrialBatch {
     /// RNG init, tag-bit draws, and overlay modulation of the shared
     /// excitation into the pooled lane buffers. Allocation-free once
     /// the pool has warmed up to this batch width and waveform length.
-    #[allow(clippy::too_many_arguments)]
     pub fn materialize(
         &mut self,
         modulator: &TagOverlayModulator,
         exc: &CellExcitation,
-        seed: u64,
-        cellh: u64,
+        cell: &TrialCell,
         crn_hash: Option<u64>,
         start: u64,
         count: usize,
     ) {
         self.cap = exc.tag_capacity;
         self.count = count;
-        (self.seed, self.cellh, self.start) = (seed, cellh, start);
+        self.start = start;
         self.tag_bits.clear();
         self.ch_rngs.clear();
         while self.lanes.len() < count {
@@ -489,13 +756,10 @@ impl TrialBatch {
         }
         for l in 0..count {
             let i = start + l as u64;
-            let mut rng = StdRng::seed_from_u64(msc_par::derive_seed(seed, cellh, i));
-            for _ in 0..self.cap {
-                let bit: u8 = rng.gen_range(0..=1);
-                self.tag_bits.push(bit);
-            }
+            let mut rng = cell.rng(i);
+            self.tag_bits.extend((0..self.cap).map(|_| rng.gen_range(0..=1u8)));
             let ch = match crn_hash {
-                Some(h) => StdRng::seed_from_u64(msc_par::derive_seed(seed, h, i)),
+                Some(h) => StdRng::seed_from_u64(msc_par::derive_seed(cell.seed, h, i)),
                 None => rng,
             };
             self.ch_rngs.push(ch);
@@ -514,79 +778,48 @@ impl TrialBatch {
     }
 
     /// Decodes and scores every lane (under the engine's sync-window
-    /// hint), appending outcomes to `out` in trial order.
-    ///
-    /// With the flight recorder armed, each lane is one trial record
-    /// under `cell`, a `(label, flight ordinal)` pair: its index and
-    /// derived seed, its `decode` stage timing, the five outcome scores
-    /// and an `ok` / `decode_fail` verdict. `modulate` and `channel` run
-    /// once per batch, so no trial record carries them.
+    /// hint), appending outcomes to `out` in trial order. Each lane is
+    /// one [`TrialCell::record`]: its `decode` stage timing, the five
+    /// outcome scores and an `ok` / `decode_fail` verdict. `modulate`
+    /// and `channel` run once per batch, so no trial record carries
+    /// them.
     pub fn decode_into(
         &self,
         link: &AnyLink,
         exc: &CellExcitation,
         snr_db: f64,
-        cell: (&str, u64),
+        cell: &TrialCell,
         out: &mut Vec<PacketOutcome>,
     ) {
         let label = link.protocol().label();
-        let flight = msc_obs::flight::armed();
-        let experiment = if flight { metrics::current_experiment() } else { String::new() };
         for l in 0..self.count {
-            if flight {
-                let i = self.start + l as u64;
-                let derived = msc_par::derive_seed(self.seed, self.cellh, i);
-                let (cell, ordinal) = cell;
-                msc_obs::flight::begin_trial(
-                    &experiment,
-                    cell,
-                    ordinal,
-                    i,
-                    self.seed,
-                    derived,
-                    label,
-                );
-            }
-            metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
-            metrics::counter_add("pipe.packets", label, "", 1);
-            let result = metrics::time_stage(label, "decode", || {
-                msc_phy::fastsync::with_window(FAST_SYNC_RADIUS, || {
-                    link.decode(&self.lanes[l], exc.productive.len())
-                })
-            });
-            let bits = &self.tag_bits[l * self.cap..(l + 1) * self.cap];
-            let outcome = score_decode(label, result, bits, &exc.productive);
-            metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
-            msc_obs::note!("pipe.packet protocol={label} snr_db={snr_db:.1}");
-            if flight {
-                let f = msc_obs::flight::note_score;
-                f("tag_errors", outcome.tag_errors as f64);
-                f("tag_bits", outcome.tag_bits as f64);
-                f("productive_errors", outcome.productive_errors as f64);
-                f("productive_units", outcome.productive_units as f64);
-                f("tag_ber", outcome.tag_ber());
-                msc_obs::flight::end_trial(if outcome.decoded { "ok" } else { "decode_fail" });
-            }
-            out.push(outcome);
+            out.push(cell.record(self.start + l as u64, || {
+                metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
+                metrics::counter_add("pipe.packets", label, "", 1);
+                let result = metrics::time_stage(label, "decode", || {
+                    msc_phy::fastsync::with_window(FAST_SYNC_RADIUS, || {
+                        link.decode(&self.lanes[l], exc.productive.len())
+                    })
+                });
+                let bits = &self.tag_bits[l * self.cap..(l + 1) * self.cap];
+                let outcome = score_decode(label, result, bits, &exc.productive);
+                metrics::hist_observe("pipe.tag_ber", label, "", outcome.tag_ber(), buckets::BER);
+                msc_obs::note!("pipe.packet protocol={label} snr_db={snr_db:.1}");
+                outcome
+            }));
         }
     }
 }
 
-/// Adaptive early-stopping policy for a [`CellSpec`] (or
-/// [`run_packets_stopping`]).
-#[derive(Clone, Copy)]
-pub struct StopPolicy<'a> {
+/// Adaptive early-stopping policy for a [`CellSpec`].
+pub struct StopPolicy<'a, O = PacketOutcome> {
     /// Minimum trials before the first stop check (the experiment's
     /// `min_n` from the registry).
     pub floor: usize,
-    /// Common-random-number group label: cells passing the same group
-    /// share per-index channel RNG streams. Typically the cell label
-    /// minus the sweep axis.
-    pub crn_group: Option<&'a str>,
     /// Returns `true` when the outcomes so far decide the cell's
     /// verdict beyond doubt (both directions must be covered — e.g.
     /// "confidently in range or confidently out").
-    pub decide: &'a (dyn Fn(&[PacketOutcome]) -> bool + Sync),
+    pub decide: &'a (dyn Fn(&[O]) -> bool + Sync),
 }
 
 /// Trial-count checkpoints for the early-stopping wave schedule: start
@@ -606,17 +839,11 @@ fn checkpoints(n: usize, floor: usize) -> Vec<usize> {
     plan
 }
 
-/// One experiment cell for [`run_cells`]: `n` Monte-Carlo packets of
-/// `link` through `geometry`, seeded by `(seed, label, index)`.
-pub struct CellSpec<'a> {
-    /// The protocol's overlay link.
-    pub link: &'a AnyLink,
-    /// The deployment the packets cross.
-    pub geometry: Geometry,
-    /// Overlay mode.
-    pub mode: Mode,
-    /// Productive units per carrier.
-    pub n_productive: usize,
+/// One experiment cell for [`run_cells`]: `n` Monte-Carlo trials of
+/// `trial`, seeded by `(seed, label, index)`.
+pub struct CellSpec<'a, T: Trial = Overlay<'a>> {
+    /// What each trial runs.
+    pub trial: T,
     /// Trials requested.
     pub n: usize,
     /// The run's base seed.
@@ -625,33 +852,49 @@ pub struct CellSpec<'a> {
     /// cells that share a numeric seed.
     pub label: String,
     /// Adaptive early stopping, if the runner has a verdict to settle.
-    pub stop: Option<StopPolicy<'a>>,
+    pub stop: Option<StopPolicy<'a, T::Outcome>>,
 }
 
-/// Runs every cell and returns each cell's outcomes, in cell order.
+impl<'a, T: Trial> CellSpec<'a, T> {
+    /// A cell of `n` trials with a fixed budget.
+    pub fn new(trial: T, label: String, n: usize, seed: u64) -> Self {
+        CellSpec { trial, n, seed, label, stop: None }
+    }
+}
+
+impl<O: Outcome, F: Fn(&mut StdRng, u64) -> O + Sync> CellSpec<'_, Each<F>> {
+    /// A cell of `n` runs of `body(rng, i)`, one per trial index, with
+    /// a fixed budget. `protocol` labels its events and flight records.
+    pub fn each(label: String, n: usize, seed: u64, protocol: &'static str, body: F) -> Self {
+        CellSpec::new(Each { protocol, body }, label, n, seed)
+    }
+}
+
+/// Runs every cell and returns each cell's outcomes, in cell order. This
+/// is the one Monte-Carlo loop.
 ///
-/// The cells fan out across the `msc-par` pool, one cell per item. Each
-/// cell prepares its excitation once
-/// ([`CellExcitation`]: the productive payload comes
-/// from the cell's own RNG stream `(seed, cell, u64::MAX)` and the
-/// carrier is shared read-only across trials), then runs its trials in
-/// [`TrialBatch`] chunks along its wave plan. A cell's batches are pool
-/// calls too; inside a fanned-out cell they run inline on its worker
-/// (`msc-par` rule 3), while a lone cell fans its batches out. Every
-/// trial draws its tag bits and channel realization from its own RNG
-/// seeded by `(seed, cell, index)`, so the outcomes — and every
-/// downstream table — are bit-identical at any thread count, including
-/// 1.
+/// The cells fan out across the `msc-par` pool, one cell per item, or
+/// run one after another ([`Trial::CELLS_IN_TURN`]). Each cell prepares
+/// once ([`Trial::prepare`]), then runs its trials in chunks of
+/// [`Trial::WIDTH`] along its wave plan. A cell's chunks are pool calls
+/// too; inside a fanned-out cell they run inline on its worker
+/// (`msc-par` rule 3), while a lone cell fans its chunks out.
+/// Every trial draws from its own RNG seeded by `(seed, cell, index)`,
+/// so the outcomes — and every downstream table — are bit-identical at
+/// any thread count, including 1.
 ///
 /// Each cell buffers its `cell_start` / `early_stop` / `cell_done`
 /// events, and this call emits the buffers in cell order after the
 /// fan-out, so the event stream is thread-count invariant too. Flight
 /// cell ordinals are reserved here, in cell order, for the same reason.
-pub fn run_cells(cells: &[CellSpec]) -> Vec<Vec<PacketOutcome>> {
-    let first = msc_obs::flight::reserve_cells(cells.len() as u64);
-    let runs = msc_par::par_map_indexed(cells.len(), |k| {
-        run_cell(&cells[k], first + k as u64, BATCH_WIDTH)
-    });
+pub fn run_cells<T: Trial>(cells: &[CellSpec<T>]) -> Vec<Vec<T::Outcome>> {
+    let first = flight::reserve_cells(cells.len() as u64);
+    let run = |k: usize| run_cell(&cells[k], first + k as u64, T::WIDTH);
+    let runs = if T::CELLS_IN_TURN {
+        (0..cells.len()).map(run).collect()
+    } else {
+        msc_par::par_map_indexed(cells.len(), run)
+    };
     runs.into_iter()
         .map(|(outs, events)| {
             for (kind, det) in events {
@@ -674,163 +917,74 @@ pub fn run_packets(
     seed: u64,
     cell: &str,
 ) -> Vec<PacketOutcome> {
-    let label = cell.to_string();
-    let spec =
-        CellSpec { link, geometry: *geometry, mode, n_productive, n, seed, label, stop: None };
-    run_cells(&[spec]).remove(0)
-}
-
-/// [`run_packets`] with adaptive early stopping: trials run in waves
-/// along the [`checkpoints`] schedule and the cell halts — never below
-/// `policy.floor`, and only when [`crate::engine::early_stop`] is on —
-/// once `policy.decide` reports the verdict settled. Trials that do
-/// run are bit-identical to a full run's prefix, so stopping changes
-/// only how many trials a cell consumes, not what any trial computes.
-#[allow(clippy::too_many_arguments)]
-pub fn run_packets_stopping(
-    link: &AnyLink,
-    geometry: &Geometry,
-    mode: Mode,
-    n_productive: usize,
-    n: usize,
-    seed: u64,
-    cell: &str,
-    policy: &StopPolicy,
-) -> Vec<PacketOutcome> {
-    let label = cell.to_string();
-    let spec = CellSpec {
-        link,
-        geometry: *geometry,
-        mode,
-        n_productive,
-        n,
-        seed,
-        label,
-        stop: Some(*policy),
-    };
-    run_cells(&[spec]).remove(0)
+    let trial = Overlay { mode, n_productive, ..Overlay::new(link, *geometry) };
+    run_cells(&[CellSpec::new(trial, cell.to_string(), n, seed)]).remove(0)
 }
 
 /// A cell's buffered events: `(kind, deterministic fields)` in emission
 /// order.
 type CellEvents = Vec<(&'static str, String)>;
 
-/// Runs one cell (flight ordinal `ordinal`) in batches of `width`
+/// Runs one cell (flight ordinal `ordinal`) in chunks of `width`
 /// trials, returning its outcomes and its buffered events.
-fn run_cell(spec: &CellSpec, ordinal: u64, width: usize) -> (Vec<PacketOutcome>, CellEvents) {
-    let CellSpec { link, geometry, mode, n_productive, n, seed, .. } = *spec;
-    let cell = spec.label.as_str();
-    let policy = spec.stop.as_ref();
-    // Replay fast path: when a flight-recorder replay targets one
-    // specific trial, every other cell (and every other index) is
-    // skipped outright — per-trial seed derivation means the target
-    // trial doesn't depend on them. The placeholders only feed a
-    // report the replay machinery discards.
-    let target_index = match msc_obs::flight::replay_target() {
-        Some((target_cell, _)) if target_cell != cell => {
-            return (vec![placeholder_outcome(); n], Vec::new())
-        }
-        target => target.map(|(_, i)| i),
+fn run_cell<T: Trial>(
+    spec: &CellSpec<T>,
+    ordinal: u64,
+    width: usize,
+) -> (Vec<T::Outcome>, CellEvents) {
+    let CellSpec { trial, n, seed, .. } = spec;
+    let (n, cell) = (*n, spec.label.as_str());
+    let tc = TrialCell::new(cell, trial.protocol(), ordinal, *seed);
+    // Appends trials `start..start + count`, run in pooled chunks.
+    let run = |prep: &T::Prepared, start: u64, count: usize, outs: &mut Vec<T::Outcome>| {
+        let chunks = msc_par::par_map_indexed(count.div_ceil(width), |b| {
+            let lo = start + (b * width) as u64;
+            trial.run(prep, &tc, lo..lo + width.min(count - b * width) as u64)
+        });
+        outs.extend(chunks.into_iter().flatten());
     };
+    // Replay fast path: when a flight-recorder replay targets one
+    // trial, only that trial runs — per-trial seed derivation means it
+    // depends on no other — and the flight recorder captures it. The
+    // placeholders only feed a report the replay machinery discards.
+    if let Some((target_cell, ti)) = flight::replay_target() {
+        if target_cell == cell {
+            run(&trial.prepare(&tc), ti, 1, &mut Vec::new());
+        }
+        return ((0..n).map(|_| T::Outcome::default()).collect(), Vec::new());
+    }
 
     let events_on = msc_obs::events::enabled();
     let mut events = CellEvents::new();
     let mut event = |kind: &'static str, trials: Option<usize>| {
         if events_on {
-            let cell = msc_obs::export::json_escape(cell);
+            let (cell, proto) = (msc_obs::export::json_escape(cell), trial.protocol());
             let det = match trials {
-                None => format!(
-                    "\"cell\":\"{cell}\",\"proto\":\"{}\",\"requested\":{n}",
-                    link.protocol().label()
-                ),
+                None => format!("\"cell\":\"{cell}\",\"proto\":\"{proto}\",\"requested\":{n}"),
                 Some(t) => format!("\"cell\":\"{cell}\",\"trials\":{t},\"requested\":{n}"),
             };
             events.push((kind, det));
         }
     };
     event("cell_start", None);
-
-    let exc = {
+    let prep = {
         let _prep = msc_obs::profile::scope("cell.prepare");
-        CellExcitation::prepare(link, n_productive, seed, cell)
+        trial.prepare(&tc)
     };
-    let label = link.protocol().label();
-    let cellh = msc_par::hash_label(cell);
-    let crn_hash = policy.and_then(|p| p.crn_group).map(msc_par::hash_label);
-    let snr = geometry.uplink_snr_db(link.protocol());
-
-    // Appends trials `start..start + count`, run in pooled batches.
-    let run = |start: u64, count: usize, outs: &mut Vec<PacketOutcome>| {
-        let chunks = msc_par::par_map_indexed(count.div_ceil(width), |b| {
-            let lo = start + (b * width) as u64;
-            let len = width.min(count - b * width);
-            BATCH_POOL.with(|tb| {
-                let mut tb = tb.borrow_mut();
-                let modulator =
-                    TagOverlayModulator::new(link.protocol(), params_for(link.protocol(), mode));
-                metrics::time_stage(label, "modulate", || {
-                    tb.materialize(&modulator, &exc, seed, cellh, crn_hash, lo, len)
-                });
-                metrics::time_stage(label, "channel", || {
-                    tb.apply_channel(Impairments::snr(snr, geometry.fading))
-                });
-                let mut wave = Vec::with_capacity(len);
-                tb.decode_into(link, &exc, snr, (cell, ordinal), &mut wave);
-                wave
-            })
-        });
-        for c in chunks {
-            outs.extend(c);
-        }
-    };
-
-    let mut outs: Vec<PacketOutcome> = Vec::with_capacity(n);
-    if let Some(ti) = target_index {
-        // A replay runs the target trial alone, as a one-lane batch
-        // under the cell's own CRN group and without a stopping plan.
-        let mut one = Vec::with_capacity(1);
-        run(ti, 1, &mut one);
-        outs.resize(n, placeholder_outcome());
-        if let (Some(slot), Some(o)) = (outs.get_mut(ti as usize), one.pop()) {
-            *slot = o;
-        }
-    } else {
-        let stopping = policy.filter(|_| crate::engine::early_stop());
-        let plan = match stopping {
-            Some(p) => checkpoints(n, p.floor),
-            None => vec![n],
-        };
-        for &target in &plan {
-            let count = target - outs.len();
-            if count == 0 {
-                continue;
-            }
-            run(outs.len() as u64, count, &mut outs);
-            if let Some(p) = stopping {
-                if outs.len() < n && (p.decide)(&outs) {
-                    event("early_stop", Some(outs.len()));
-                    break;
-                }
-            }
+    let stopping = spec.stop.as_ref().filter(|_| crate::engine::early_stop());
+    let plan = stopping.map_or_else(|| vec![n], |p| checkpoints(n, p.floor));
+    let mut outs: Vec<T::Outcome> = Vec::with_capacity(n);
+    for target in plan {
+        run(&prep, outs.len() as u64, target - outs.len(), &mut outs);
+        if stopping.is_some_and(|p| outs.len() < n && (p.decide)(&outs)) {
+            event("early_stop", Some(outs.len()));
+            break;
         }
     }
     msc_obs::progress::add_cell();
     msc_obs::progress::add_trials(outs.len() as u64);
     event("cell_done", Some(outs.len()));
     (outs, events)
-}
-
-/// The stand-in outcome for trials a replay run skips. Never reaches a
-/// report a caller keeps: replay discards the experiment's report and
-/// reads only the captured target trial.
-fn placeholder_outcome() -> PacketOutcome {
-    PacketOutcome {
-        decoded: true,
-        tag_errors: 0,
-        tag_bits: 0,
-        productive_errors: 0,
-        productive_units: 0,
-    }
 }
 
 #[cfg(test)]
@@ -909,16 +1063,15 @@ mod tests {
         let runs: Vec<Vec<PacketOutcome>> = [1usize, 2, 4, 8]
             .iter()
             .map(|&w| {
-                let spec = CellSpec {
+                let trial = Overlay {
                     link: &link,
                     geometry: geo,
                     mode: Mode::Mode1,
                     n_productive: 16,
-                    n: 11,
-                    seed: 7,
-                    label: "test/batch-width".to_string(),
-                    stop: None,
+                    crn_group: None,
                 };
+                let label = "test/batch-width".to_string();
+                let spec = CellSpec { trial, n: 11, seed: 7, label, stop: None };
                 run_cell(&spec, 0, w).0
             })
             .collect();
@@ -945,7 +1098,7 @@ mod tests {
 
     #[test]
     fn one_lane_uplink_matches_trial_batch_lane_bitwise() {
-        // The runners' one-trial uplink and the engine's batch lanes run
+        // The per-trial runners' uplink and the engine's batch lanes run
         // one channel: with equal RNG seeds they must agree bit for bit
         // and leave each RNG at the same position.
         let wave = IqBuf::new(
@@ -967,7 +1120,14 @@ mod tests {
                 tb.apply_channel(imp);
                 for (l, (lane, batch_rng)) in tb.lanes.iter().zip(&mut tb.ch_rngs).enumerate() {
                     let mut rng = seed(l as u64);
-                    let one = apply_uplink_impaired(&mut rng, &wave, imp);
+                    // abl-cfo applies its offset in place; the rest copy.
+                    let one = if cfo == 0.0 {
+                        apply_uplink(&mut rng, &wave, 3.0, fading)
+                    } else {
+                        let mut one = wave.clone();
+                        imp.apply(&mut rng, &mut one);
+                        one
+                    };
                     let bits = |b: &IqBuf| -> Vec<(u64, u64)> {
                         b.samples().iter().map(|s| (s.re.to_bits(), s.im.to_bits())).collect()
                     };

@@ -106,7 +106,7 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
         bundle.check_index(exp.effective_n(bundle.n)).map_err(|e| e.to_string())?;
     }
 
-    flight::arm(FlightConfig { ring: 0, max_dumps: 0, ..FlightConfig::default() });
+    flight::arm(FlightConfig { ring: 0, max_dumps: 0 });
     flight::set_replay_target(bundle.cell.clone(), bundle.index);
     msc_obs::metrics::set_experiment(exp.id);
     let _report = (exp.run)(bundle.n, bundle.seed);

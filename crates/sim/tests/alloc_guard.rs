@@ -11,7 +11,7 @@
 use msc_core::overlay::{params_for, Mode};
 use msc_core::TagOverlayModulator;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, TrialBatch};
+use msc_sim::pipeline::{run_packet, AnyLink, Geometry, Impairments, TrialBatch, TrialCell};
 use msc_sim::CellExcitation;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,15 +69,15 @@ fn steady_state_packet_allocates_far_less_than_cold() {
     let cell = "alloc-guard/cell";
     let exc = CellExcitation::prepare(&link, 16, 42, cell);
     let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
-    let cellh = msc_par::hash_label(cell);
     let snr = geo.uplink_snr_db(p);
     let mut tb = TrialBatch::default();
     let mut outs = Vec::with_capacity(8);
+    let trial_cell = TrialCell::new(cell, p.label(), 0, 42);
     let mut packet = |i: u64| {
-        tb.materialize(&modulator, &exc, 42, cellh, None, i, 1);
+        tb.materialize(&modulator, &exc, &trial_cell, None, i, 1);
         tb.apply_channel(Impairments::snr(snr, geo.fading));
         outs.clear();
-        tb.decode_into(&link, &exc, snr, (cell, 0), &mut outs);
+        tb.decode_into(&link, &exc, snr, &trial_cell, &mut outs);
         outs[0].decoded
     };
 
@@ -174,19 +174,19 @@ fn batched_materialize_and_channel_are_allocation_free_when_warm() {
     let geo = Geometry::los(4.0);
     let exc = CellExcitation::prepare(&link, 16, 42, "alloc-guard/batch");
     let modulator = TagOverlayModulator::new(p, params_for(p, Mode::Mode1));
-    let cellh = msc_par::hash_label("alloc-guard/batch");
+    let trial_cell = TrialCell::new("alloc-guard/batch", p.label(), 0, 42);
     let crn = Some(msc_par::hash_label("alloc-guard/crn"));
     let snr = geo.uplink_snr_db(p);
     let batch = 8usize;
 
     let mut tb = TrialBatch::default();
     for wave in 0..2u64 {
-        tb.materialize(&modulator, &exc, 42, cellh, crn, wave * batch as u64, batch);
+        tb.materialize(&modulator, &exc, &trial_cell, crn, wave * batch as u64, batch);
         tb.apply_channel(Impairments::snr(snr, geo.fading));
     }
     let (steady, _) = count_allocs(|| {
         for wave in 2..4u64 {
-            tb.materialize(&modulator, &exc, 42, cellh, crn, wave * batch as u64, batch);
+            tb.materialize(&modulator, &exc, &trial_cell, crn, wave * batch as u64, batch);
             tb.apply_channel(Impairments::snr(snr, geo.fading));
         }
         tb.count()
@@ -195,7 +195,7 @@ fn batched_materialize_and_channel_are_allocation_free_when_warm() {
 
     // A shorter final batch must keep reusing the same pool.
     let (short, _) = count_allocs(|| {
-        tb.materialize(&modulator, &exc, 42, cellh, crn, 4 * batch as u64, 3);
+        tb.materialize(&modulator, &exc, &trial_cell, crn, 4 * batch as u64, 3);
         tb.apply_channel(Impairments::snr(snr, geo.fading));
     });
     assert_eq!(short, 0, "tail batch allocated {short} times");

@@ -9,7 +9,9 @@
 use msc_core::overlay::Mode;
 use msc_obs::stats::{Proportion, Z99};
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packets_stopping, AnyLink, Geometry, PacketOutcome, StopPolicy};
+use msc_sim::pipeline::{
+    run_cells, AnyLink, CellSpec, Geometry, Overlay, PacketOutcome, StopPolicy,
+};
 
 /// The deployment verdict on a set of outcomes (fig13's in-range rule).
 fn verdict(outs: &[PacketOutcome]) -> bool {
@@ -56,14 +58,24 @@ fn stopped_cells_are_full_run_prefixes_with_matching_verdicts() {
                 for &d in distances {
                     let geo = if nlos { Geometry::nlos(d) } else { Geometry::los(d) };
                     let cell = format!("{stage}/{}/{d}", p.label());
-                    let policy =
-                        StopPolicy { floor: 6, crn_group: Some(&crn_group), decide: &settled };
+                    let spec = CellSpec {
+                        trial: Overlay {
+                            link: &link,
+                            geometry: geo,
+                            mode: Mode::Mode1,
+                            n_productive: 16,
+                            crn_group: Some(&crn_group),
+                        },
+                        n,
+                        seed,
+                        label: cell.clone(),
+                        stop: Some(StopPolicy { floor: 6, decide: &settled }),
+                    };
+                    let spec = std::slice::from_ref(&spec);
                     msc_sim::engine::set_early_stop(true);
-                    let es =
-                        run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
+                    let es = run_cells(spec).remove(0);
                     msc_sim::engine::set_early_stop(false);
-                    let full =
-                        run_packets_stopping(&link, &geo, Mode::Mode1, 16, n, seed, &cell, &policy);
+                    let full = run_cells(spec).remove(0);
                     msc_sim::engine::set_early_stop(true);
 
                     assert_eq!(full.len(), n, "{cell}: full run must use all trials");

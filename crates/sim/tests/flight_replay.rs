@@ -196,3 +196,71 @@ fn tampered_derived_seed_is_reported_as_mismatch() {
     assert!(!result.matches, "a wrong derived seed must not reproduce");
     assert!(result.diffs[0].starts_with("derived_seed: bundle 1 vs"), "{:?}", result.diffs);
 }
+
+/// Runs registry runner `id` at `(n, seed)` with the recorder armed
+/// and returns its dumps.
+fn record_runner(id: &str, n: usize, seed: u64) -> Vec<flight::Dump> {
+    let exp = msc_sim::experiments::find(id).expect("registered runner");
+    flight::arm(FlightConfig::default());
+    msc_obs::metrics::set_experiment(exp.id);
+    let _ = (exp.run)(n, seed);
+    let dumps = flight::take_dumps();
+    flight::disarm();
+    dumps
+}
+
+#[test]
+fn each_runner_keeps_its_own_failures_at_1_and_8_threads() {
+    // One armed run of fig8 then fig14. fig8's misidentifications alone
+    // exceed the cap, so a single run-wide cap would keep none of
+    // fig14's decode failures; the per-(experiment, reason) cap keeps
+    // both kinds, in run order, whatever the thread count.
+    let _guard = flight::tests_serial();
+    let kept = |threads: usize| {
+        msc_par::set_threads(threads);
+        flight::arm(FlightConfig::default());
+        msc_obs::metrics::set_experiment("fig8");
+        let _ = msc_sim::experiments::fig08::run(12, 7);
+        msc_obs::metrics::set_experiment("fig14");
+        let _ = msc_sim::experiments::fig14::run(2, 7);
+        let dumps = flight::take_dumps();
+        flight::disarm();
+        dumps.into_iter().map(|d| (d.record.cell, d.record.index, d.reason)).collect::<Vec<_>>()
+    };
+    let one = kept(1);
+    let count = |reason: &str| one.iter().filter(|(_, _, r)| r == reason).count();
+    let cap = FlightConfig::default().max_dumps;
+    assert_eq!(count("id_miss"), cap, "fig8 must fill its own cap");
+    assert!(count("decode_fail") > 0, "fig14's decode failures must be kept too");
+    assert_eq!(one, kept(8), "kept (cell, index, reason) at 1 vs 8 threads");
+    msc_par::set_threads(0);
+}
+
+#[test]
+fn per_trial_runner_failures_replay_at_1_and_8_threads() {
+    // Each failure occurs on its own at its (n, seed): a ZigBee packet
+    // lost at −2 dB with γ = 2, an 802.11n QPSK packet lost at 8 m, a
+    // FreeRider pair whose original frame died behind the concrete
+    // wall, and a collided BLE packet the filterless tag names 802.11n.
+    let _guard = flight::tests_serial();
+    for (id, n, seed, cell, reason) in [
+        ("abl-gamma", 8, 1, "abl-gamma/2/-2", "decode_fail"),
+        ("fig17", 8, 10, "fig17/OFDM-QPSK", "decode_fail"),
+        ("fig9", 6, 42, "fig9/FreeRider/concrete wall", "decode_fail"),
+        ("ext-filter", 10, 42, "ext-filter/filterless (paper)", "id_miss"),
+    ] {
+        msc_par::set_threads(2);
+        let dumps = record_runner(id, n, seed);
+        let dump = dumps.iter().find(|d| d.record.cell == cell);
+        let dump = dump.unwrap_or_else(|| panic!("{id}({n}, {seed}): no failure in {cell}"));
+        assert_eq!(dump.reason, reason, "{id}");
+        let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, n)).expect("bundle parses");
+        for threads in [1, 8] {
+            msc_par::set_threads(threads);
+            let result = msc_sim::replay::replay(&bundle)
+                .unwrap_or_else(|e| panic!("{id} replay at {threads} threads: {e}"));
+            assert!(result.matches, "{id} at {threads} threads diverged: {:?}", result.diffs);
+        }
+    }
+    msc_par::set_threads(0);
+}

@@ -155,6 +155,7 @@ fn removed_flags_and_verbs_are_rejected() {
         &["fig13", "2", "7", "--trace"][..],
         &["fig13", "2", "7", "--no-wave-cache"],
         &["fig13", "2", "7", "--no-trace-cache"],
+        &["fig13", "2", "7", "--flight-slow-us", "100"],
         &["fleet-replay", "incident.json"],
     ] {
         let out = paper(args, &[]);

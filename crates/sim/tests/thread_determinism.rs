@@ -162,7 +162,7 @@ fn fig13_event_stream_identical_at_1_4_8_threads() {
 }
 
 #[test]
-fn legacy_engine_flags_are_thread_count_invariant() {
+fn no_early_stop_is_thread_count_invariant() {
     // `--no-early-stop` is the one engine flag left: every cell runs its
     // fixed budget on the batched lanes. It must stay byte-identical at
     // 1/4/8 threads like every other configuration.
