@@ -105,8 +105,8 @@ pub struct FleetConfig {
     pub energy: Option<EnergyModel>,
     /// Readings a busy tag may buffer before dropping new ones.
     pub queue_cap: usize,
-    /// Record every Nth single-tag attempt as an [`AttemptSample`] for
-    /// `--fleet-phy` validation; `0` disables sampling.
+    /// Record every Nth single-tag attempt as an [`AttemptSample`];
+    /// `0` disables sampling (the `paper` runners never sample).
     pub sample_every: usize,
     /// Base seed; everything else derives from it.
     pub seed: u64,

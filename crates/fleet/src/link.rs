@@ -6,9 +6,7 @@
 //! packet-second. Instead the `fleet` runner *calibrates* a [`LinkTable`]
 //! once — a handful of full-pipeline Monte-Carlo cells per protocol at
 //! representative SNRs — and the engine thereafter draws Bernoulli
-//! outcomes against the interpolated curve. The `--fleet-phy` escape
-//! hatch re-runs a sampled subset of contested slots through the real
-//! pipeline to check the abstraction stays honest.
+//! outcomes against the interpolated curve.
 
 use msc_phy::protocol::Protocol;
 

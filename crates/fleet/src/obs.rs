@@ -293,8 +293,7 @@ impl WindowAgg {
 /// subsequence).
 #[derive(Clone, Debug)]
 pub struct Incident {
-    /// `"tag_starved"` or `"collision_burst"` (the runner adds
-    /// `"phy_divergent"`).
+    /// `"tag_starved"` or `"collision_burst"`.
     pub reason: String,
     /// The starving tag, `None` for carrier/window-level incidents.
     pub tag: Option<u32>,

@@ -1,14 +1,12 @@
-//! Flight recorder: bounded ring of recent per-trial context with
-//! replayable failure bundles.
+//! Flight recorder: replayable failure bundles from per-trial context.
 //!
 //! When armed ([`arm`]), the simulation layer feeds the recorder one
 //! [`TrialRecord`] per Monte-Carlo trial — the experiment cell, the
 //! base and derived RNG seeds, per-stage timings, and the matcher /
-//! decode scores that produced the verdict. Records land in a bounded
-//! ring (recent history for postmortems); trials whose verdict is not
-//! `"ok"` are additionally captured as *dumps* — each convertible to a
-//! replayable JSON bundle ([`bundle_to_json`]) that `paper replay`
-//! feeds back through [`parse_bundle`].
+//! decode scores that produced the verdict. Trials whose verdict is not
+//! `"ok"` are captured as *dumps* — each convertible to a replayable
+//! JSON bundle ([`bundle_to_json`]) that `paper replay` feeds back
+//! through [`parse_bundle`].
 //!
 //! Replay leans entirely on the workspace's seed-derivation contract:
 //! a trial is fully determined by `(experiment, n, seed, cell, index)`
@@ -24,7 +22,6 @@
 
 use crate::export::{int_field, json_escape, parse_json, Json};
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -37,9 +34,6 @@ static NOTING: AtomicBool = AtomicBool::new(false);
 /// Recorder knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct FlightConfig {
-    /// Ring capacity: how many recent trials to keep (0 disables the
-    /// ring but keeps failure dumps).
-    pub ring: usize,
     /// Cap on retained dumps per `(experiment, reason)`; excess
     /// failures only bump the suppressed counter so pathological cells
     /// can't flood the disk, and one runner's failures can't crowd out
@@ -51,7 +45,7 @@ pub struct FlightConfig {
 
 impl Default for FlightConfig {
     fn default() -> Self {
-        FlightConfig { ring: 256, max_dumps: 32 }
+        FlightConfig { max_dumps: 32 }
     }
 }
 
@@ -102,14 +96,11 @@ pub struct FlightStats {
     pub dumps: u64,
     /// Failures beyond `max_dumps` that were counted but not kept.
     pub suppressed: u64,
-    /// Records currently in the ring.
-    pub ring_len: u64,
 }
 
 #[derive(Default)]
 struct State {
     cfg: FlightConfig,
-    ring: VecDeque<TrialRecord>,
     /// Retained dumps with their run-order rank `(cell ordinal, index)`.
     dumps: Vec<((u64, u64), Dump)>,
     suppressed: u64,
@@ -257,8 +248,8 @@ macro_rules! note {
     };
 }
 
-/// Closes the open trial with `verdict`, pushing it through the ring,
-/// the dump trigger, and the replay-capture check.
+/// Closes the open trial with `verdict`, pushing it through the dump
+/// trigger and the replay-capture check.
 pub fn end_trial(verdict: &str) {
     if !armed() {
         return;
@@ -281,9 +272,10 @@ pub fn end_trial(verdict: &str) {
         // takes its place. Either way exactly one failure beyond the
         // cap is suppressed.
         let rank = (ordinal, rec.index);
-        let dump = Dump { reason: rec.verdict.clone(), record: rec.clone() };
+        let dump = Dump { reason: rec.verdict.clone(), record: rec };
         let State { dumps, cfg, suppressed, .. } = &mut *s;
-        let peer = |d: &Dump| d.reason == dump.reason && d.record.experiment == rec.experiment;
+        let peer =
+            |d: &Dump| d.reason == dump.reason && d.record.experiment == dump.record.experiment;
         if dumps.iter().filter(|(_, d)| peer(d)).count() < cfg.max_dumps {
             dumps.push((rank, dump));
         } else {
@@ -293,12 +285,6 @@ pub fn end_trial(verdict: &str) {
                 *slot = (rank, dump);
             }
         }
-    }
-    if s.cfg.ring > 0 {
-        if s.ring.len() == s.cfg.ring {
-            s.ring.pop_front();
-        }
-        s.ring.push_back(rec);
     }
 }
 
@@ -316,12 +302,7 @@ pub fn take_dumps() -> Vec<Dump> {
 /// Recorder totals (exported as gauges at the end of a run).
 pub fn stats() -> FlightStats {
     let s = state().lock().unwrap();
-    FlightStats {
-        trials: s.trials,
-        dumps: s.dumps.len() as u64,
-        suppressed: s.suppressed,
-        ring_len: s.ring.len() as u64,
-    }
+    FlightStats { trials: s.trials, dumps: s.dumps.len() as u64, suppressed: s.suppressed }
 }
 
 /// Marks `(cell, index)` for capture: the matching trial's record is
@@ -530,13 +511,12 @@ mod tests {
     #[test]
     fn failures_dump_and_ring_stays_bounded() {
         let _guard = tests_serial();
-        arm(FlightConfig { ring: 4, ..FlightConfig::default() });
+        arm(FlightConfig::default());
         for i in 0..10 {
             trial("cell/a", i, if i == 7 { "decode_fail" } else { "ok" });
         }
         let stats = stats();
         assert_eq!(stats.trials, 10);
-        assert_eq!(stats.ring_len, 4, "ring must stay bounded");
         let dumps = take_dumps();
         disarm();
         assert_eq!(dumps.len(), 1);
@@ -548,7 +528,7 @@ mod tests {
     #[test]
     fn dump_cap_counts_the_suppressed_failures() {
         let _guard = tests_serial();
-        arm(FlightConfig { max_dumps: 2, ..FlightConfig::default() });
+        arm(FlightConfig { max_dumps: 2 });
         for i in 0..5 {
             trial("cell/fail", i, "decode_fail");
         }
@@ -564,7 +544,7 @@ mod tests {
     #[test]
     fn dump_cap_holds_per_experiment_and_reason() {
         let _guard = tests_serial();
-        arm(FlightConfig { max_dumps: 2, ..FlightConfig::default() });
+        arm(FlightConfig { max_dumps: 2 });
         let first = reserve_cells(3);
         for (experiment, verdict) in
             [("fig7", "id_miss"), ("fig13", "decode_fail"), ("fig13", "id_miss")]
@@ -588,7 +568,7 @@ mod tests {
     #[test]
     fn dump_cap_keeps_the_first_failures_in_run_order() {
         let _guard = tests_serial();
-        arm(FlightConfig { max_dumps: 3, ..FlightConfig::default() });
+        arm(FlightConfig { max_dumps: 3 });
         let first = reserve_cells(2);
         assert_eq!(reserve_cells(1), first + 2, "ordinals are consecutive");
         // Failures finish out of order, as pool workers would finish

@@ -74,9 +74,8 @@
 //!
 //! The event sink or `--metrics-out` also turns on fleet MAC tracing:
 //! `paper fleet` runs under a per-event observer whose anomaly
-//! detectors (tag starved past `MSC_FLEET_STARVE_S` seconds, window
-//! collision rate past `MSC_FLEET_COLLISION_RATE`, `--fleet-phy`
-//! DIVERGENT verdicts) dump replayable incident bundles under
+//! detectors (a tag starved 30 s past its last delivery, a window whose
+//! collision rate reaches 0.5) dump replayable incident bundles under
 //! `<metrics-out>/flight/incident_*.json` for `paper replay`.
 //!
 //! `--metrics-out` additionally archives every report under
@@ -95,8 +94,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: paper <experiment|all> [n] [seed] [--full] [--ci] [--profile] \
          [--threads N] [--no-early-stop] [--metrics-out <dir>] \
-         [--events <path|->] [--no-memo] [--no-progress] \
-         [--fleet-phy]\n       paper list\n       \
+         [--events <path|->] [--no-memo] [--no-progress]\n       \
+         paper list\n       \
          paper replay <bundle.json|incident.json> [--threads N]\n       \
          paper diff <runA> <runB> [--only-moved]\n       \
          paper diff --baseline <metrics-dir> [--only-moved]"
@@ -156,11 +155,6 @@ fn main() {
             // Disable adaptive per-cell early stopping: every cell
             // runs its full trial count.
             "--no-early-stop" => msc_sim::engine::set_early_stop(false),
-            // Validate the fleet link abstraction: replay a sampled
-            // subset of fleet attempts through the full waveform
-            // pipeline (fleet experiments only; changes report notes,
-            // so it feeds the archive config hash).
-            "--fleet-phy" => msc_sim::experiments::fleet::set_phy_check(true),
             "--metrics-out" => {
                 let Some(dir) = it.next() else {
                     eprintln!("--metrics-out needs a directory\n");
@@ -211,9 +205,6 @@ fn main() {
         msc_obs::profile::reset();
         msc_obs::profile::enable();
     }
-    // MAC event tracing rides along whenever something will consume it:
-    // the event sink, or the metrics/flight chain under --metrics-out.
-    msc_sim::experiments::fleet::set_trace(events_path.is_some() || metrics_out.is_some());
     // With `--events -` the stream owns stdout; tables move to stderr.
     let events_stdout = events_path.as_deref() == Some("-");
     let mut manifest = if metrics_out.is_some() {
@@ -330,8 +321,7 @@ fn main() {
             eprintln!("failed to create {}: {e}", dir.display());
             std::process::exit(1);
         }
-        write_flight_bundles(dir, n);
-        write_fleet_incidents(dir);
+        write_bundles(dir, n);
         // Steady-state cache effectiveness: FFT-plan/scratch registry
         // counters, the memos, and the worker pool / flight / progress
         // totals.
@@ -390,10 +380,8 @@ fn main() {
             ("perturb_margin_db", format!("{}", msc_sim::pipeline::perturb_margin_db())),
             // Early stopping changes how many trials a cell uses.
             ("early_stop", msc_sim::engine::early_stop().to_string()),
-            // Fleet knobs: the horizon scales every fleet count and the
-            // phy-check pass appends validation notes.
+            // The fleet horizon scales every fleet count.
             ("fleet_horizon", format!("{}", msc_sim::experiments::fleet::horizon_s())),
-            ("fleet_phy", msc_sim::experiments::fleet::phy_check().to_string()),
         ];
         for (id, json) in &archived {
             let key =
@@ -447,11 +435,26 @@ fn main() {
     }
 }
 
-/// Drains the fleet MAC incidents recorded during traced runs and
-/// writes each as a replayable bundle under `<dir>/flight/`.
-fn write_fleet_incidents(dir: &std::path::Path) {
+/// Drains the flight recorder's dumps (`bundle_<i>_<reason>.json`) and
+/// the fleet MAC incidents (`incident_<slug>.json`) and writes each as a
+/// replayable bundle under `<dir>/flight/`.
+fn write_bundles(dir: &Path, n: usize) {
+    let dumps = msc_obs::flight::take_dumps();
     let incidents = msc_sim::experiments::fleet::take_incidents();
-    if incidents.is_empty() {
+    let mut files: Vec<(String, String)> = dumps
+        .iter()
+        .enumerate()
+        .map(|(i, dump)| {
+            let slug: String = dump
+                .reason
+                .chars()
+                .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
+                .collect();
+            (format!("bundle_{i}_{slug}.json"), msc_obs::flight::bundle_to_json(dump, n))
+        })
+        .collect();
+    files.extend(incidents.into_iter().map(|(slug, json)| (format!("incident_{slug}.json"), json)));
+    if files.is_empty() {
         return;
     }
     let flight_dir = dir.join("flight");
@@ -459,43 +462,18 @@ fn write_fleet_incidents(dir: &std::path::Path) {
         eprintln!("failed to create {}: {e}", flight_dir.display());
         return;
     }
-    for (slug, json) in &incidents {
-        let path = flight_dir.join(format!("incident_{slug}.json"));
+    for (name, json) in &files {
+        let path = flight_dir.join(name);
         std::fs::write(&path, json)
             .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
     }
     eprintln!(
-        "[flight] {} fleet incident(s) written to {} — inspect with `paper replay <bundle>`",
-        incidents.len(),
-        flight_dir.display()
-    );
-}
-
-/// Drains the flight recorder and writes each dump as a replayable
-/// bundle under `<dir>/flight/`.
-fn write_flight_bundles(dir: &std::path::Path, n: usize) {
-    let dumps = msc_obs::flight::take_dumps();
-    let stats = msc_obs::flight::stats();
-    if dumps.is_empty() {
-        return;
-    }
-    let flight_dir = dir.join("flight");
-    if let Err(e) = std::fs::create_dir_all(&flight_dir) {
-        eprintln!("failed to create {}: {e}", flight_dir.display());
-        return;
-    }
-    for (i, dump) in dumps.iter().enumerate() {
-        let slug: String =
-            dump.reason.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '-' }).collect();
-        let path = flight_dir.join(format!("bundle_{i}_{slug}.json"));
-        std::fs::write(&path, msc_obs::flight::bundle_to_json(dump, n))
-            .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
-    }
-    eprintln!(
-        "[flight] {} bundle(s) written to {} ({} suppressed) — inspect with `paper replay <bundle>`",
+        "[flight] {} bundle(s) ({} suppressed) and {} fleet incident(s) written to {} — \
+         inspect with `paper replay <bundle>`",
         dumps.len(),
-        flight_dir.display(),
-        stats.suppressed
+        msc_obs::flight::stats().suppressed,
+        files.len() - dumps.len(),
+        flight_dir.display()
     );
 }
 

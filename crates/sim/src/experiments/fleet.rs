@@ -10,24 +10,21 @@
 //! the full waveform pipeline ([`run_cells`]) at a handful of
 //! distances, then interpolated per packet at fleet scale. The table is
 //! memoized per `(n, seed)` ([`calibrate`]), so the three fleet runners
-//! of one process share a calibration. The
-//! `--fleet-phy` flag additionally replays a sampled subset of the
-//! fleet's single-tag attempts through the full pipeline and classifies
-//! abstraction-vs-pipeline divergence with the same interval-overlap
-//! test `paper diff` uses.
+//! of one process share a calibration.
 //!
-//! When the event sink or `--metrics-out` is active ([`set_trace`]) the
-//! scenarios additionally run under a [`MacTrace`] observer: per-window
-//! `fleet_window` events and summary gauges join the export chain, and
-//! anomaly detectors (tag starved past `MSC_FLEET_STARVE_S`, window
-//! collision rate past `MSC_FLEET_COLLISION_RATE`, `--fleet-phy`
-//! DIVERGENT verdicts) dump replayable incident bundles that
-//! `paper replay` re-runs and verifies bit-for-bit ([`parse_incident`],
-//! [`replay_incident`]). `paper fleet-timeline` ([`run_timeline`])
-//! renders the same windows as an ASCII carrier-occupancy strip chart.
+//! When the event sink is open or the flight recorder is armed
+//! (`--events`, `--metrics-out`) the scenarios additionally run under a
+//! [`MacTrace`] observer: per-window `fleet_window` events and summary
+//! gauges join the export chain, and the [`Detectors::default`]
+//! anomaly detectors (a tag starved 30 s past its last delivery, a
+//! window whose collision rate reaches 0.5 over at least 50 attempts)
+//! dump replayable incident bundles that `paper replay` re-runs and
+//! verifies bit-for-bit ([`parse_incident`], [`replay_incident`]).
+//! `paper fleet-timeline` ([`run_timeline`]) renders the same windows as
+//! an ASCII carrier-occupancy strip chart.
 
 use crate::memo::{Counters, Memo};
-use crate::pipeline::{run_cells, run_packets, AnyLink, CellSpec, Geometry, Overlay};
+use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, Overlay};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
 use msc_core::overlay::{params_for, Mode};
@@ -37,9 +34,7 @@ use msc_fleet::mac::{Backoff, MacPolicy};
 use msc_fleet::obs::{Detectors, MacTrace};
 use msc_fleet::traffic::{Arrivals, Stream};
 use msc_obs::export::{int_field, json_escape, Json};
-use msc_obs::stats::{classify, DiffClass, Proportion, Z99};
 use msc_phy::protocol::Protocol;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{LazyLock, Mutex};
 
 /// Tag deployment band: placements map `u ∈ [0, 1)` onto LoS distances
@@ -54,36 +49,6 @@ const CAL_DISTANCES: [f64; 5] = [2.0, 6.0, 10.0, 14.0, 18.0];
 /// Tag load while operating, watts (Table 3: 279.5 mW).
 const LOAD_W: f64 = 279.5e-3;
 
-/// `--fleet-phy`: when set, `fleet` replays sampled attempts through
-/// the full waveform pipeline to validate the link abstraction.
-static PHY_CHECK: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables the `--fleet-phy` validation pass.
-pub fn set_phy_check(on: bool) {
-    PHY_CHECK.store(on, Ordering::Relaxed);
-}
-
-/// Whether the `--fleet-phy` validation pass is enabled (archive hash).
-pub fn phy_check() -> bool {
-    PHY_CHECK.load(Ordering::Relaxed)
-}
-
-/// MAC event tracing: on when the event sink or `--metrics-out` is
-/// active. Tracing is observational only — the engine result and the
-/// report are byte-identical either way — so, like `--profile`, it
-/// stays outside the archive config hash.
-static TRACE: AtomicBool = AtomicBool::new(false);
-
-/// Enables or disables MAC event tracing for the fleet scenarios.
-pub fn set_trace(on: bool) {
-    TRACE.store(on, Ordering::Relaxed);
-}
-
-/// Whether MAC event tracing is enabled.
-pub fn trace_on() -> bool {
-    TRACE.load(Ordering::Relaxed)
-}
-
 /// Flight-recorder incidents flagged during traced fleet runs:
 /// `(slug, bundle_json)` pairs the `paper` driver writes under
 /// `<metrics-out>/flight/`.
@@ -96,24 +61,6 @@ pub fn take_incidents() -> Vec<(String, String)> {
 
 /// Cap on events embedded per incident bundle.
 const INCIDENT_EVENT_CAP: usize = 512;
-
-/// Detector thresholds, overridable per run: `MSC_FLEET_STARVE_S`
-/// (seconds without a delivery before a tag counts as starved) and
-/// `MSC_FLEET_COLLISION_RATE` (per-window collision fraction).
-fn detectors() -> Detectors {
-    let env = |name: &str, default: f64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v: &f64| v > 0.0)
-            .unwrap_or(default)
-    };
-    Detectors {
-        starve_s: env("MSC_FLEET_STARVE_S", 30.0),
-        collision_rate: env("MSC_FLEET_COLLISION_RATE", 0.5),
-        min_attempts: 50,
-    }
-}
 
 /// Simulated horizon for the `fleet` scenario rows, seconds.
 /// `MSC_FLEET_HORIZON_S=<s>` overrides (read once per process) — tests
@@ -165,42 +112,50 @@ fn new_link_memo() -> LinkMemo {
 /// `fleet-timeline` share one calibration per `(n, seed)`.
 pub(crate) static LINK_TABLES: LazyLock<LinkMemo> = LazyLock::new(new_link_memo);
 
+/// Label prefix of the calibration cells (`fleet/cal/<proto>/<d>`).
+pub(crate) const CAL_CELL_PREFIX: &str = "fleet/cal/";
+
 /// Calibrates the link abstraction: `n` full-pipeline trials per
 /// (protocol, distance) cell, keyed by the cell's uplink SNR. A
 /// calibration is a pure function of `(n, seed)`, so the table is
-/// memoized: the first request in a process measures it (under the
-/// `fleet.calibrate` profiler frame) and later ones share it.
+/// memoized: the first request in a process measures it
+/// (`measure_link_table`) and later ones share it.
 pub fn calibrate(n: usize, seed: u64) -> LinkTable {
     calibrate_in(&LINK_TABLES, n, seed)
 }
 
 fn calibrate_in(memo: &LinkMemo, n: usize, seed: u64) -> LinkTable {
-    memo.get_or_compute((n, seed), "fleet", || {
-        let _frame = msc_obs::profile::scope("fleet.calibrate");
-        let links: Vec<AnyLink> =
-            Protocol::ALL.iter().map(|&p| AnyLink::new(p, Mode::Mode1)).collect();
-        // All 20 (protocol, distance) cells fan out across the pool.
-        let cells: Vec<CellSpec> = links
-            .iter()
-            .flat_map(|link| {
-                CAL_DISTANCES.map(|d| {
-                    let label = format!("fleet/cal/{}/{d}", link.protocol().label());
-                    CellSpec::new(Overlay::new(link, Geometry::los(d)), label, n, seed)
-                })
+    memo.get_or_compute((n, seed), "fleet", || measure_link_table(n, seed))
+}
+
+/// Runs the calibration cells (under the `fleet.calibrate` profiler
+/// frame) and builds their table, bypassing the memo. `paper replay`
+/// re-runs a calibration trial through it, so the placeholder outcomes
+/// of the skipped cells never reach a memoized table.
+pub(crate) fn measure_link_table(n: usize, seed: u64) -> LinkTable {
+    let _frame = msc_obs::profile::scope("fleet.calibrate");
+    let links: Vec<AnyLink> = Protocol::ALL.iter().map(|&p| AnyLink::new(p, Mode::Mode1)).collect();
+    // All 20 (protocol, distance) cells fan out across the pool.
+    let cells: Vec<CellSpec> = links
+        .iter()
+        .flat_map(|link| {
+            CAL_DISTANCES.map(|d| {
+                let label = format!("{CAL_CELL_PREFIX}{}/{d}", link.protocol().label());
+                CellSpec::new(Overlay::new(link, Geometry::los(d)), label, n, seed)
             })
-            .collect();
-        let mut table = LinkTable::new();
-        for (cell, outs) in cells.iter().zip(run_cells(&cells)) {
-            let p = cell.trial.link.protocol();
-            let lost = outs.iter().filter(|o| !o.decoded).count();
-            table.insert(
-                p,
-                cell.trial.geometry.uplink_snr_db(p),
-                lost as f64 / outs.len().max(1) as f64,
-            );
-        }
-        table
-    })
+        })
+        .collect();
+    let mut table = LinkTable::new();
+    for (cell, outs) in cells.iter().zip(run_cells(&cells)) {
+        let p = cell.trial.link.protocol();
+        let lost = outs.iter().filter(|o| !o.decoded).count();
+        table.insert(
+            p,
+            cell.trial.geometry.uplink_snr_db(p),
+            lost as f64 / outs.len().max(1) as f64,
+        );
+    }
+    table
 }
 
 /// The paper-default 500-tag scenario with one policy/energy choice.
@@ -215,7 +170,7 @@ fn paper_cfg(policy: MacPolicy, energy: Option<EnergyModel>, seed: u64) -> Fleet
         backoff: Backoff::default(),
         energy,
         queue_cap: 4,
-        sample_every: if PHY_CHECK.load(Ordering::Relaxed) { 5_000 } else { 0 },
+        sample_every: 0,
         seed,
     }
 }
@@ -427,82 +382,6 @@ fn record_incidents(scenario: &str, cfg: &FleetConfig, cal_n: usize, tr: &MacTra
     }
 }
 
-/// Replays sampled fleet attempts through the full waveform pipeline
-/// and classifies abstraction-vs-pipeline divergence per protocol.
-/// DIVERGENT verdicts on a traced run additionally queue a
-/// `phy_divergent` incident bundle carrying the suspect tag's events.
-fn phy_validation(
-    report: &mut Report,
-    r: &FleetResult,
-    cfg: &FleetConfig,
-    tr: Option<&MacTrace>,
-    n: usize,
-    seed: u64,
-) {
-    report.note("--fleet-phy: replaying sampled attempts through the full waveform pipeline.");
-    for p in Protocol::ALL {
-        // Pool this protocol's sampled attempts around one representative
-        // tag placement (the first sampled tag): the pipeline re-run uses
-        // that tag's exact distance, so both proportions estimate the
-        // same cell.
-        let Some(first) = r.samples.iter().find(|s| s.protocol == p) else {
-            continue;
-        };
-        let pool: Vec<bool> = r
-            .samples
-            .iter()
-            .filter(|s| s.protocol == p && s.tag == first.tag)
-            .map(|s| s.success)
-            .collect();
-        let d = PLACE_MIN_M + PLACE_SPAN_M * first.place_u;
-        let link = AnyLink::new(p, Mode::Mode1);
-        let cell = format!("fleet/phy/{}/{}", p.label(), first.tag);
-        let outs = run_packets(&link, &Geometry::los(d), Mode::Mode1, 16, n, seed, &cell);
-        let pipe_lost = outs.iter().filter(|o| !o.decoded).count() as u64;
-        let abs_lost = pool.iter().filter(|&&ok| !ok).count() as u64;
-        let abs_p = Proportion::new(abs_lost, pool.len() as u64);
-        let pipe_p = Proportion::new(pipe_lost, outs.len() as u64);
-        let verdict = match classify(&abs_p, &pipe_p, Z99) {
-            DiffClass::Significant => "DIVERGENT",
-            _ => "consistent",
-        };
-        if verdict == "DIVERGENT" {
-            if let Some(tr) = tr {
-                let scenario = format!("fleet/paper/{}/mains", cfg.policy.label());
-                let (events, truncated) =
-                    tr.subsequence(Some(first.tag), 0.0, cfg.horizon_s, INCIDENT_EVENT_CAP);
-                let mut q = INCIDENTS.lock().unwrap();
-                let slug = format!("{:02}_phy_divergent", q.len());
-                q.push((
-                    slug,
-                    incident_json(
-                        &scenario,
-                        "phy_divergent",
-                        cfg,
-                        n,
-                        Some(first.tag),
-                        0.0,
-                        cfg.horizon_s,
-                        &events,
-                        truncated,
-                    ),
-                ));
-            }
-        }
-        report.note(format!(
-            "phy-check {} tag {} @ {:.1} m: abstraction PER {}/{} vs pipeline {}/{} → {}",
-            p.label(),
-            first.tag,
-            d,
-            abs_lost,
-            pool.len(),
-            pipe_lost,
-            outs.len(),
-            verdict
-        ));
-    }
-}
-
 /// Runs the `fleet` workload: 500 tags, the paper's four ambient
 /// carriers, three MAC policies × two power models. `n` sets the
 /// calibration trials per (protocol, distance) cell.
@@ -520,33 +399,31 @@ pub fn run(n: usize, seed: u64) -> Report {
         .collect();
     // The scenarios are independent, so they fan out across the pool;
     // everything that emits (rows, gauges, window events, incident
-    // slugs) then runs on this thread in scenario order.
-    let traced = trace_on().then(detectors);
+    // slugs) then runs on this thread in scenario order. MAC tracing is
+    // observational only (the report is byte-identical either way), so
+    // it runs whenever something consumes it: the event sink or the
+    // flight recorder's bundle chain.
+    let traced = msc_obs::events::enabled() || msc_obs::flight::armed();
     let runs = msc_par::par_map(&scenarios, |&(policy, _, energy)| {
         let cfg = paper_cfg(policy, energy, seed);
-        let (r, tr) = match traced {
-            Some(det) => {
-                let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, det);
-                let r = run_with(&cfg, &table, place_snr_db, &mut tr);
-                tr.finish();
-                (r, Some(tr))
-            }
-            None => (msc_fleet::engine::run(&cfg, &table, place_snr_db), None),
+        let (r, tr) = if traced {
+            let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default());
+            let r = run_with(&cfg, &table, place_snr_db, &mut tr);
+            tr.finish();
+            (r, Some(tr))
+        } else {
+            (msc_fleet::engine::run(&cfg, &table, place_snr_db), None)
         };
         (cfg, r, tr)
     });
     let mut total_packets = 0u64;
-    let mut best_mains: Option<(FleetConfig, FleetResult, Option<MacTrace>)> = None;
-    for (&(policy, energy_label, energy), (cfg, r, tr)) in scenarios.iter().zip(runs) {
+    for (&(policy, energy_label, _), (cfg, r, tr)) in scenarios.iter().zip(runs) {
         total_packets += r.carrier_packets;
         push_row(&mut report, policy, energy_label, &cfg.carriers, &r);
         if let Some(tr) = &tr {
             let key = format!("fleet/paper/{}/{}", policy.label(), energy_label);
             export_windows(&key, &cfg.carriers, tr);
             record_incidents(&key, &cfg, n, tr);
-        }
-        if policy == MacPolicy::BestGoodput && energy.is_none() {
-            best_mains = Some((cfg, r, tr));
         }
     }
     report.note(format!(
@@ -557,11 +434,6 @@ pub fn run(n: usize, seed: u64) -> Report {
         "best-goodput rides the paper's excitation-diversity pick per tag and falls back to the \
          next-best carrier on retry; outdoor-harvest follows the §3 BQ25570 charge/run rounds.",
     );
-    if PHY_CHECK.load(Ordering::Relaxed) {
-        if let Some((cfg, r, tr)) = &best_mains {
-            phy_validation(&mut report, r, cfg, tr.as_ref(), n, seed);
-        }
-    }
     report
 }
 
@@ -574,7 +446,7 @@ pub fn run_timeline(n: usize, seed: u64) -> Report {
     let table = calibrate(n, seed);
     let horizon = horizon_s().min(30.0);
     let cfg = FleetConfig { horizon_s: horizon, ..paper_cfg(MacPolicy::BestGoodput, None, seed) };
-    let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, detectors());
+    let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default());
     let r = run_with(&cfg, &table, place_snr_db, &mut tr);
     tr.finish();
     let mut report = Report::new(

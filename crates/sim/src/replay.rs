@@ -15,7 +15,10 @@
 //!   index)` and never from shared state, the captured record must
 //!   reproduce the bundle's derived seed, scores and verdict
 //!   bit-for-bit — at any thread count. The record also carries the
-//!   trial's [`msc_obs::note!`] lines.
+//!   trial's [`msc_obs::note!`] lines. A fleet-calibration trial (cell
+//!   `fleet/cal/…`) re-runs only the calibration, unmemoized
+//!   (`fleet::measure_link_table`): no MAC sweep runs, and no table
+//!   built from placeholders outlives the replay.
 //! * A `fleet_incident` pins one fleet scenario window
 //!   ([`experiments::fleet::parse_incident`]); its replay must
 //!   reproduce the recorded MAC event subsequence bit-for-bit.
@@ -94,9 +97,9 @@ pub fn run(request: &Request) -> Result<ReplayResult, String> {
 
 /// Re-runs the bundle's trial and compares it against the original.
 ///
-/// Arms the flight recorder for the duration (ring off, dumps off —
-/// only the capture target matters) and restores it to disarmed on
-/// return, so callers must not be mid-recording.
+/// Arms the flight recorder for the duration (dumps off — only the
+/// capture target matters) and restores it to disarmed on return, so
+/// callers must not be mid-recording.
 pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
     let exp = experiments::find(&bundle.experiment)
         .ok_or_else(|| format!("unknown experiment {:?} in bundle", bundle.experiment))?;
@@ -106,10 +109,14 @@ pub fn replay(bundle: &Bundle) -> Result<ReplayResult, String> {
         bundle.check_index(exp.effective_n(bundle.n)).map_err(|e| e.to_string())?;
     }
 
-    flight::arm(FlightConfig { ring: 0, max_dumps: 0 });
+    flight::arm(FlightConfig { max_dumps: 0 });
     flight::set_replay_target(bundle.cell.clone(), bundle.index);
     msc_obs::metrics::set_experiment(exp.id);
-    let _report = (exp.run)(bundle.n, bundle.seed);
+    if bundle.cell.starts_with(fleet::CAL_CELL_PREFIX) {
+        fleet::measure_link_table(exp.effective_n(bundle.n), bundle.seed);
+    } else {
+        (exp.run)(bundle.n, bundle.seed);
+    }
     flight::clear_replay_target();
     let captured = flight::take_captured();
     flight::disarm();

@@ -82,18 +82,21 @@ fn event_sink_does_not_change_the_report() {
 
 /// MAC tracing (windows, detectors, incident capture) rides the same
 /// observational contract in process: the `FleetResult` and the
-/// rendered report are identical with the trace on or off.
+/// rendered report are identical with the trace on or off. Arming the
+/// flight recorder turns the trace on.
 #[test]
 fn mac_trace_does_not_change_the_report() {
+    use msc_obs::flight::{self, FlightConfig};
     let _guard = msc_obs::events::tests_serial();
+    let _flight = flight::tests_serial();
     // Process-wide OnceLock: set before the first horizon_s() read.
     std::env::set_var("MSC_FLEET_HORIZON_S", "2.0");
     use msc_sim::experiments::fleet;
-    fleet::set_trace(false);
     let plain = fleet::run(8, 42);
-    fleet::set_trace(true);
+    flight::arm(FlightConfig::default());
     let traced = fleet::run(8, 42);
-    fleet::set_trace(false);
+    flight::disarm();
+    let _ = flight::take_dumps();
     let _ = fleet::take_incidents();
     assert_eq!(plain.render(), traced.render(), "MAC trace must not change the rendered report");
     assert_eq!(plain.to_json(), traced.to_json(), "MAC trace must not change the JSON report");

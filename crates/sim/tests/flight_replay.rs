@@ -74,7 +74,7 @@ fn kept_bundles_do_not_depend_on_the_thread_count() {
     let _guard = flight::tests_serial();
     let kept = |threads: usize, max_dumps: usize| {
         msc_par::set_threads(threads);
-        flight::arm(FlightConfig { max_dumps, ..FlightConfig::default() });
+        flight::arm(FlightConfig { max_dumps });
         msc_obs::metrics::set_experiment("fig14");
         let _ = msc_sim::experiments::fig14::run(2, 7);
         let suppressed = flight::stats().suppressed;
@@ -262,5 +262,56 @@ fn per_trial_runner_failures_replay_at_1_and_8_threads() {
             assert!(result.matches, "{id} at {threads} threads diverged: {:?}", result.diffs);
         }
     }
+    msc_par::set_threads(0);
+}
+
+/// Runs `fleet::run(8, seed)` with the recorder armed and returns the
+/// report and the first fleet-calibration bundle.
+fn record_fleet_calibration(seed: u64) -> (msc_sim::Report, flight::Bundle) {
+    use msc_sim::experiments::fleet;
+    // Process-wide OnceLock: a short horizon keeps the MAC sweeps cheap.
+    std::env::set_var("MSC_FLEET_HORIZON_S", "2.0");
+    flight::arm(FlightConfig::default());
+    msc_obs::metrics::set_experiment("fleet");
+    let report = fleet::run(8, seed);
+    let dumps = flight::take_dumps();
+    flight::disarm();
+    let _ = fleet::take_incidents();
+    let dump = dumps.iter().find(|d| d.record.cell.starts_with("fleet/cal/"));
+    let dump = dump.unwrap_or_else(|| panic!("fleet(8, {seed}) kept no calibration failure"));
+    let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, 8)).expect("bundle parses");
+    (report, bundle)
+}
+
+#[test]
+fn calibration_bundle_replays_after_a_memoized_fleet_run() {
+    // The recording run leaves its link table in the process memo; the
+    // replay must still run the captured calibration trial.
+    let _guard = flight::tests_serial();
+    msc_par::set_threads(2);
+    let (_, bundle) = record_fleet_calibration(42);
+    for threads in [1, 8] {
+        msc_par::set_threads(threads);
+        let result = msc_sim::replay::replay(&bundle)
+            .unwrap_or_else(|e| panic!("replay at {threads} threads: {e}"));
+        assert!(result.matches, "replay at {threads} threads diverged: {:?}", result.diffs);
+    }
+    msc_par::set_threads(0);
+}
+
+#[test]
+fn calibration_replay_leaves_no_table_behind() {
+    // Record with the memos off, so the process holds no table for
+    // (8, 1); then replay, then run fleet again with the memos on. The
+    // replay's placeholder outcomes must not become that run's table.
+    let _guard = flight::tests_serial();
+    msc_par::set_threads(2);
+    msc_sim::memo::set_all_enabled(false);
+    let (fresh, bundle) = record_fleet_calibration(1);
+    msc_sim::memo::set_all_enabled(true);
+    let result = msc_sim::replay::replay(&bundle).expect("replay runs");
+    assert!(result.matches, "{:?}", result.diffs);
+    let after = msc_sim::experiments::fleet::run(8, 1);
+    assert_eq!(fresh.to_json(), after.to_json(), "a replay must not change a later fleet report");
     msc_par::set_threads(0);
 }

@@ -156,6 +156,7 @@ fn removed_flags_and_verbs_are_rejected() {
         &["fig13", "2", "7", "--no-wave-cache"],
         &["fig13", "2", "7", "--no-trace-cache"],
         &["fig13", "2", "7", "--flight-slow-us", "100"],
+        &["fleet", "8", "42", "--fleet-phy"],
         &["fleet-replay", "incident.json"],
     ] {
         let out = paper(args, &[]);
@@ -168,8 +169,8 @@ fn incident_replays_through_paper_replay_and_bad_bundles_exit_2() {
     let dir = std::env::temp_dir().join(format!("msc-incident-replay-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().expect("utf8 temp path");
-    // A 1 s starvation threshold trips the detector in a short run.
-    let env = [("MSC_FLEET_HORIZON_S", "2.0"), ("MSC_FLEET_STARVE_S", "1")];
+    // A 31 s horizon outlasts the 30 s starvation threshold.
+    let env = [("MSC_FLEET_HORIZON_S", "31")];
     let out = paper(&["fleet", "8", "42", "--no-progress", "--metrics-out", dir_s], &env);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let incident = std::fs::read_dir(dir.join("flight"))
