@@ -93,25 +93,30 @@ impl Rectifier {
     }
 
     /// Runs the rectifier over an envelope sequence at `rate`, returning
-    /// the output voltage sequence. `rng` supplies ripple noise.
+    /// the output voltage sequence. `rng` supplies ripple noise: one
+    /// draw per element, in order ([`draw_ripple`]).
     pub fn run<R: Rng>(&self, rng: &mut R, envelope: &[f64], rate: SampleRate) -> Vec<f64> {
+        let mut ripple = vec![0.0; envelope.len()];
+        draw_ripple(rng, &mut ripple);
         let mut out = envelope.to_vec();
-        self.run_in_place(rng, &mut out, rate);
+        self.run_with_ripple(&mut out, &ripple, rate);
         out
     }
 
-    /// [`Rectifier::run`] over a buffer that holds the envelope on entry
-    /// and the output voltages on return. Draws one ripple sample per
-    /// element, in order.
-    pub fn run_in_place<R: Rng>(&self, rng: &mut R, buf: &mut [f64], rate: SampleRate) {
+    /// The rectifier loop on pre-drawn ripple: `ripple[k]`, a uniform in
+    /// `[-0.5, 0.5)` ([`draw_ripple`]), scales sample `k`'s carrier
+    /// ripple. The draws do not depend on the circuit, so one set of
+    /// them serves every rectifier a waveform is run through.
+    pub fn run_with_ripple(&self, buf: &mut [f64], ripple: &[f64], rate: SampleRate) {
+        assert_eq!(buf.len(), ripple.len(), "one ripple draw per sample");
         let dt = rate.period();
         // Per-step smoothing coefficients.
         let a_charge = 1.0 - (-dt / self.tau_charge).exp();
         let a_dis = 1.0 - (-dt / self.tau).exp();
         // Ripple fraction of the output voltage.
-        let ripple = (1.0 / (self.f_carrier * self.tau)).min(0.2);
+        let frac = (1.0 / (self.f_carrier * self.tau)).min(0.2);
         let mut v = 0.0f64;
-        for x in buf {
+        for (x, &u) in buf.iter_mut().zip(ripple) {
             let drive = self.drive(x.max(0.0));
             let target = (drive - self.v_on).max(0.0);
             if target > v {
@@ -119,7 +124,7 @@ impl Rectifier {
             } else {
                 v -= v * a_dis;
             }
-            let noise = v * ripple * rng.gen_range(-0.5..0.5);
+            let noise = v * frac * u;
             *x = (v + noise).max(0.0);
         }
     }
@@ -127,6 +132,16 @@ impl Rectifier {
     /// Maximum steady-state output for a constant input envelope `e`.
     pub fn steady_state(&self, e: f64) -> f64 {
         (self.drive(e) - self.v_on).max(0.0)
+    }
+}
+
+/// Fills `ripple` with the rectifier's ripple uniforms, one
+/// `rng.gen_range(-0.5..0.5)` per element, in order.
+pub fn draw_ripple<R: Rng>(rng: &mut R, ripple: &mut [f64]) {
+    // An index loop into a pre-sized buffer: collecting a `map` over
+    // the draws measured a quarter slower.
+    for u in ripple {
+        *u = rng.gen_range(-0.5..0.5);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Wake-up receiver model — the paper's §2.3 note 1: "Further power
 //! saving can be made by introducing an additional wake-up module,
-//! like [30]" (Roberts et al., ISSCC'16: a 236 nW BLE wake-up receiver
+//! like \[30\]" (Roberts et al., ISSCC'16: a 236 nW BLE wake-up receiver
 //! with −56.5 dBm sensitivity).
 //!
 //! The wake-up stage is always on; the ADC + identification FPGA wake
@@ -13,7 +13,7 @@
 pub struct WakeUpReceiver {
     /// Always-on power draw, watts (Roberts et al.: 236 nW).
     pub standby_w: f64,
-    /// RF level that triggers a wake, dBm (−56.5 dBm in [30]).
+    /// RF level that triggers a wake, dBm (−56.5 dBm in \[30\]).
     pub sensitivity_dbm: f64,
     /// Extra time the chain stays awake after a trigger, seconds
     /// (covers the matching window and turn-on transients).

@@ -190,7 +190,9 @@ fn bench_id_sweep(c: &mut Criterion) {
     use msc_core::search::{collect_scores, default_grid, search_ordered_rule};
     use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
     use msc_dsp::SampleRate;
-    use msc_sim::idtraces::{digitize_traces, generate_analog_at, generate_traces_hard};
+    use msc_sim::idtraces::{
+        digitize_traces, generate_analog_at, generate_traces_hard, trace_sweep,
+    };
     use msc_sim::idtraces::{HARD_INCIDENT_DBM, HARD_MAX_JITTER};
 
     let rate = SampleRate::ADC_HALF;
@@ -200,6 +202,16 @@ fn bench_id_sweep(c: &mut Criterion) {
     group.bench_function("trace_gen", |b| b.iter(|| generate_traces_hard(black_box(&fe), n, 42)));
     let analog_set = || generate_analog_at(&fe, n, 42, HARD_INCIDENT_DBM, HARD_MAX_JITTER);
     group.bench_function("trace_analog", |b| b.iter(|| black_box(analog_set())));
+    // abl-slope's five front ends from one acquisition per trace: the
+    // same 32 traces, each drawn once and shaped five times.
+    let slopes = [0.0, 0.05, 0.1, 0.25, 0.5].map(|fm_slope| FrontEnd { fm_slope, ..fe.clone() });
+    group.bench_function("analog_sweep5", |b| {
+        b.iter(|| {
+            msc_par::par_map_indexed(4 * n, |i| {
+                trace_sweep(black_box(&slopes), n, 42, &HARD_INCIDENT_DBM, HARD_MAX_JITTER, i)
+            })
+        })
+    });
     let analog = analog_set();
     for adc_rate in
         [SampleRate::ADC_FULL, SampleRate::ADC_HALF, SampleRate::ADC_LOW, SampleRate::ADC_FLOOR]

@@ -94,29 +94,67 @@ impl FrontEnd {
     /// waveform to the given incident power, applies the rectifier and
     /// analog noise, and returns the rectifier output at the waveform's
     /// own rate. It reads no [`FrontEnd::adc`] field, so one analog
-    /// trace serves every ADC configuration.
+    /// trace serves every ADC configuration. The one-front-end case of
+    /// [`FrontEnd::analog_sweep`].
     pub fn analog<R: Rng>(&self, rng: &mut R, buf: &IqBuf, incident_dbm: f64) -> Analog {
+        let mut sweep = FrontEnd::analog_sweep(std::slice::from_ref(self), rng, buf, incident_dbm);
+        sweep.pop().expect("one analog trace per front end")
+    }
+
+    /// [`FrontEnd::analog`] through several front ends at once, from one
+    /// set of draws: the `n` ripple uniforms, then (when `noise_v > 0`)
+    /// the `n` noise samples, `n` the waveform's length, exactly as one
+    /// [`FrontEnd::analog`] draws them. Each front end then shapes its
+    /// own envelope with them, so output `k` is bit for bit
+    /// `front_ends[k].analog` on a clone of `rng`, and `rng` ends where
+    /// one such call leaves it. The front ends must share `noise_v`
+    /// (they share the noise draws); any other field may differ.
+    pub fn analog_sweep<R: Rng>(
+        front_ends: &[FrontEnd],
+        rng: &mut R,
+        buf: &IqBuf,
+        incident_dbm: f64,
+    ) -> Vec<Analog> {
+        let noise_v = front_ends.first().expect("at least one front end").noise_v;
+        assert!(
+            front_ends.iter().all(|fe| fe.noise_v.to_bits() == noise_v.to_bits()),
+            "swept front ends must share noise_v"
+        );
+        // Draw: ripple first, then noise, one each per sample.
+        let n = buf.len();
+        let mut ripple = vec![0.0; n];
+        msc_analog::rectifier::draw_ripple(rng, &mut ripple);
+        let mut noise = vec![0.0; if noise_v > 0.0 { n } else { 0 }];
+        let sigma = (noise_v * noise_v / 2.0).sqrt();
+        for g in &mut noise {
+            *g = gaussian_re(rng, sigma);
+        }
+        // Shape: per front end, from the shared draws.
         // Normalize waveform to unit RMS, then scale to incident volts.
         let rms = buf.mean_power().sqrt();
         let peak_v = dbm_to_envelope_volts(incident_dbm);
         let scale = if rms > 1e-20 { peak_v / rms } else { 0.0 };
-        // One buffer from here on: scale, rectify and add noise in place.
-        // Ripple draws all come before noise draws, one per sample each.
+        front_ends.iter().map(|fe| fe.shape(buf, scale, &ripple, &noise)).collect()
+    }
+
+    /// One front end's share of [`FrontEnd::analog_sweep`]: envelope,
+    /// scale, rectifier and analog noise (`noise` empty when
+    /// `noise_v == 0`), in one buffer.
+    fn shape(&self, buf: &IqBuf, scale: f64, ripple: &[f64], noise: &[f64]) -> Analog {
         let mut v = self.rf_envelope(buf);
         for e in &mut v {
             *e *= scale;
         }
-        self.rectifier.run_in_place(rng, &mut v, buf.rate());
+        self.rectifier.run_with_ripple(&mut v, ripple, buf.rate());
         let mut max = 0.0f64;
-        if self.noise_v > 0.0 {
+        if noise.is_empty() {
+            max = v.iter().copied().fold(max, f64::max);
+        } else {
             // Analog noise at the rectifier output.
-            let sigma = (self.noise_v * self.noise_v / 2.0).sqrt();
-            for x in &mut v {
-                *x = (*x + gaussian_re(rng, sigma)).max(0.0);
+            for (x, g) in v.iter_mut().zip(noise) {
+                *x = (*x + g).max(0.0);
                 max = max.max(*x);
             }
-        } else {
-            max = v.iter().copied().fold(max, f64::max);
         }
         Analog { volts: v, rate: buf.rate(), max }
     }

@@ -56,7 +56,7 @@ impl ScoredTrace for (Protocol, Vec<f64>, isize) {
 const SCORE_CHUNK: usize = 16;
 
 /// Collects labeled scores for a batch of acquisitions. Traces are
-/// scored on the msc-par worker pool in [`SCORE_CHUNK`]-sized batches
+/// scored on the msc-par worker pool in batches of `SCORE_CHUNK` (16)
 /// through [`Matcher::score_acquired_many`]; each trace is scored
 /// independently and results keep input order, so the output is
 /// identical at any thread count (and to the trace-at-a-time loop).
@@ -72,57 +72,25 @@ pub fn collect_scores<T: ScoredTrace + Sync>(
 }
 
 /// Prefix of the flight-recorder cell of every identification trial
-/// (`id/<label>`). A trial index there addresses a four-protocol trace
-/// set, not a Monte-Carlo cell of `n` trials.
+/// (`id/<label>`, see [`IdCell`]).
 pub const ID_CELL_PREFIX: &str = "id/";
 
 /// [`collect_scores`] with an explicit batch label and the run's base
-/// seed. When the flight recorder is armed, each trace records one
-/// trial under cell `"id/<label>"` — per-template correlation scores
-/// plus an `"ok"` / `"id_miss"` verdict from blind (argmax) matching
-/// against ground truth — so a miss dumps a bundle `paper replay` can
-/// reproduce. Labels must be unique per batch within a runner (the
-/// replay target is addressed by `(cell, index)`).
+/// seed: the traces are scored through an [`IdCell`] labeled `label`,
+/// so a miss dumps a bundle `paper replay` can reproduce. Labels must be
+/// unique per batch within a runner (the replay target is addressed by
+/// `(cell, index)`).
 pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
     matcher: &Matcher,
     traces: &[T],
     label: &str,
     seed: u64,
 ) -> Vec<LabeledScores> {
+    let cell = IdCell::new(label, seed);
     let out: Vec<Option<LabeledScores>> = if msc_obs::flight::armed() {
         // Per-trace trial records need per-trace scoring; the flight
         // recorder path stays trace-at-a-time.
-        let experiment = msc_obs::metrics::current_experiment();
-        let cell = format!("{ID_CELL_PREFIX}{label}");
-        let cellh = msc_par::hash_label(&cell);
-        let ordinal = msc_obs::flight::reserve_cells(1);
-        msc_par::par_map_indexed(traces.len(), |i| {
-            let _score = msc_obs::profile::scope("id.score");
-            let t = &traces[i];
-            msc_obs::flight::begin_trial(
-                &experiment,
-                &cell,
-                ordinal,
-                i as u64,
-                seed,
-                msc_par::derive_seed(seed, cellh, i as u64),
-                t.truth().label(),
-            );
-            let scored = matcher
-                .score_acquired(t.acquired(), t.jitter())
-                .map(|scores| LabeledScores { truth: t.truth(), scores });
-            match &scored {
-                Some(ls) => {
-                    for p in Protocol::ALL {
-                        msc_obs::flight::note_score(p.label(), ls.scores.get(p));
-                    }
-                    let verdict = if ls.scores.argmax() == t.truth() { "ok" } else { "id_miss" };
-                    msc_obs::flight::end_trial(verdict);
-                }
-                None => msc_obs::flight::end_trial("score_fail"),
-            }
-            scored
-        })
+        msc_par::par_map_indexed(traces.len(), |i| cell.score(matcher, i, &traces[i]))
     } else {
         let n_chunks = traces.len().div_ceil(SCORE_CHUNK);
         let chunks: Vec<Vec<Option<LabeledScores>>> = msc_par::par_map_indexed(n_chunks, |c| {
@@ -143,9 +111,82 @@ pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
         });
         chunks.into_iter().flatten().collect()
     };
-    msc_obs::progress::add_cell();
-    msc_obs::progress::add_trials(traces.len() as u64);
-    out.into_iter().flatten().collect()
+    cell.finish(out)
+}
+
+/// One identification batch, flight-recorder cell `"id/<label>"`: its
+/// trace index addresses a four-protocol trace set, not a Monte-Carlo
+/// cell of `n` trials. [`IdCell::score`] scores one trace; while the
+/// recorder is armed it records the trace as one trial — per-template
+/// correlation scores plus an `"ok"` / `"id_miss"` verdict from blind
+/// (argmax) matching against ground truth.
+pub struct IdCell {
+    experiment: String,
+    cell: String,
+    cell_hash: u64,
+    ordinal: u64,
+    seed: u64,
+}
+
+impl IdCell {
+    /// The cell of batch `label` under the run's base `seed`. While the
+    /// recorder is armed this reserves the cell's ordinal, so build
+    /// cells on the caller's thread in the order their batches run.
+    pub fn new(label: &str, seed: u64) -> IdCell {
+        let cell = format!("{ID_CELL_PREFIX}{label}");
+        IdCell {
+            experiment: msc_obs::metrics::current_experiment(),
+            cell_hash: msc_par::hash_label(&cell),
+            cell,
+            ordinal: msc_obs::flight::reserve_cells(1),
+            seed,
+        }
+    }
+
+    /// Scores trace `index` of the batch with `matcher`, as one flight
+    /// trial when the recorder is armed.
+    pub fn score<T: ScoredTrace>(
+        &self,
+        matcher: &Matcher,
+        index: usize,
+        trace: &T,
+    ) -> Option<LabeledScores> {
+        let _score = msc_obs::profile::scope("id.score");
+        let truth = trace.truth();
+        msc_obs::flight::begin_trial(
+            &self.experiment,
+            &self.cell,
+            self.ordinal,
+            index as u64,
+            self.seed,
+            msc_par::derive_seed(self.seed, self.cell_hash, index as u64),
+            truth.label(),
+        );
+        let scored = matcher
+            .score_acquired(trace.acquired(), trace.jitter())
+            .map(|scores| LabeledScores { truth, scores });
+        if msc_obs::flight::armed() {
+            match &scored {
+                Some(ls) => {
+                    for p in Protocol::ALL {
+                        msc_obs::flight::note_score(p.label(), ls.scores.get(p));
+                    }
+                    let verdict = if ls.scores.argmax() == truth { "ok" } else { "id_miss" };
+                    msc_obs::flight::end_trial(verdict);
+                }
+                None => msc_obs::flight::end_trial("score_fail"),
+            }
+        }
+        scored
+    }
+
+    /// Closes the batch: counts it and its traces on the progress
+    /// ticker and drops the traces the matcher could not score.
+    pub fn finish(self, scored: Vec<Option<LabeledScores>>) -> Vec<LabeledScores> {
+        msc_obs::progress::add_cell();
+        msc_obs::progress::add_trials(scored.len() as u64);
+        scored.into_iter().flatten().collect()
+    }
 }
 
 /// Per-protocol correct/total counts (in [`Protocol::ALL`] index order)

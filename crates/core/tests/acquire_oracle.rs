@@ -175,3 +175,55 @@ fn acquire_matches_on_degenerate_buffers() {
         assert_eq!(a.next_u64(), b.next_u64(), "{what}: RNG draw count");
     }
 }
+
+#[test]
+fn analog_sweep_matches_pre_fusion_path_per_front_end() {
+    // One sweep acquires a waveform through several front ends from one
+    // set of ripple and noise draws; each front end's trace must equal
+    // its own acquisition on a clone of the RNG, and the sweep must use
+    // the RNG exactly as one acquisition does.
+    let rates =
+        [SampleRate::ADC_FULL, SampleRate::ADC_HALF, SampleRate::ADC_LOW, SampleRate::ADC_FLOOR];
+    for p in Protocol::ALL {
+        let wave = canonical_waveform(p);
+        for rate in rates {
+            let base = FrontEnd::prototype(rate);
+            let mut sweeps: Vec<(&str, Vec<FrontEnd>)> = vec![
+                (
+                    "oracle variants",
+                    vec![
+                        base.clone(),
+                        base.clone().with_band_filter(1.5e6),
+                        FrontEnd { fm_slope: 0.0, ..base.clone() },
+                        FrontEnd { rectifier: Rectifier::wisp(), ..base.clone() },
+                    ],
+                ),
+                (
+                    "abl-slope slopes",
+                    [0.0, 0.05, 0.1, 0.25, 0.5]
+                        .map(|fm_slope| FrontEnd { fm_slope, ..base.clone() })
+                        .to_vec(),
+                ),
+            ];
+            let quiet = FrontEnd { noise_v: 0.0, ..base.clone() };
+            let quiet_wisp = FrontEnd { rectifier: Rectifier::wisp(), ..quiet.clone() };
+            sweeps.push(("noise_v 0", vec![quiet, quiet_wisp]));
+            for (label, fes) in &sweeps {
+                for (k, incident) in [-5.0, -9.7, -40.0].into_iter().enumerate() {
+                    let seed = 2000 + k as u64;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let swept = FrontEnd::analog_sweep(fes, &mut rng, &wave, incident);
+                    assert_eq!(swept.len(), fes.len());
+                    for (j, (fe, analog)) in fes.iter().zip(&swept).enumerate() {
+                        let what = format!("{p} at {rate:?}, {label} #{j}, {incident} dBm");
+                        let mut clone = StdRng::seed_from_u64(seed);
+                        let want = acquire_pre(fe, &mut clone, &wave, incident);
+                        assert_bitwise(&fe.digitize(analog), &want, &what);
+                        let mut after = rng.clone();
+                        assert_eq!(after.next_u64(), clone.next_u64(), "{what}: RNG draw count");
+                    }
+                }
+            }
+        }
+    }
+}

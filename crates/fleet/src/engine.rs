@@ -14,7 +14,7 @@
 //!    placement, energy phase, and sensor-reading times, seeded by
 //!    `derive_seed(seed, CELL_TAG, tag)`, and precomputes its
 //!    per-carrier loss probabilities and goodput ranking from the
-//!    calibrated [`LinkTable`](crate::link::LinkTable). The readings of
+//!    calibrated [`LinkTable`]. The readings of
 //!    all tags are gathered into one `(time, tag)`-sorted vector.
 //! 3. **MAC resolution** — a single *sequential* sweep over a k-way
 //!    merge of the readings and the carrier streams resolves contention:

@@ -21,8 +21,8 @@
 use msc_obs::stats::jain;
 
 /// One MAC-layer event from the sequential sweep. Times are simulated
-/// seconds; `carrier` indexes [`FleetConfig::carriers`]
-/// (crate::engine::FleetConfig::carriers).
+/// seconds; `carrier` indexes
+/// [`FleetConfig::carriers`](crate::engine::FleetConfig::carriers).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum MacEvent {
     /// A sensor reading arrived at a powered, idle-or-busy tag.

@@ -2,11 +2,12 @@
 //!
 //! When armed ([`arm`]), the simulation layer feeds the recorder one
 //! [`TrialRecord`] per Monte-Carlo trial — the experiment cell, the
-//! base and derived RNG seeds, per-stage timings, and the matcher /
-//! decode scores that produced the verdict. Trials whose verdict is not
-//! `"ok"` are captured as *dumps* — each convertible to a replayable
-//! JSON bundle ([`bundle_to_json`]) that `paper replay` feeds back
-//! through [`parse_bundle`].
+//! base and derived RNG seeds, and the matcher / decode scores that
+//! produced the verdict. A record holds no wall-clock, so one command
+//! writes the same bundles on every run and at any thread count.
+//! Trials whose verdict is not `"ok"` are captured as *dumps* — each
+//! convertible to a replayable JSON bundle ([`bundle_to_json`]) that
+//! `paper replay` feeds back through [`parse_bundle`].
 //!
 //! Replay leans entirely on the workspace's seed-derivation contract:
 //! a trial is fully determined by `(experiment, n, seed, cell, index)`
@@ -65,8 +66,6 @@ pub struct TrialRecord {
     pub derived_seed: u64,
     /// Protocol label, `""` when not applicable.
     pub protocol: &'static str,
-    /// Per-stage wall-clock, µs, in execution order.
-    pub stages: Vec<(&'static str, f64)>,
     /// Scores that produced the verdict (matcher scores, error
     /// counts) — the values replay must reproduce exactly.
     pub scores: Vec<(&'static str, f64)>,
@@ -183,25 +182,11 @@ pub fn begin_trial(
                 seed,
                 derived_seed,
                 protocol,
-                stages: Vec::new(),
                 scores: Vec::new(),
                 verdict: String::new(),
                 notes: Vec::new(),
             },
         ));
-    });
-}
-
-/// Appends a stage timing to the open trial (no-op outside a trial —
-/// `time_stage` also covers per-cell work like carrier synthesis).
-pub fn note_stage(stage: &'static str, us: f64) {
-    if !armed() {
-        return;
-    }
-    CURRENT.with(|c| {
-        if let Some((_, rec)) = c.borrow_mut().as_mut() {
-            rec.stages.push((stage, us));
-        }
     });
 }
 
@@ -377,14 +362,7 @@ pub fn bundle_to_json(dump: &Dump, n: usize) -> String {
     out.push_str(&format!("  \"seed\": {},\n", r.seed));
     out.push_str(&format!("  \"derived_seed\": {},\n", r.derived_seed));
     out.push_str(&format!("  \"protocol\": \"{}\",\n", json_escape(r.protocol)));
-    out.push_str("  \"stages\": [");
-    for (i, (stage, us)) in r.stages.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("[\"{}\", {us:.1}]", json_escape(stage)));
-    }
-    out.push_str("],\n  \"scores\": [");
+    out.push_str("  \"scores\": [");
     for (i, (name, value)) in r.scores.iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
@@ -502,8 +480,6 @@ mod tests {
 
     fn trial_in(ordinal: u64, cell: &str, index: u64, verdict: &str) {
         begin_trial("unit", cell, ordinal, index, 42, 1000 + index, "BLE");
-        note_stage("modulate", 12.5);
-        note_stage("decode", 250.0);
         note_score("tag_errors", if verdict == "ok" { 0.0 } else { 3.0 });
         end_trial(verdict);
     }
@@ -522,7 +498,6 @@ mod tests {
         assert_eq!(dumps.len(), 1);
         assert_eq!(dumps[0].reason, "decode_fail");
         assert_eq!(dumps[0].record.index, 7);
-        assert_eq!(dumps[0].record.stages.len(), 2);
     }
 
     #[test]
@@ -623,7 +598,6 @@ mod tests {
             seed: (1 << 53) + 1,
             derived_seed: u64::MAX,
             protocol: "BLE",
-            stages: vec![("modulate", 10.0), ("decode", 300.5)],
             scores: vec![("tag_errors", 7.0), ("tag_bits", 16.0)],
             verdict: "decode_fail".to_string(),
             notes: Vec::new(),

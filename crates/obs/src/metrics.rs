@@ -355,16 +355,14 @@ pub fn hist_observe(
 }
 
 /// Runs `f`, recording its wall-clock into the `pipe.stage_us`
-/// histogram for `(protocol, stage)` when metrics are enabled, into
+/// histogram for `(protocol, stage)` when metrics are enabled and into
 /// the current [`crate::profile`] tree as a named frame when the
-/// profiler is collecting, and into the open [`crate::flight`] trial
-/// when the recorder is armed. The fully-disabled path calls `f`
-/// directly — no clock read, three relaxed atomic loads.
+/// profiler is collecting. The fully-disabled path calls `f` directly —
+/// no clock read, two relaxed atomic loads.
 #[inline]
 pub fn time_stage<T>(protocol: &'static str, stage: &'static str, f: impl FnOnce() -> T) -> T {
     let metrics = enabled();
-    let flight = crate::flight::armed();
-    if !metrics && !flight && !crate::profile::enabled() {
+    if !metrics && !crate::profile::enabled() {
         return f();
     }
     // A real profiler frame (not a post-hoc leaf) so spans inside `f`
@@ -380,9 +378,6 @@ pub fn time_stage<T>(protocol: &'static str, stage: &'static str, f: impl FnOnce
             us,
             buckets::LATENCY_US,
         );
-    }
-    if flight {
-        crate::flight::note_stage(stage, us);
     }
     out
 }

@@ -45,7 +45,6 @@ fn fingerprint() -> String {
             seed: 42,
             derived_seed: 12345,
             protocol: "BLE",
-            stages: vec![("modulate", 10.0), ("decode", 300.5)],
             scores: vec![("tag_errors", 7.0), ("tag_ber", 0.4375)],
             verdict: "decode_fail".to_string(),
             // Notes never reach the bundle: the golden shape is unchanged.

@@ -12,7 +12,7 @@
 //! * `abl-lag` — the matcher's lag-search radius (continuous-correlator
 //!   modeling) vs accuracy.
 
-use crate::idtraces::front_end;
+use crate::idtraces::{digitize_trace, front_end, trace_sweep, HARD_INCIDENT_DBM, HARD_MAX_JITTER};
 use crate::pipeline::{run_cells, tag_ber, tag_packet, AnyLink, CellSpec, Impairments};
 use crate::report::{f1, pct, Report};
 use crate::tracecache::traces_hard;
@@ -20,7 +20,7 @@ use msc_channel::Fading;
 use msc_core::envelope::FrontEnd;
 use msc_core::overlay::{params_for, Mode, OverlayParams, TagOverlayModulator};
 use msc_core::resources::{Arithmetic, MatcherCost};
-use msc_core::search::{blind_accuracy, collect_scores_labeled};
+use msc_core::search::{blind_accuracy, collect_scores_labeled, IdCell};
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
 use msc_phy::protocol::Protocol;
@@ -109,15 +109,32 @@ pub fn abl_slope(n: usize, seed: u64) -> Report {
         "abl-slope — front-end FM-to-AM slope vs identification (20 Msps, blind, full precision)",
         &["slope /MHz", "avg acc", "802.11n", "802.11b", "BLE", "ZigBee"],
     );
-    for slope in [0.0, 0.05, 0.1, 0.25, 0.5] {
-        let mut fe = FrontEnd::prototype(rate);
-        fe.fm_slope = slope;
-        let bank = TemplateBank::build(&fe, TemplateConfig::full_rate());
-        let matcher = Matcher::new(bank, MatchMode::FullPrecision);
-        // The mutated fm_slope feeds the trace-cache key (front-end
-        // fingerprint), so each row generates — and caches — its own set.
-        let traces = traces_hard(&fe, n, seed);
-        let scores = collect_scores_labeled(&matcher, &traces, &format!("slope{slope:.2}"), seed);
+    let slopes = [0.0, 0.05, 0.1, 0.25, 0.5];
+    let fes = slopes.map(|fm_slope| FrontEnd { fm_slope, ..FrontEnd::prototype(rate) });
+    let matchers = fes.each_ref().map(|fe| {
+        Matcher::new(TemplateBank::build(fe, TemplateConfig::full_rate()), MatchMode::FullPrecision)
+    });
+    let cells = slopes.map(|slope| IdCell::new(&format!("slope{slope:.2}"), seed));
+    // The slopes differ only in `fm_slope`, so trace i's packet, power,
+    // ripple, noise and jitter are the same draws for all five: each
+    // trace is acquired once through the five front ends, then scored
+    // by each slope's matcher. No slope's set is ever held whole.
+    let per_trace = msc_par::par_map_indexed(4 * n, |i| {
+        let sweep = trace_sweep(&fes, n, seed, &HARD_INCIDENT_DBM, HARD_MAX_JITTER, i);
+        let row = sweep.iter().zip(&fes).zip(&matchers).zip(&cells);
+        row.map(|(((analog, fe), matcher), cell)| {
+            cell.score(matcher, i, &digitize_trace(fe, analog))
+        })
+        .collect::<Vec<_>>()
+    });
+    let mut scored = slopes.map(|_| Vec::with_capacity(4 * n));
+    for row in per_trace {
+        for (k, s) in row.into_iter().enumerate() {
+            scored[k].push(s);
+        }
+    }
+    for ((slope, cell), scored) in slopes.iter().zip(cells).zip(scored) {
+        let scores = cell.finish(scored);
         let per = msc_core::search::per_protocol_accuracy(
             &msc_core::OrderedRule { steps: vec![] },
             &scores,

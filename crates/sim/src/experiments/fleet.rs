@@ -527,7 +527,7 @@ pub struct Incident {
     pub t1: f64,
     /// The recorded event subsequence.
     pub events: Vec<String>,
-    /// Events the recording dropped past [`INCIDENT_EVENT_CAP`].
+    /// Events the recording dropped past its cap of 512.
     pub truncated: u64,
 }
 

@@ -108,10 +108,8 @@ pub fn digitize_traces(front_end: &FrontEnd, analog: &[AnalogTrace]) -> Vec<Trac
     msc_par::par_map_indexed(analog.len(), |i| digitize_trace(front_end, &analog[i]))
 }
 
-/// Trace `i` of a set: its packet, incident power, analog acquisition
-/// and jitter, drawn from one RNG stream in that order. The ADC draws
-/// nothing, so the stream (and with it the jitter) is the same at every
-/// ADC configuration.
+/// Trace `i` of a set through one front end: the one-front-end case
+/// of [`trace_sweep`].
 fn analog_trace(
     front_end: &FrontEnd,
     n_per_protocol: usize,
@@ -120,6 +118,26 @@ fn analog_trace(
     max_jitter: isize,
     i: usize,
 ) -> AnalogTrace {
+    let fes = std::slice::from_ref(front_end);
+    let mut sweep = trace_sweep(fes, n_per_protocol, seed, incident_dbm, max_jitter, i);
+    sweep.pop().expect("one analog trace per front end")
+}
+
+/// Trace `i` of a set through each of `front_ends` (which must share
+/// `noise_v`): its packet, incident power, analog acquisition and
+/// jitter, drawn from one RNG stream in that order, with the analog
+/// draws made once for all front ends ([`FrontEnd::analog_sweep`]).
+/// Element `k` is trace `i` of `front_ends[k]`'s own set, bit for bit.
+/// The ADC draws nothing, so the stream (and with it the jitter) is the
+/// same at every ADC configuration.
+pub fn trace_sweep(
+    front_ends: &[FrontEnd],
+    n_per_protocol: usize,
+    seed: u64,
+    incident_dbm: &Range<f64>,
+    max_jitter: isize,
+    i: usize,
+) -> Vec<AnalogTrace> {
     // Frames open per item, inside the pool worker, so the time lands
     // under these names rather than in `par.worker`.
     let _gen = msc_obs::profile::scope("id.trace_gen");
@@ -134,13 +152,14 @@ fn analog_trace(
     let incident = rng.gen_range(incident_dbm.clone());
     let analog = {
         let _acq = msc_obs::profile::scope("id.acquire");
-        front_end.analog(&mut rng, &wave, incident)
+        FrontEnd::analog_sweep(front_ends, &mut rng, &wave, incident)
     };
     let jitter = rng.gen_range(-max_jitter..=max_jitter);
-    AnalogTrace { truth: p, analog, jitter }
+    analog.into_iter().map(|analog| AnalogTrace { truth: p, analog, jitter }).collect()
 }
 
-fn digitize_trace(front_end: &FrontEnd, a: &AnalogTrace) -> Trace {
+/// Digitizes one analog trace through `front_end`'s ADC.
+pub fn digitize_trace(front_end: &FrontEnd, a: &AnalogTrace) -> Trace {
     let _dig = msc_obs::profile::scope("id.digitize");
     Trace { truth: a.truth, acquired: front_end.digitize(&a.analog), jitter: a.jitter }
 }

@@ -574,8 +574,8 @@ impl<'s> TrialCell<'s> {
     }
 
     /// Runs trial `i`'s `body` as one flight record: while the recorder
-    /// is armed, the record opens before `body` (so its stage timings
-    /// land in it) and closes with the outcome's scores and verdict.
+    /// is armed, the record opens before `body` (so its notes land in
+    /// it) and closes with the outcome's scores and verdict.
     pub fn record<O: Outcome>(&self, i: u64, body: impl FnOnce() -> O) -> O {
         let armed = flight::armed();
         if armed {

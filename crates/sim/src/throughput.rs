@@ -90,7 +90,7 @@ impl Goodput {
 }
 
 /// Computes goodput from a profile, mode, and measured delivery
-/// fractions (`productive_ok`, `tag_ok` ∈ [0,1]: fraction of units
+/// fractions (`productive_ok`, `tag_ok` ∈ \[0, 1\]: fraction of units
 /// delivered correctly, PER folded in by the caller).
 pub fn goodput(
     profile: &ExcitationProfile,

@@ -5,6 +5,9 @@
 //! ([`crate::idtraces::generate_traces_at`]). fig7 alone builds two sets
 //! (train + test); fig8 reads the 2.5 and 1 Msps sets of the same seeds;
 //! fig5, fig6, abl-bits and abl-lag read one seed at 20, 10 and 10 Msps.
+//! `abl_slope` asks for nothing here: it acquires each trace once for
+//! its five front ends ([`crate::idtraces::trace_sweep`]) and scores it
+//! on the spot, so no set of its slopes is ever held.
 //! Most of a set's cost — packet modulation, FM-to-AM envelope,
 //! rectifier ripple and analog noise — does not depend on the ADC, so
 //! this module memoizes the *analog* set ([`idtraces::AnalogTrace`]:
@@ -16,8 +19,7 @@
 //! Everything that determines an analog set: every front-end field the
 //! analog stage reads (rectifier, `fm_slope`, `noise_v`, band filter —
 //! not the ADC's rate, bits or reference, so all ADC configurations of
-//! one front end share an entry; `abl_slope` mutates `fm_slope` between
-//! rows, so those key apart), the per-protocol count, the
+//! one front end share an entry), the per-protocol count, the
 //! incident-power range, the jitter bound, and the base seed.
 //!
 //! ## Determinism contract
@@ -254,7 +256,7 @@ mod tests {
         let memo = new_memo();
         let fe = idtraces::front_end(SampleRate::ADC_FULL);
         hard(&memo, &fe, 1, 77);
-        // abl_slope mutates fm_slope between rows at a fixed ADC rate.
+        // Edits to fields the analog stage reads, at a fixed ADC rate.
         let analog_edits = [
             FrontEnd { fm_slope: fe.fm_slope + 0.25, ..fe.clone() },
             fe.clone().with_band_filter(2e6),

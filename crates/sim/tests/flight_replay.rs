@@ -25,7 +25,6 @@ fn forced_decode_failure_replays_identically_at_1_and_8_threads() {
     let dump = &dumps[0];
     assert_eq!(dump.reason, "decode_fail");
     assert!(!dump.record.scores.is_empty(), "record carries matcher scores");
-    assert!(!dump.record.stages.is_empty(), "record carries stage timings");
 
     // The JSON round trip the `paper` binary performs.
     let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, 2)).expect("bundle parses");
@@ -128,6 +127,29 @@ fn id_miss_trials_are_recorded_for_identification_experiments() {
     assert!(miss.record.cell.starts_with("id/"), "{}", miss.record.cell);
     // Per-protocol matcher scores travel with the record.
     assert_eq!(miss.record.scores.len(), 4, "{:?}", miss.record.scores);
+}
+
+#[test]
+fn abl_slope_id_miss_replays_at_1_and_8_threads() {
+    // abl-slope acquires each trace once for all five slopes and scores
+    // it per slope; a miss of the zero-slope row must still replay from
+    // its own `(cell, index)`.
+    let _guard = flight::tests_serial();
+    msc_par::set_threads(2);
+    let dumps = record_runner("abl-slope", 10, 42);
+    let dump = dumps.iter().find(|d| d.reason == "id_miss");
+    let dump = dump.unwrap_or_else(|| panic!("abl-slope(10, 42) kept no id_miss: {dumps:?}"));
+    assert_eq!(dump.record.cell, "id/slope0.00");
+    let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, 10)).expect("bundle parses");
+    for threads in [1, 8] {
+        msc_par::set_threads(threads);
+        let result = msc_sim::replay::replay(&bundle)
+            .unwrap_or_else(|e| panic!("replay at {threads} threads: {e}"));
+        assert!(result.matches, "replay at {threads} threads diverged: {:?}", result.diffs);
+        let record = result.record.expect("a trial replay carries its record");
+        assert_eq!(record.scores, dump.record.scores);
+    }
+    msc_par::set_threads(0);
 }
 
 #[test]

@@ -17,7 +17,6 @@ fn flight_fixture() -> String {
         seed: (1 << 53) + 1,
         derived_seed: u64::MAX,
         protocol: "BLE",
-        stages: vec![("decode", 300.5)],
         scores: vec![("tag_errors", 7.0), ("tag_bits", 16.0)],
         verdict: "decode_fail".to_string(),
         notes: Vec::new(),
@@ -86,6 +85,16 @@ fn check(text: &str) -> Result<(), TestCaseError> {
 fn fixtures_parse_as_their_kind() {
     assert!(matches!(parse(&flight_fixture()), Ok(Request::Trial(_))));
     assert!(matches!(parse(&incident_fixture()), Ok(Request::Incident(_))));
+    // Bundles once carried per-trial wall-clock `"stages"`; they still
+    // parse, to the same trial.
+    let staged = flight_fixture().replace("  \"scores\"", "  \"stages\": [],\n  \"scores\"");
+    assert!(staged.contains("\"stages\": []"), "{staged}");
+    match (parse(&staged), parse(&flight_fixture())) {
+        (Ok(Request::Trial(a)), Ok(Request::Trial(b))) => {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"))
+        }
+        other => panic!("a bundle with stage timings must parse: {other:?}"),
+    }
     let unknown = incident_fixture().replace("fleet_incident", "fleet_window");
     let err = parse(&unknown).expect_err("unknown kind");
     assert!(err.contains("unknown bundle kind \"fleet_window\""), "{err}");

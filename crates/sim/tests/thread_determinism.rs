@@ -109,6 +109,32 @@ fn no_memo_counts_only_bypasses_and_keeps_reports() {
 }
 
 #[test]
+fn abl_slope_sweeps_without_the_memo_at_1_and_8_threads() {
+    // abl-slope acquires each trace once for its five front ends and
+    // scores it on the spot: its report must not depend on the thread
+    // count, and it must ask the analog trace memo for nothing.
+    let dir = std::env::temp_dir().join(format!("msc-slope-sweep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let one = paper_stdout(&["abl-slope", "10", "42", "--threads", "1", "--no-progress"]);
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["abl-slope", "10", "42", "--threads", "8", "--no-progress", "--profile"])
+        .current_dir(&dir) // profile.json lands here
+        .output()
+        .expect("run paper binary");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(one, String::from_utf8(out.stdout).unwrap(), "abl-slope: 1 vs 8 threads");
+    let text = std::fs::read_to_string(dir.join("profile.json")).expect("profile.json");
+    let profile = msc_obs::export::parse_json(&text).expect("profile.json parses");
+    let counters = profile.get("counters").expect("counters object");
+    for field in ["hits", "misses", "bypasses"] {
+        let key = format!("tracecache.{field}");
+        let count = counters.get(&key).and_then(|v| v.as_f64());
+        assert_eq!(count, Some(0.0), "abl-slope must not request a trace set ({key})");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn observability_flags_do_not_change_reports() {
     // `--metrics-out` (which arms the flight recorder), `--profile` and
     // `--events` only observe the one trial engine: fig13's stdout must
