@@ -179,19 +179,21 @@ fn bench_fleet(c: &mut Criterion) {
 }
 
 fn bench_id_sweep(c: &mut Criterion) {
-    // The batched identification engine, stage by stage at the fig7
-    // operating point (10 Msps, hard traces): trace generation, its
-    // ADC-independent half (the unit the trace memo keeps) and the ADC
-    // half at each of the paper's four rates, one front-end acquisition
-    // per protocol, the packet-edge threshold, chunked batch scoring through
-    // `score_acquired_many`, and the ordered-rule search — the
-    // incremental prefix-count sweep against the pre-PR rescan.
+    // The identification engine, stage by stage at the fig7 operating
+    // point (10 Msps, hard traces): trace generation, its ADC-independent
+    // half (the unit the trace memo keeps) and the ADC half at each of
+    // the paper's four rates (`digitize_trace` over the set, on the
+    // pool), one front-end acquisition per protocol, the packet-edge
+    // threshold, trace-by-trace scoring through `collect_scores` (the
+    // `IdCell::score` body every runner uses), and the ordered-rule
+    // search — the incremental prefix-count sweep against the pre-PR
+    // rescan.
     use msc_core::envelope::FrontEnd;
     use msc_core::search::{collect_scores, default_grid, search_ordered_rule};
     use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
     use msc_dsp::SampleRate;
     use msc_sim::idtraces::{
-        digitize_traces, generate_analog_at, generate_traces_hard, trace_sweep,
+        digitize_trace, generate_analog_at, generate_traces_hard, trace_sweep,
     };
     use msc_sim::idtraces::{HARD_INCIDENT_DBM, HARD_MAX_JITTER};
 
@@ -218,7 +220,13 @@ fn bench_id_sweep(c: &mut Criterion) {
     {
         let at = FrontEnd::prototype(adc_rate);
         let id = BenchmarkId::new("digitize", format!("{}Msps", adc_rate.as_msps()));
-        group.bench_with_input(id, &at, |b, at| b.iter(|| digitize_traces(black_box(at), &analog)));
+        group.bench_with_input(id, &at, |b, at| {
+            b.iter(|| {
+                msc_par::par_map_indexed(analog.len(), |i| {
+                    digitize_trace(black_box(at), &analog[i])
+                })
+            })
+        });
     }
 
     // One acquisition per protocol (the unit inside `trace_gen`), and

@@ -143,14 +143,11 @@ impl OrderedRule {
     }
 }
 
-/// Pooled per-thread scratch for the quantized lag search: packed
-/// candidate windows plus a per-window score buffer, shared between the
-/// single-trace path and [`Matcher::score_acquired_many`] so a batch
-/// reuses one warm allocation across every trace it scores.
-type PackScratch = (Vec<msc_dsp::corr::PackedBits>, Vec<f64>);
-
 thread_local! {
-    static PACK_SCRATCH: std::cell::RefCell<PackScratch> =
+    /// Pooled per-thread scratch for the quantized lag search: packed
+    /// candidate windows plus a per-window score buffer, one warm
+    /// allocation reused across every trace the thread scores.
+    static PACK_SCRATCH: std::cell::RefCell<(Vec<msc_dsp::corr::PackedBits>, Vec<f64>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -255,37 +252,6 @@ impl Matcher {
         best
     }
 
-    /// [`Matcher::score_acquired`] over a whole trace batch, in input
-    /// order. Bit-identical to the trace-at-a-time loop — the batching
-    /// changes only memory behavior: the quantized mode borrows the
-    /// pooled pack scratch once for the whole batch (each trace's lag
-    /// windows still packed once, all four templates scored per load via
-    /// [`msc_dsp::corr::PackedBits::corr_norm_many`]), and full
-    /// precision runs each trace through the SoA four-template kernel
-    /// ([`msc_dsp::corr::sliding_corr_max4`]) the per-trace path also
-    /// uses. Score histograms and events are recorded per trace, exactly
-    /// as the sequential loop would.
-    pub fn score_acquired_many(&self, traces: &[(&[f64], isize)]) -> Vec<Option<Scores>> {
-        if self.mode == MatchMode::Quantized {
-            return PACK_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                traces
-                    .iter()
-                    .map(|&(acquired, jitter)| {
-                        let base = detect_start(acquired)? as isize + jitter;
-                        let (lo, hi) = self.lag_bounds(acquired, base);
-                        let best = self.max_scores_packed_with(acquired, lo, hi, &mut scratch);
-                        if let Some(s) = &best {
-                            record_scores(s);
-                        }
-                        best
-                    })
-                    .collect()
-            });
-        }
-        traces.iter().map(|&(acquired, jitter)| self.score_acquired(acquired, jitter)).collect()
-    }
-
     /// Scores a window at an explicit start offset with the lag search,
     /// without running edge detection (the streaming matcher has its
     /// own detector).
@@ -385,58 +351,44 @@ impl Matcher {
         any.then_some(out)
     }
 
-    /// Quantized lag search restructured for the batched trial engine's
-    /// memory behavior: quantize-and-pack every candidate window once
-    /// into pooled per-thread scratch, then score all windows per
+    /// Quantized lag search: quantize-and-pack every candidate window
+    /// once into pooled per-thread scratch, then score all windows per
     /// template load (template-outer) instead of all templates per
     /// window. Bit-identical to the window-outer loop in
     /// [`Matcher::score_window`] — each offset's DC still comes from its
     /// own preamble, so the packed words are unchanged, and the
     /// per-protocol max over offsets commutes with the loop order.
     fn max_scores_packed(&self, acquired: &[f64], lo: usize, hi: usize) -> Option<Scores> {
-        PACK_SCRATCH
-            .with(|cell| self.max_scores_packed_with(acquired, lo, hi, &mut cell.borrow_mut()))
-    }
-
-    /// [`Matcher::max_scores_packed`] against caller-held scratch, so
-    /// [`Matcher::score_acquired_many`] borrows the pool once per batch
-    /// instead of once per trace.
-    fn max_scores_packed_with(
-        &self,
-        acquired: &[f64],
-        lo: usize,
-        hi: usize,
-        scratch: &mut PackScratch,
-    ) -> Option<Scores> {
         use msc_dsp::corr::{dc_estimate, PackedBits};
         let cfg = self.bank.config();
-        let (packs, scores) = scratch;
-        let mut n = 0usize;
-        for start in lo..=hi {
-            let window = &acquired[start..];
-            if window.len() < cfg.total() {
-                break; // windows only shrink with start
+        PACK_SCRATCH.with_borrow_mut(|(packs, scores)| {
+            let mut n = 0usize;
+            for start in lo..=hi {
+                let window = &acquired[start..];
+                if window.len() < cfg.total() {
+                    break; // windows only shrink with start
+                }
+                let dc = dc_estimate(&window[..cfg.l_p]);
+                if packs.len() == n {
+                    packs.push(PackedBits::empty());
+                }
+                packs[n].pack_into(&window[cfg.l_p..cfg.total()], dc);
+                n += 1;
             }
-            let dc = dc_estimate(&window[..cfg.l_p]);
-            if packs.len() == n {
-                packs.push(PackedBits::empty());
+            if n == 0 {
+                return None;
             }
-            packs[n].pack_into(&window[cfg.l_p..cfg.total()], dc);
-            n += 1;
-        }
-        if n == 0 {
-            return None;
-        }
-        if scores.len() < n {
-            scores.resize(n, 0.0);
-        }
-        let mut out = Scores::default();
-        for t in self.bank.templates() {
-            t.packed.corr_norm_many(&packs[..n], &mut scores[..n]);
-            let best = scores[..n].iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v));
-            out.set(t.protocol, best);
-        }
-        Some(out)
+            if scores.len() < n {
+                scores.resize(n, 0.0);
+            }
+            let mut out = Scores::default();
+            for t in self.bank.templates() {
+                t.packed.corr_norm_many(&packs[..n], &mut scores[..n]);
+                let best = scores[..n].iter().fold(f64::NEG_INFINITY, |a, &v| a.max(v));
+                out.set(t.protocol, best);
+            }
+            Some(out)
+        })
     }
 
     /// Blind identification (argmax).
@@ -608,43 +560,6 @@ mod tests {
                         }
                     }
                     (f, s) => assert_eq!(f.is_some(), s.is_some(), "{p} start {start}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn score_acquired_many_is_bit_identical_to_sequential_loop() {
-        // The batched entry point must reproduce the trace-at-a-time
-        // path exactly, in every arithmetic mode, including traces the
-        // edge detector rejects (all-zero buffer → None slot).
-        let fe = FrontEnd::prototype(SampleRate::ADC_FULL);
-        let mut rng = StdRng::seed_from_u64(118);
-        let mut traces: Vec<(Vec<f64>, isize)> = Vec::new();
-        for (i, p) in Protocol::ALL.iter().cycle().take(12).enumerate() {
-            let acq = fe.acquire(&mut rng, &canonical_waveform(*p), -6.0);
-            traces.push((acq, (i as isize % 5) - 2));
-        }
-        traces.push((vec![0.0; 64], 0)); // undetectable
-        for mode in [MatchMode::FullPrecision, MatchMode::Quantized, MatchMode::MultiBit(4)] {
-            let m = matcher(mode);
-            let refs: Vec<(&[f64], isize)> =
-                traces.iter().map(|(a, j)| (a.as_slice(), *j)).collect();
-            let batched = m.score_acquired_many(&refs);
-            assert_eq!(batched.len(), traces.len());
-            for (i, (a, j)) in traces.iter().enumerate() {
-                let seq = m.score_acquired(a, *j);
-                match (&batched[i], &seq) {
-                    (Some(b), Some(s)) => {
-                        for p in Protocol::ALL {
-                            assert_eq!(
-                                b.get(p).to_bits(),
-                                s.get(p).to_bits(),
-                                "{mode:?} trace {i} protocol {p}"
-                            );
-                        }
-                    }
-                    (b, s) => assert_eq!(b.is_some(), s.is_some(), "{mode:?} trace {i}"),
                 }
             }
         }

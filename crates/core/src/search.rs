@@ -27,8 +27,7 @@ pub struct LabeledScores {
 /// A trace the identification engine can score: ground truth, the
 /// acquired envelope, and the detection-jitter offset. Implemented for
 /// the `(Protocol, Vec<f64>, isize)` tuples the early runners built and
-/// for `msc-sim`'s cached `Trace` records, so experiment runners can
-/// pass shared `Arc`'d trace sets without cloning acquisition buffers.
+/// for `msc-sim`'s `Trace` records.
 pub trait ScoredTrace {
     /// Ground-truth protocol of the excitation packet.
     fn truth(&self) -> Protocol;
@@ -50,69 +49,22 @@ impl ScoredTrace for (Protocol, Vec<f64>, isize) {
     }
 }
 
-/// Traces per [`Matcher::score_acquired_many`] batch in the parallel
-/// scoring path: small enough to chunk evenly across workers at the
-/// fig5–8 trace counts, large enough to amortize the pack-scratch borrow.
-const SCORE_CHUNK: usize = 16;
-
-/// Collects labeled scores for a batch of acquisitions. Traces are
-/// scored on the msc-par worker pool in batches of `SCORE_CHUNK` (16)
-/// through [`Matcher::score_acquired_many`]; each trace is scored
-/// independently and results keep input order, so the output is
-/// identical at any thread count (and to the trace-at-a-time loop).
-///
-/// Prefer [`collect_scores_labeled`] in experiment runners: it names
-/// the batch for the flight recorder so identification misses become
-/// replayable bundles.
+/// Collects labeled scores for a batch of acquisitions: each trace is
+/// scored on the msc-par worker pool through one unlabeled [`IdCell`]
+/// ([`IdCell::score`]), and results keep input order, so the output is
+/// identical at any thread count.
 pub fn collect_scores<T: ScoredTrace + Sync>(
     matcher: &Matcher,
     traces: &[T],
 ) -> Vec<LabeledScores> {
-    collect_scores_labeled(matcher, traces, "", 0)
+    let cell = IdCell::new("", 0);
+    let scored = msc_par::par_map_indexed(traces.len(), |i| cell.score(matcher, i, &traces[i]));
+    cell.finish(scored)
 }
 
 /// Prefix of the flight-recorder cell of every identification trial
 /// (`id/<label>`, see [`IdCell`]).
 pub const ID_CELL_PREFIX: &str = "id/";
-
-/// [`collect_scores`] with an explicit batch label and the run's base
-/// seed: the traces are scored through an [`IdCell`] labeled `label`,
-/// so a miss dumps a bundle `paper replay` can reproduce. Labels must be
-/// unique per batch within a runner (the replay target is addressed by
-/// `(cell, index)`).
-pub fn collect_scores_labeled<T: ScoredTrace + Sync>(
-    matcher: &Matcher,
-    traces: &[T],
-    label: &str,
-    seed: u64,
-) -> Vec<LabeledScores> {
-    let cell = IdCell::new(label, seed);
-    let out: Vec<Option<LabeledScores>> = if msc_obs::flight::armed() {
-        // Per-trace trial records need per-trace scoring; the flight
-        // recorder path stays trace-at-a-time.
-        msc_par::par_map_indexed(traces.len(), |i| cell.score(matcher, i, &traces[i]))
-    } else {
-        let n_chunks = traces.len().div_ceil(SCORE_CHUNK);
-        let chunks: Vec<Vec<Option<LabeledScores>>> = msc_par::par_map_indexed(n_chunks, |c| {
-            // Opened per item, inside the pool worker, so scoring time
-            // lands here rather than in `par.worker`.
-            let _score = msc_obs::profile::scope("id.score");
-            let lo = c * SCORE_CHUNK;
-            let hi = (lo + SCORE_CHUNK).min(traces.len());
-            let chunk = &traces[lo..hi];
-            let refs: Vec<(&[f64], isize)> =
-                chunk.iter().map(|t| (t.acquired(), t.jitter())).collect();
-            matcher
-                .score_acquired_many(&refs)
-                .into_iter()
-                .zip(chunk)
-                .map(|(s, t)| s.map(|scores| LabeledScores { truth: t.truth(), scores }))
-                .collect()
-        });
-        chunks.into_iter().flatten().collect()
-    };
-    cell.finish(out)
-}
 
 /// One identification batch, flight-recorder cell `"id/<label>"`: its
 /// trace index addresses a four-protocol trace set, not a Monte-Carlo
@@ -130,8 +82,9 @@ pub struct IdCell {
 
 impl IdCell {
     /// The cell of batch `label` under the run's base `seed`. While the
-    /// recorder is armed this reserves the cell's ordinal, so build
-    /// cells on the caller's thread in the order their batches run.
+    /// recorder is armed this reserves the cell's ordinal, so build a
+    /// runner's cells on its calling thread, in batch order, before any
+    /// of them scores.
     pub fn new(label: &str, seed: u64) -> IdCell {
         let cell = format!("{ID_CELL_PREFIX}{label}");
         IdCell {

@@ -12,7 +12,7 @@
 //! * `abl-lag` — the matcher's lag-search radius (continuous-correlator
 //!   modeling) vs accuracy.
 
-use crate::idtraces::{digitize_trace, front_end, trace_sweep, HARD_INCIDENT_DBM, HARD_MAX_JITTER};
+use crate::idtraces::{front_end, score_traces, trace_sweep, HARD_INCIDENT_DBM, HARD_MAX_JITTER};
 use crate::pipeline::{run_cells, tag_ber, tag_packet, AnyLink, CellSpec, Impairments};
 use crate::report::{f1, pct, Report};
 use crate::tracecache::traces_hard;
@@ -20,7 +20,7 @@ use msc_channel::Fading;
 use msc_core::envelope::FrontEnd;
 use msc_core::overlay::{params_for, Mode, OverlayParams, TagOverlayModulator};
 use msc_core::resources::{Arithmetic, MatcherCost};
-use msc_core::search::{blind_accuracy, collect_scores_labeled, IdCell};
+use msc_core::search::{blind_accuracy, IdCell};
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
 use msc_phy::protocol::Protocol;
@@ -32,7 +32,7 @@ pub fn abl_bits(n: usize, seed: u64) -> Report {
     let rate = SampleRate::ADC_HALF;
     let fe = front_end(rate);
     let bank = TemplateBank::build(&fe, TemplateConfig::standard(rate));
-    let traces = traces_hard(&fe, n, seed);
+    let set = traces_hard(&fe, n, seed);
 
     let mut report = Report::new(
         "abl-bits — quantization width vs accuracy and FPGA cost (10 Msps)",
@@ -45,10 +45,13 @@ pub fn abl_bits(n: usize, seed: u64) -> Report {
         ("6-bit".into(), MatchMode::MultiBit(6), Arithmetic::MultiBit(6)),
         ("full (9-bit float)".into(), MatchMode::FullPrecision, Arithmetic::FullPrecision),
     ];
-    for (ri, (label, mode, arith)) in rows.into_iter().enumerate() {
-        let matcher = Matcher::new(bank.clone(), mode);
-        let acc =
-            blind_accuracy(&collect_scores_labeled(&matcher, &traces, &format!("bits{ri}"), seed));
+    let matchers: Vec<Matcher> = rows.iter().map(|r| Matcher::new(bank.clone(), r.1)).collect();
+    let cells: Vec<IdCell> =
+        (0..rows.len()).map(|ri| IdCell::new(&format!("bits{ri}"), seed)).collect();
+    let scored =
+        score_traces(set.len(), |i| &set[i..=i], &[(&fe, matchers.iter().zip(&cells).collect())]);
+    for (((label, _, arith), cell), scored) in rows.into_iter().zip(cells).zip(scored) {
+        let acc = blind_accuracy(&cell.finish(scored));
         let cost = MatcherCost::table2(arith);
         report.row(&[
             label,
@@ -119,20 +122,11 @@ pub fn abl_slope(n: usize, seed: u64) -> Report {
     // ripple, noise and jitter are the same draws for all five: each
     // trace is acquired once through the five front ends, then scored
     // by each slope's matcher. No slope's set is ever held whole.
-    let per_trace = msc_par::par_map_indexed(4 * n, |i| {
-        let sweep = trace_sweep(&fes, n, seed, &HARD_INCIDENT_DBM, HARD_MAX_JITTER, i);
-        let row = sweep.iter().zip(&fes).zip(&matchers).zip(&cells);
-        row.map(|(((analog, fe), matcher), cell)| {
-            cell.score(matcher, i, &digitize_trace(fe, analog))
-        })
-        .collect::<Vec<_>>()
-    });
-    let mut scored = slopes.map(|_| Vec::with_capacity(4 * n));
-    for row in per_trace {
-        for (k, s) in row.into_iter().enumerate() {
-            scored[k].push(s);
-        }
-    }
+    let passes: Vec<_> = (fes.iter().zip(&matchers).zip(&cells))
+        .map(|((fe, m), cell)| (fe, vec![(m, cell)]))
+        .collect();
+    let sweep = |i| trace_sweep(&fes, n, seed, &HARD_INCIDENT_DBM, HARD_MAX_JITTER, i);
+    let scored = score_traces(4 * n, sweep, &passes);
     for ((slope, cell), scored) in slopes.iter().zip(cells).zip(scored) {
         let scores = cell.finish(scored);
         let per = msc_core::search::per_protocol_accuracy(
@@ -158,15 +152,19 @@ pub fn abl_lag(n: usize, seed: u64) -> Report {
     let rate = SampleRate::ADC_HALF;
     let fe = front_end(rate);
     let bank = TemplateBank::build(&fe, TemplateConfig::standard(rate));
-    let traces = traces_hard(&fe, n, seed);
+    let set = traces_hard(&fe, n, seed);
     let mut report = Report::new(
         "abl-lag — correlator lag-search radius vs accuracy (10 Msps, ±1 quantized)",
         &["radius (samples)", "radius (µs)", "avg acc"],
     );
-    for lag in [0usize, 2, 5, 10, 40] {
-        let matcher = Matcher::new(bank.clone(), MatchMode::Quantized).with_lag_search(lag);
-        let acc =
-            blind_accuracy(&collect_scores_labeled(&matcher, &traces, &format!("lag{lag}"), seed));
+    let lags = [0usize, 2, 5, 10, 40];
+    let matchers =
+        lags.map(|lag| Matcher::new(bank.clone(), MatchMode::Quantized).with_lag_search(lag));
+    let cells = lags.map(|lag| IdCell::new(&format!("lag{lag}"), seed));
+    let scored =
+        score_traces(set.len(), |i| &set[i..=i], &[(&fe, matchers.iter().zip(&cells).collect())]);
+    for ((lag, cell), scored) in lags.into_iter().zip(cells).zip(scored) {
+        let acc = blind_accuracy(&cell.finish(scored));
         report.row(&[lag.to_string(), format!("{:.1}", lag as f64 / rate.as_msps()), pct(acc)]);
     }
     report.note("A continuously-running correlator (generous radius) is what hardware implements; a single-point decision is brittle against detection jitter.");

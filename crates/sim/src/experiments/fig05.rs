@@ -4,10 +4,10 @@
 //! Paper: with L_p = 40, L_t = 120 the minimum per-protocol accuracy is
 //! 99.3% and the average is 99.7%.
 
-use crate::idtraces::front_end;
+use crate::idtraces::{front_end, score_traces};
 use crate::report::{pct, Report};
 use crate::tracecache::traces_hard;
-use msc_core::search::{blind_accuracy, collect_scores_labeled, per_protocol_accuracy};
+use msc_core::search::{blind_accuracy, per_protocol_accuracy, IdCell};
 use msc_core::{MatchMode, Matcher, OrderedRule, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
 use msc_phy::protocol::Protocol;
@@ -17,20 +17,25 @@ pub fn run(n: usize, seed: u64) -> Report {
     let n = n.max(8);
     let rate = SampleRate::ADC_FULL;
     let fe = front_end(rate);
-    // One shared trace set, rescanned by all five window splits (and by
-    // any other run at this operating point via the trace cache).
-    let traces = traces_hard(&fe, n, seed);
+    // One memoized analog set: each trace is digitized once and scored
+    // by all five window splits.
+    let set = traces_hard(&fe, n, seed);
+    let splits = [(8usize, 152usize), (20, 140), (40, 120), (60, 100), (80, 80)];
+    let matchers = splits.map(|(l_p, l_m)| {
+        let bank = TemplateBank::build(&fe, TemplateConfig { adc_rate: rate, l_p, l_m });
+        Matcher::new(bank, MatchMode::FullPrecision)
+    });
+    let cells = splits.map(|(l_p, _)| IdCell::new(&format!("lp{l_p}"), seed));
+    let scored =
+        score_traces(set.len(), |i| &set[i..=i], &[(&fe, matchers.iter().zip(&cells).collect())]);
 
     let mut report = Report::new(
         "fig5 — full-precision identification at 20 Msps vs (L_p, L_m)",
         &["L_p", "L_m", "avg acc", "min acc", "802.11n", "802.11b", "BLE", "ZigBee"],
     );
 
-    for (l_p, l_m) in [(8usize, 152usize), (20, 140), (40, 120), (60, 100), (80, 80)] {
-        let cfg = TemplateConfig { adc_rate: rate, l_p, l_m };
-        let bank = TemplateBank::build(&fe, cfg);
-        let matcher = Matcher::new(bank, MatchMode::FullPrecision);
-        let scores = collect_scores_labeled(&matcher, &traces, &format!("lp{l_p}"), seed);
+    for (((l_p, l_m), cell), scored) in splits.into_iter().zip(cells).zip(scored) {
+        let scores = cell.finish(scored);
         let avg = blind_accuracy(&scores);
         let per = per_protocol_accuracy(&OrderedRule { steps: vec![] }, &scores);
         let min = per.iter().cloned().fold(f64::INFINITY, f64::min);
@@ -55,7 +60,7 @@ pub fn run(n: usize, seed: u64) -> Report {
             ],
         );
         // One trial = one trace; misidentifications out of all traces.
-        let total = traces.len() as u64;
+        let total = set.len() as u64;
         report.stat("id_err", ((1.0 - avg) * total as f64).round() as u64, total);
     }
     report.note("Paper Fig. 5b: L_p=40, L_m=120 reaches min 99.3% / avg 99.7%.");

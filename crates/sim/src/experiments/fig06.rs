@@ -1,10 +1,10 @@
 //! Fig. 6 — the ordered-matching chain: per-protocol correlation-score
 //! separation and the brute-force searched order + thresholds (§2.3.2).
 
-use crate::idtraces::front_end;
+use crate::idtraces::{front_end, score_traces};
 use crate::report::{f3, Report};
 use crate::tracecache::traces_hard;
-use msc_core::search::{collect_scores_labeled, default_grid, search_ordered_rule};
+use msc_core::search::{default_grid, search_ordered_rule, IdCell};
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
 use msc_phy::protocol::Protocol;
@@ -14,10 +14,12 @@ pub fn run(n: usize, seed: u64) -> Report {
     let n = n.max(12);
     let rate = SampleRate::ADC_HALF; // the §2.3.2 operating point
     let fe = front_end(rate);
-    let traces = traces_hard(&fe, n, seed);
+    let set = traces_hard(&fe, n, seed);
     let bank = TemplateBank::build(&fe, TemplateConfig::standard(rate));
     let matcher = Matcher::new(bank, MatchMode::Quantized);
-    let scores = collect_scores_labeled(&matcher, &traces, "hard", seed);
+    let cell = IdCell::new("hard", seed);
+    let mut scored = score_traces(set.len(), |i| &set[i..=i], &[(&fe, vec![(&matcher, &cell)])]);
+    let scores = cell.finish(scored.remove(0));
 
     let mut report = Report::new(
         "fig6 — score separation and searched ordered-matching chain (10 Msps, ±1 quantized)",

@@ -1,12 +1,11 @@
 //! Fig. 7 — blind vs ordered matching at 10 Msps with 1-bit
 //! quantization. Paper: average accuracy 0.906 (blind) → 0.976 (ordered).
 
-use crate::idtraces::front_end;
+use crate::idtraces::{front_end, score_traces};
 use crate::report::{pct, Report};
 use crate::tracecache::traces_hard;
 use msc_core::search::{
-    blind_accuracy, collect_scores_labeled, default_grid, per_protocol_accuracy,
-    search_ordered_rule,
+    blind_accuracy, default_grid, per_protocol_accuracy, search_ordered_rule, IdCell,
 };
 use msc_core::{MatchMode, Matcher, OrderedRule, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
@@ -23,8 +22,14 @@ pub fn run(n: usize, seed: u64) -> Report {
 
     // The flight-recorder seed is the runner's *base* seed in both
     // batches (replay re-runs this runner, which re-derives ^0x5a5a).
-    let train = collect_scores_labeled(&matcher, &traces_hard(&fe, n, seed), "train", seed);
-    let test = collect_scores_labeled(&matcher, &traces_hard(&fe, n, seed ^ 0x5a5a), "test", seed);
+    let batches =
+        [("train", seed), ("test", seed ^ 0x5a5a)].map(|(label, s)| (IdCell::new(label, seed), s));
+    let [train, test] = batches.map(|(cell, set_seed)| {
+        let set = traces_hard(&fe, n, set_seed);
+        let mut scored =
+            score_traces(set.len(), |i| &set[i..=i], &[(&fe, vec![(&matcher, &cell)])]);
+        cell.finish(scored.remove(0))
+    });
 
     let searched = search_ordered_rule(&train, &default_grid());
     let blind_rule = OrderedRule { steps: vec![] };

@@ -3,12 +3,10 @@
 //! (b) extending to 40 µs recovers it (0.93);
 //! (c) 1 Msps stays unusable (~0.5).
 
-use crate::idtraces::front_end;
+use crate::idtraces::{front_end, score_traces};
 use crate::report::{pct, Report};
 use crate::tracecache::traces_hard;
-use msc_core::search::{
-    collect_scores_labeled, default_grid, per_protocol_accuracy, search_ordered_rule,
-};
+use msc_core::search::{default_grid, per_protocol_accuracy, search_ordered_rule, IdCell};
 use msc_core::{MatchMode, Matcher, TemplateBank, TemplateConfig};
 use msc_dsp::SampleRate;
 
@@ -20,31 +18,37 @@ pub fn run(n: usize, seed: u64) -> Report {
         &["rate", "window", "avg acc", "802.11n", "802.11b", "BLE", "ZigBee"],
     );
 
-    for (rate, label, extended, slug) in [
-        (SampleRate::ADC_LOW, "2.5 Msps", false, "2.5-std"),
-        (SampleRate::ADC_LOW, "2.5 Msps", true, "2.5-ext"),
-        (SampleRate::ADC_FLOOR, "1 Msps", true, "1-ext"),
-    ] {
-        let fe = front_end(rate);
-        let cfg =
-            if extended { TemplateConfig::extended(rate) } else { TemplateConfig::standard(rate) };
-        let bank = TemplateBank::build(&fe, cfg);
-        let matcher = Matcher::new(bank, MatchMode::Quantized);
-        // Flight records carry the runner's base seed (replay re-derives
-        // the ^0xa7a7 test stream itself). Both 2.5 Msps rows share one
-        // cached trace set per seed; only the template window differs.
-        let train = collect_scores_labeled(
-            &matcher,
-            &traces_hard(&fe, n, seed),
-            &format!("{slug}/train"),
-            seed,
-        );
-        let test = collect_scores_labeled(
-            &matcher,
-            &traces_hard(&fe, n, seed ^ 0xa7a7),
-            &format!("{slug}/test"),
-            seed,
-        );
+    let (low, floor) = (SampleRate::ADC_LOW, SampleRate::ADC_FLOOR);
+    let rows = [
+        ("2.5 Msps", "8 µs", TemplateConfig::standard(low), "2.5-std"),
+        ("2.5 Msps", "40 µs", TemplateConfig::extended(low), "2.5-ext"),
+        ("1 Msps", "40 µs", TemplateConfig::extended(floor), "1-ext"),
+    ];
+    let fes = [front_end(low), front_end(floor)];
+    let matchers = rows.map(|(.., cfg, _)| {
+        Matcher::new(TemplateBank::build(&front_end(cfg.adc_rate), cfg), MatchMode::Quantized)
+    });
+    // Flight records carry the runner's base seed (replay re-derives
+    // the ^0xa7a7 test stream itself).
+    let cells = rows.map(|(.., slug)| {
+        ["train", "test"].map(|half| IdCell::new(&format!("{slug}/{half}"), seed))
+    });
+    // One analog set per seed serves all three rows: each trace is
+    // digitized once at 2.5 Msps for both of its rows (only the template
+    // window differs) and once at 1 Msps.
+    let [train, test] = [(seed, 0), (seed ^ 0xa7a7, 1)].map(|(set_seed, half)| {
+        let set = traces_hard(&fes[0], n, set_seed);
+        let scorers =
+            |of: std::ops::Range<usize>| of.map(|r| (&matchers[r], &cells[r][half])).collect();
+        let passes = [(&fes[0], scorers(0..2)), (&fes[1], scorers(2..3))];
+        score_traces(set.len(), |i| &set[i..=i], &passes)
+    });
+
+    for ((((label, window, _, slug), [train_cell, test_cell]), train), test) in
+        rows.into_iter().zip(cells).zip(train).zip(test)
+    {
+        let train = train_cell.finish(train);
+        let test = test_cell.finish(test);
         let searched = search_ordered_rule(&train, &default_grid());
         let per = per_protocol_accuracy(&searched.rule, &test);
         let avg = per.iter().sum::<f64>() / 4.0;
@@ -52,7 +56,7 @@ pub fn run(n: usize, seed: u64) -> Report {
             format!("fig8/{slug}"),
             &[
                 label.into(),
-                if extended { "40 µs".into() } else { "8 µs".into() },
+                window.into(),
                 pct(avg),
                 pct(per[0]),
                 pct(per[1]),

@@ -3,6 +3,8 @@
 //! the tag front end at the identification operating point.
 
 use msc_core::envelope::{Analog, FrontEnd};
+use msc_core::search::{IdCell, LabeledScores};
+use msc_core::Matcher;
 use msc_dsp::{IqBuf, SampleRate};
 use msc_phy::bits::{random_bits, random_bytes};
 use msc_phy::protocol::Protocol;
@@ -103,11 +105,6 @@ pub fn generate_analog_at(
     })
 }
 
-/// Digitizes analog traces through `front_end`'s ADC, on the pool.
-pub fn digitize_traces(front_end: &FrontEnd, analog: &[AnalogTrace]) -> Vec<Trace> {
-    msc_par::par_map_indexed(analog.len(), |i| digitize_trace(front_end, &analog[i]))
-}
-
 /// Trace `i` of a set through one front end: the one-front-end case
 /// of [`trace_sweep`].
 fn analog_trace(
@@ -162,6 +159,38 @@ pub fn trace_sweep(
 pub fn digitize_trace(front_end: &FrontEnd, a: &AnalogTrace) -> Trace {
     let _dig = msc_obs::profile::scope("id.digitize");
     Trace { truth: a.truth, acquired: front_end.digitize(&a.analog), jitter: a.jitter }
+}
+
+/// The one identification scoring pass. `passes` lists each ADC
+/// configuration (a front end) with the matchers, each with its flight
+/// cell, that score its digitizations. For each trace index `i` in
+/// `0..n_traces`, in one pool worker: `analog(i)` yields trace `i`'s
+/// analog acquisition (one trace every front end digitizes, or one per
+/// pass), each front end digitizes it once, and each of its matchers
+/// scores that digitization through [`IdCell::score`]. Only the scores
+/// leave the worker.
+///
+/// Returns one column per (matcher, cell) pair, in `passes` order, with
+/// one slot per trace, for the caller to [`IdCell::finish`]. Build the
+/// cells on the calling thread, in batch order, before the call: that
+/// fixes their flight ordinals.
+pub fn score_traces<A: AsRef<[AnalogTrace]>>(
+    n_traces: usize,
+    analog: impl Fn(usize) -> A + Sync,
+    passes: &[(&FrontEnd, Vec<(&Matcher, &IdCell)>)],
+) -> Vec<Vec<Option<LabeledScores>>> {
+    let mut rows = msc_par::par_map_indexed(n_traces, |i| {
+        let analog = analog(i);
+        let analog = analog.as_ref();
+        let mut row = Vec::new();
+        for (k, (fe, scorers)) in passes.iter().enumerate() {
+            let trace = digitize_trace(fe, &analog[if analog.len() == 1 { 0 } else { k }]);
+            row.extend(scorers.iter().map(|(matcher, cell)| cell.score(matcher, i, &trace)));
+        }
+        row
+    });
+    let width = passes.iter().map(|(_, scorers)| scorers.len()).sum();
+    (0..width).map(|k| rows.iter_mut().map(|row| row[k].take()).collect()).collect()
 }
 
 impl msc_core::search::ScoredTrace for Trace {

@@ -1,18 +1,17 @@
 //! Shared identification analog-trace memo.
 //!
-//! The identification experiments (Figs. 5–8 and the matcher ablations)
-//! all start from a labeled set of acquired traces
-//! ([`crate::idtraces::generate_traces_at`]). fig7 alone builds two sets
-//! (train + test); fig8 reads the 2.5 and 1 Msps sets of the same seeds;
-//! fig5, fig6, abl-bits and abl-lag read one seed at 20, 10 and 10 Msps.
-//! `abl_slope` asks for nothing here: it acquires each trace once for
-//! its five front ends ([`crate::idtraces::trace_sweep`]) and scores it
-//! on the spot, so no set of its slopes is ever held.
-//! Most of a set's cost — packet modulation, FM-to-AM envelope,
-//! rectifier ripple and analog noise — does not depend on the ADC, so
-//! this module memoizes the *analog* set ([`idtraces::AnalogTrace`]:
-//! the rectifier output at the packet's RF rate) and digitizes it on the
-//! pool for each request's own ADC.
+//! The identification experiments (Figs. 5–8, abl-bits, abl-lag) score
+//! labeled traces at the "hard" operating point
+//! ([`crate::idtraces::generate_traces_hard`]), at one or two seeds and
+//! several ADC rates. Most of a trace's cost — packet modulation,
+//! FM-to-AM envelope, rectifier ripple and analog noise — does not
+//! depend on the ADC, so this module memoizes the *analog* set
+//! ([`idtraces::AnalogTrace`]: the rectifier output at the packet's RF
+//! rate, smaller than a 20 Msps acquired set). A runner asks for a set
+//! once per seed and hands it to [`crate::idtraces::score_traces`],
+//! which digitizes each trace once per ADC configuration in the worker
+//! that scores it. `abl_slope` asks for nothing here: it acquires each
+//! trace once for its five front ends ([`crate::idtraces::trace_sweep`]).
 //!
 //! ## Key
 //!
@@ -28,16 +27,12 @@
 //! from `derive_seed(seed, hash_label("idtraces"), i)`, in that order,
 //! and the ADC draws nothing — so the analog buffer, truth and jitter
 //! are the same at every ADC configuration, and digitizing a memoized
-//! analog set is bit-identical to a fresh generation. Disabling the memo
-//! (`paper --no-memo`, [`crate::memo::set_all_enabled`]) changes *work*, never
-//! *results*: reports are byte-identical with it on or off, at any
-//! thread count (asserted by `tests/thread_determinism.rs`).
-//!
-//! Only analog sets stay resident. They are held at the RF rate (8 Msps
-//! for BLE and ZigBee), which is smaller than a 20 Msps acquired set,
-//! and digitizing one again costs far less than generating it.
+//! analog trace is bit-identical to a fresh generation. Disabling the
+//! memo (`paper --no-memo`, [`crate::memo::set_all_enabled`]) changes
+//! *work*, never *results*: reports are byte-identical with it on or
+//! off, at any thread count (asserted by `tests/thread_determinism.rs`).
 
-use crate::idtraces::{self, AnalogTrace, Trace};
+use crate::idtraces::{self, AnalogTrace};
 use crate::memo::{Counters, Memo};
 use msc_core::envelope::FrontEnd;
 use std::ops::Range;
@@ -82,27 +77,6 @@ pub(crate) struct CacheKey {
 
 type AnalogSet = Arc<Vec<AnalogTrace>>;
 
-/// A digitized trace set served by the memo; it derefs to `[Trace]`.
-/// The memo keeps only analog sets, so each caller frees its digitized
-/// set: a buffer per trace, 33 MB for a 20 Msps set at n = 96. The drop
-/// opens `id.trace_free` so the profiler names that time instead of
-/// leaving it in the calling runner's frame.
-pub struct TraceSet(Vec<Trace>);
-
-impl std::ops::Deref for TraceSet {
-    type Target = [Trace];
-    fn deref(&self) -> &[Trace] {
-        &self.0
-    }
-}
-
-impl Drop for TraceSet {
-    fn drop(&mut self) {
-        let _free = msc_obs::profile::scope("id.trace_free");
-        drop(std::mem::take(&mut self.0));
-    }
-}
-
 /// The analog-set memo type. The process has one ([`TRACES`]); tests
 /// build private ones so their counts are exact.
 type TraceMemo = Memo<CacheKey, AnalogSet>;
@@ -116,8 +90,8 @@ fn new_memo() -> TraceMemo {
 }
 
 /// The process's analog-set memo. Its counters count *analog* sets: a
-/// hit is a request served by digitizing a resident analog set, a miss
-/// generated and kept one, a bypass generated one for its request alone
+/// hit is a request served a resident analog set, a miss generated and
+/// kept one, a bypass generated one for its request alone
 /// with the memo off, and `len` is the number of analog sets resident.
 pub(crate) static TRACES: LazyLock<TraceMemo> = LazyLock::new(new_memo);
 
@@ -150,38 +124,17 @@ fn analog_set(
     })
 }
 
-/// A request through `memo`: the analog set (resident, generated and
-/// kept, or — with the memo off — generated for this request alone) is
-/// digitized through `front_end`'s ADC.
-fn traces_in(
-    memo: &TraceMemo,
+/// The analog set at the "hard" operating point through the memo:
+/// shared on a hit, generated (and kept) on a miss, generated for this
+/// request alone with the memo off. Every ADC configuration of
+/// `front_end` gets the same set.
+pub fn traces_hard(
     front_end: &FrontEnd,
     n_per_protocol: usize,
     seed: u64,
-    incident_dbm: Range<f64>,
-    max_jitter: isize,
-) -> TraceSet {
-    let set = analog_set(memo, front_end, n_per_protocol, seed, incident_dbm, max_jitter);
-    TraceSet(idtraces::digitize_traces(front_end, &set))
-}
-
-/// [`crate::idtraces::generate_traces_at`] through the memo: the analog
-/// set is shared on a hit and generated (and kept) on a miss, then
-/// digitized through `front_end`'s ADC either way.
-pub fn traces_at(
-    front_end: &FrontEnd,
-    n_per_protocol: usize,
-    seed: u64,
-    incident_dbm: Range<f64>,
-    max_jitter: isize,
-) -> TraceSet {
-    traces_in(&TRACES, front_end, n_per_protocol, seed, incident_dbm, max_jitter)
-}
-
-/// [`crate::idtraces::generate_traces_hard`] through the memo — the
-/// operating point every identification figure shares.
-pub fn traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -> TraceSet {
-    traces_at(
+) -> Arc<Vec<AnalogTrace>> {
+    analog_set(
+        &TRACES,
         front_end,
         n_per_protocol,
         seed,
@@ -193,6 +146,7 @@ pub fn traces_hard(front_end: &FrontEnd, n_per_protocol: usize, seed: u64) -> Tr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::idtraces::Trace;
     use msc_analog::Adc;
     use msc_dsp::SampleRate;
 
@@ -211,8 +165,12 @@ mod tests {
         }
     }
 
-    fn hard(memo: &TraceMemo, fe: &FrontEnd, n: usize, seed: u64) -> TraceSet {
-        traces_in(memo, fe, n, seed, idtraces::HARD_INCIDENT_DBM, idtraces::HARD_MAX_JITTER)
+    /// A hard-point request through `memo`, digitized trace by trace
+    /// through `fe`'s ADC.
+    fn hard(memo: &TraceMemo, fe: &FrontEnd, n: usize, seed: u64) -> Vec<Trace> {
+        let set =
+            analog_set(memo, fe, n, seed, idtraces::HARD_INCIDENT_DBM, idtraces::HARD_MAX_JITTER);
+        set.iter().map(|a| idtraces::digitize_trace(fe, a)).collect()
     }
 
     fn counts(memo: &TraceMemo) -> (u64, u64, u64) {
@@ -298,7 +256,7 @@ mod tests {
             (1, 9, -9.5..-4.0, 2),
             (1, 9, -9.0..-4.0, 3),
         ] {
-            traces_in(&memo, &fe, n, seed, range, jitter);
+            analog_set(&memo, &fe, n, seed, range, jitter);
         }
         assert_eq!(counts(&memo), (0, 5, 0));
     }
@@ -308,18 +266,17 @@ mod tests {
         // fig5 (20 Msps) and fig8 (2.5 and 1 Msps) read one analog set
         // at seed 31 — the cross-runner sharing a one-runner process
         // never exercises. n = 16 is fig8's floor, so both runners ask
-        // for the same count.
-        let run = || {
-            let a = crate::experiments::fig05::run(16, 31).to_json();
-            let b = crate::experiments::fig08::run(16, 31).to_json();
-            (a, b)
-        };
+        // for the same count. fig8 asks once per seed: its seed-31
+        // request hits fig5's set, its seed-31^0xa7a7 request misses.
+        let fig5 = || crate::experiments::fig05::run(16, 31).to_json();
+        let fig8 = || crate::experiments::fig08::run(16, 31).to_json();
+        let on_5 = fig5();
         let before = TRACES.stats().hits;
-        let on = run();
-        assert!(TRACES.stats().hits >= before + 5, "fig8 must reuse fig5's analog set");
+        let on_8 = fig8();
+        assert!(TRACES.stats().hits > before, "fig8 must reuse fig5's analog set");
         TRACES.set_enabled(false);
-        let off = run();
+        let off = (fig5(), fig8());
         TRACES.set_enabled(true);
-        assert_eq!(on, off);
+        assert_eq!((on_5, on_8), off);
     }
 }

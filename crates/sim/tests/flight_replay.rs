@@ -130,24 +130,33 @@ fn id_miss_trials_are_recorded_for_identification_experiments() {
 }
 
 #[test]
-fn abl_slope_id_miss_replays_at_1_and_8_threads() {
-    // abl-slope acquires each trace once for all five slopes and scores
-    // it per slope; a miss of the zero-slope row must still replay from
-    // its own `(cell, index)`.
+fn per_trace_id_miss_replays_at_1_and_8_threads() {
+    // Each runner digitizes trace i once per ADC configuration and
+    // scores it with every matcher in one pool worker, so one trace's
+    // trials of several cells interleave: abl-slope's five slopes from
+    // one acquisition, fig5's five window splits of one 20 Msps
+    // digitization, fig8's train and test seeds with three rows over two
+    // ADC rates. A miss must still replay from its own `(cell, index)`.
     let _guard = flight::tests_serial();
-    msc_par::set_threads(2);
-    let dumps = record_runner("abl-slope", 10, 42);
-    let dump = dumps.iter().find(|d| d.reason == "id_miss");
-    let dump = dump.unwrap_or_else(|| panic!("abl-slope(10, 42) kept no id_miss: {dumps:?}"));
-    assert_eq!(dump.record.cell, "id/slope0.00");
-    let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, 10)).expect("bundle parses");
-    for threads in [1, 8] {
-        msc_par::set_threads(threads);
-        let result = msc_sim::replay::replay(&bundle)
-            .unwrap_or_else(|e| panic!("replay at {threads} threads: {e}"));
-        assert!(result.matches, "replay at {threads} threads diverged: {:?}", result.diffs);
-        let record = result.record.expect("a trial replay carries its record");
-        assert_eq!(record.scores, dump.record.scores);
+    for (id, n, seed, cell) in [
+        ("abl-slope", 10, 42, "id/slope0.00"),
+        ("fig5", 10, 3, "id/lp40"),
+        ("fig8", 16, 42, "id/2.5-std/test"),
+    ] {
+        msc_par::set_threads(2);
+        let dumps = record_runner(id, n, seed);
+        let dump = dumps.iter().find(|d| d.reason == "id_miss");
+        let dump = dump.unwrap_or_else(|| panic!("{id}({n}, {seed}) kept no id_miss: {dumps:?}"));
+        assert_eq!(dump.record.cell, cell, "{id}");
+        let bundle = flight::parse_bundle(&flight::bundle_to_json(dump, n)).expect("bundle parses");
+        for threads in [1, 8] {
+            msc_par::set_threads(threads);
+            let result = msc_sim::replay::replay(&bundle)
+                .unwrap_or_else(|e| panic!("{id} replay at {threads} threads: {e}"));
+            assert!(result.matches, "{id} at {threads} threads diverged: {:?}", result.diffs);
+            let record = result.record.expect("a trial replay carries its record");
+            assert_eq!(record.scores, dump.record.scores, "{id}");
+        }
     }
     msc_par::set_threads(0);
 }

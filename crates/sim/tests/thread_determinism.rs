@@ -137,23 +137,28 @@ fn abl_slope_sweeps_without_the_memo_at_1_and_8_threads() {
 #[test]
 fn observability_flags_do_not_change_reports() {
     // `--metrics-out` (which arms the flight recorder), `--profile` and
-    // `--events` only observe the one trial engine: fig13's stdout must
-    // match a plain run byte for byte, at 1 and 8 threads.
+    // `--events` only observe: fig13 (the one trial engine) and fig5 (the
+    // one identification scoring pass) must match a plain run byte for
+    // byte, at 1 and 8 threads.
     let dir = std::env::temp_dir().join(format!("msc-obs-flags-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let plain = paper_stdout(&["fig13", "2", "7", "--threads", "1"]);
-    assert!(!plain.trim().is_empty(), "fig13 produced no output");
-    for threads in ["1", "8"] {
-        for extra in [&[][..], &["--metrics-out", "m"], &["--profile"], &["--events", "e.jsonl"]] {
-            let out = Command::new(env!("CARGO_BIN_EXE_paper"))
-                .args(["fig13", "2", "7", "--no-progress", "--threads", threads])
-                .args(extra)
-                .current_dir(&dir) // relative outputs and profile.* land here
-                .output()
-                .expect("run paper binary");
-            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-            let stdout = String::from_utf8(out.stdout).unwrap();
-            assert_eq!(stdout, plain, "{extra:?} changed fig13 at {threads} threads");
+    for exp in ["fig13", "fig5"] {
+        let plain = paper_stdout(&[exp, "2", "7", "--threads", "1"]);
+        assert!(!plain.trim().is_empty(), "{exp} produced no output");
+        for threads in ["1", "8"] {
+            for extra in
+                [&[][..], &["--metrics-out", "m"], &["--profile"], &["--events", "e.jsonl"]]
+            {
+                let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+                    .args([exp, "2", "7", "--no-progress", "--threads", threads])
+                    .args(extra)
+                    .current_dir(&dir) // relative outputs and profile.* land here
+                    .output()
+                    .expect("run paper binary");
+                assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+                let stdout = String::from_utf8(out.stdout).unwrap();
+                assert_eq!(stdout, plain, "{extra:?} changed {exp} at {threads} threads");
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
