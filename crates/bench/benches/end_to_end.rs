@@ -5,7 +5,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use msc_core::overlay::Mode;
 use msc_phy::protocol::Protocol;
-use msc_sim::pipeline::{run_packet, run_packets, AnyLink, Geometry};
+use msc_sim::pipeline::{
+    run_cells, run_packet, run_packets, tag_packet, AnyLink, CellSpec, Geometry, Impairments,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -74,6 +76,24 @@ fn bench_trial_batch(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_abl_gamma_cell(c: &mut Criterion) {
+    // One abl-gamma cell as the runner builds it (γ = 6, 2 dB, 12
+    // productive symbols, n = 16): per-trial `tag_packet` decodes, each
+    // under the window-only sync hint, so ZigBee's CFO estimator runs
+    // and its full-buffer matched filter does not.
+    use msc_channel::Fading;
+    use msc_core::overlay::{OverlayParams, TagOverlayModulator};
+    use msc_rx::ZigBeeOverlayLink;
+    let params = OverlayParams::new(12, 6);
+    let link = AnyLink::ZigBee(Box::new(ZigBeeOverlayLink::new(params)));
+    let tag = TagOverlayModulator::new(Protocol::ZigBee, params);
+    let imp = Impairments::snr(2.0, Fading::None);
+    let cell = [CellSpec::each("bench/abl-gamma".to_string(), 16, 42, "ZigBee", |rng, _| {
+        tag_packet(rng, &link, &tag, 12, imp)
+    })];
+    c.bench_function("abl_gamma_cell/g6/2dB", |b| b.iter(|| run_cells(black_box(&cell))));
 }
 
 /// The pre-PR ordered-rule search: greedy per step, re-scoring the full
@@ -252,7 +272,7 @@ fn bench_id_sweep(c: &mut Criterion) {
     {
         let bank = TemplateBank::build(&fe, TemplateConfig::standard(rate));
         let matcher = Matcher::new(bank, mode);
-        group.bench_with_input(BenchmarkId::new("score_batched", label), &matcher, |b, m| {
+        group.bench_with_input(BenchmarkId::new("collect_scores", label), &matcher, |b, m| {
             b.iter(|| collect_scores(black_box(m), &traces))
         });
     }
@@ -273,6 +293,6 @@ fn bench_id_sweep(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_pipeline, bench_tag_full_loop, bench_experiment_cell, bench_trial_batch, bench_fleet, bench_id_sweep
+    targets = bench_pipeline, bench_tag_full_loop, bench_experiment_cell, bench_trial_batch, bench_abl_gamma_cell, bench_fleet, bench_id_sweep
 }
 criterion_main!(benches);

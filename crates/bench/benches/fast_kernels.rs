@@ -92,7 +92,9 @@ fn bench_fft_sliding(c: &mut Criterion) {
 
 /// The 802.11n sync search's shape: a 160-sample L-STF probe over a
 /// 5840-sample receive buffer, of which only the first 4000 offsets are
-/// scored. `fold_full_buffer` is the work before the search was sliced.
+/// scored. `fold_full_buffer` is the work before the search was sliced;
+/// `dispatched_first_4000` is what `find_sync` runs, overlap-save in
+/// 1024-sample blocks.
 fn bench_complex_sync(c: &mut Criterion) {
     let mut group = c.benchmark_group("complex_sync_corr_5840x160");
     let complex = |n: usize, seed: u64| -> Vec<Complex64> {

@@ -68,9 +68,11 @@ fn next_pow2(n: usize) -> usize {
     n.next_power_of_two().max(2)
 }
 
-/// Should [`sliding_corr`] take the FFT path? Direct costs ~N·L
-/// multiply-adds; the FFT path costs three m·log2(m) transforms of size
-/// m = next_pow2(N+L) with complex arithmetic (~6× per butterfly).
+/// Should the real-valued [`sliding_corr`] (and [`sliding_corr_max4`])
+/// take the FFT path? Direct costs ~N·L multiply-adds; the FFT path
+/// costs three m·log2(m) transforms of size m = next_pow2(N+L) with
+/// complex arithmetic (~6× per butterfly). The complex matched filter
+/// dispatches on its own overlap-save model ([`complex_corr_block`]).
 fn fft_pays_off(n: usize, l: usize) -> bool {
     if l < 32 {
         return false;
@@ -345,8 +347,9 @@ type ProbeSpectra = HashMap<(usize, u64), Rc<Vec<Complex64>>>;
 thread_local! {
     /// Memoized zero-padded probe spectra. Sync correlators slide the
     /// *same* preamble probe over every packet, so its forward
-    /// transform — one of the three FFTs in [`complex_sliding_corr`] —
-    /// is loop-invariant across a run and worth caching.
+    /// transform — the one [`complex_sliding_corr_fft`] transform not
+    /// taken per block — is loop-invariant across a run and worth
+    /// caching.
     static PROBE_SPECTRA: RefCell<ProbeSpectra> = RefCell::new(HashMap::new());
 }
 
@@ -390,20 +393,19 @@ fn probe_spectrum(fft: &Fft, m: usize, probe: &[Complex64]) -> Rc<Vec<Complex64>
 
 /// Complex sliding cross-correlation: `out[off] = Σ_i samples[off+i] ·
 /// conj(probe[i])` for every full-overlap offset. This is the inner sum
-/// of a matched filter; callers normalize by energies themselves. Uses
-/// the FFT when the sizes justify it — overlap-save in blocks of
-/// [`overlap_save_block`] samples ([`complex_sliding_corr_fft`]) — and
-/// the blocked direct kernel ([`complex_sliding_corr_direct`])
+/// of a matched filter; callers normalize by energies themselves. Runs
+/// overlap-save in the block [`complex_corr_block`] picks
+/// ([`complex_sliding_corr_fft`]) when that is cheaper than the blocked
+/// direct kernel ([`complex_sliding_corr_direct`]), the direct kernel
 /// otherwise.
 pub fn complex_sliding_corr(samples: &[Complex64], probe: &[Complex64]) -> Vec<Complex64> {
     if probe.is_empty() || samples.len() < probe.len() {
         return Vec::new();
     }
-    let (n, l) = (samples.len(), probe.len());
-    if !fft_pays_off(n, l) {
-        return complex_sliding_corr_direct(samples, probe);
+    match complex_corr_block(samples.len(), probe.len()) {
+        Some(m) => complex_sliding_corr_fft(samples, probe, m),
+        None => complex_sliding_corr_direct(samples, probe),
     }
-    complex_sliding_corr_fft(samples, probe, overlap_save_block(n, l))
 }
 
 /// [`complex_sliding_corr`]'s FFT path, overlap-save in blocks of `m`
@@ -443,27 +445,39 @@ pub fn complex_sliding_corr_fft(
     out
 }
 
-/// Overlap-save block size for an `n`-sample, `l`-tap correlation: the
-/// power of two from `2·l` up to the single-block `next_pow2(n + l)`
-/// with the least modelled cost, `blocks · m · log2 m · c`.
+/// [`complex_sliding_corr_direct`]'s measured time per complex
+/// multiply-add, in tenths of a nanosecond: 802.11n's sync (4000
+/// offsets of the 160-tap L-STF) takes ~252 µs, ~0.4 ns per tap and
+/// offset, on a 2-vCPU AVX x86-64 host.
+const DIRECT_MAC_COST: usize = 4;
+
+/// The overlap-save block [`complex_sliding_corr`] runs an `n`-sample
+/// (`n ≥ l`), `l`-tap correlation in, or `None` when the direct kernel
+/// is cheaper: `outs · l` multiply-adds at ~0.4 ns each against
+/// the cheapest block's modelled cost.
 ///
-/// `c` is a block's measured time per point and butterfly stage on a
-/// 2-vCPU AVX2 x86-64 host: ~1.4 ns up to 2048 samples, ~1.9 ns from
-/// 4096, where a block and its twiddles leave L1. So ZigBee's 1280-tap
-/// SHR over 7684 samples takes one 8192 block instead of one 16384, and
-/// over 20000 three instead of one 32768. Ties keep the larger block.
-/// A fixed model, not a runtime probe: the block size sets the rounding
-/// of every output, which must not depend on the machine's load.
-pub fn overlap_save_block(n: usize, l: usize) -> usize {
+/// Candidate blocks are the powers of two from `2·l` up to the
+/// single-block `next_pow2(n + l)`, each costing `blocks · m · log2 m ·
+/// c`, with `c` a block's measured time per point and butterfly stage
+/// on the same host: ~1.4 ns up to 2048 samples, ~1.9 ns from 4096,
+/// where a block and its twiddles leave L1. So ZigBee's 1280-tap SHR
+/// over 7684 samples takes one 8192 block instead of one 16384, over
+/// 20000 three instead of one 32768, and 802.11n's 4159-sample sync
+/// five 1024 blocks (~80 µs) instead of the direct kernel. Ties keep
+/// the larger block, and the FFT over the direct kernel. Both constants
+/// are fixed, not probed at run time: the path and the block size set
+/// the rounding of every output, which must not depend on the machine
+/// or its load.
+pub fn complex_corr_block(n: usize, l: usize) -> Option<usize> {
     let single = next_pow2(n + l);
     let outs = n - l + 1;
-    let mut best = (usize::MAX, single);
+    let mut best = (outs * l * DIRECT_MAC_COST, None);
     let mut m = next_pow2(2 * l);
     while m <= single {
         let c = if m >= 4096 { 19 } else { 14 };
         let cost = outs.div_ceil(m - l + 1) * m * m.trailing_zeros() as usize * c;
         if cost <= best.0 {
-            best = (cost, m);
+            best = (cost, Some(m));
         }
         m *= 2;
     }

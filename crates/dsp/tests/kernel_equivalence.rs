@@ -4,8 +4,8 @@
 //! per-offset / direct code they replaced.
 
 use msc_dsp::corr::{
-    complex_sliding_corr, complex_sliding_corr_direct, complex_sliding_corr_fft,
-    complex_sliding_corr_scalar, normalized_corr, overlap_save_block, quantized_corr,
+    complex_corr_block, complex_sliding_corr, complex_sliding_corr_direct,
+    complex_sliding_corr_fft, complex_sliding_corr_scalar, normalized_corr, quantized_corr,
     sign_quantize, sliding_corr, sliding_corr_direct, sliding_corr_fft, PackedBits,
 };
 use msc_dsp::Complex64;
@@ -239,7 +239,7 @@ fn overlap_save_complex_corr_matches_fold() {
                 Some(m) => complex_sliding_corr_fft(samples, &probe, m),
                 None => {
                     let n = samples.len();
-                    let m = overlap_save_block(n, l);
+                    let m = complex_corr_block(n, l).expect("ZigBee's SHR search runs on the FFT");
                     assert!(m < (n + l).next_power_of_two(), "n={n}: no split, block {m}");
                     complex_sliding_corr(samples, &probe)
                 }
@@ -247,5 +247,27 @@ fn overlap_save_complex_corr_matches_fold() {
             let err = max_rel_err(&got, want);
             assert!(err <= 1e-9, "l={l} n_off={n_off} block {block:?}: rel err {err}");
         }
+    }
+}
+
+#[test]
+fn receiver_sync_shapes_take_the_fft_within_tolerance() {
+    // 802.11n's sync (4000 offsets of the 160-sample L-STF) and BLE's
+    // preamble + access-address search (320 samples) over the trial
+    // buffers the link runners decode: each is cheaper overlap-saved
+    // than on the direct kernel, and stays within the FFT tolerance of
+    // the direct fold.
+    let raw: Vec<(f64, f64)> =
+        (0..997).map(|k| ((k as f64 * 0.37).sin(), (k as f64 * 1.13).cos())).collect();
+    for (n, l) in [(4159usize, 160usize), (1088, 320), (1344, 320), (2368, 320)] {
+        let probe: Vec<Complex64> = (0..l)
+            .map(|i| Complex64::new((i as f64 * 0.71).cos(), -(i as f64 * 0.29).sin()))
+            .collect();
+        let samples = complex_samples(&raw, n - l + 1, l);
+        let m = complex_corr_block(n, l);
+        assert!(m.is_some(), "{n}x{l} stays on the direct kernel");
+        let got = complex_sliding_corr(&samples, &probe);
+        let err = max_rel_err(&got, &complex_sliding_corr_direct(&samples, &probe));
+        assert!(err <= 1e-9, "{n}x{l} block {m:?}: rel err {err}");
     }
 }

@@ -1,4 +1,4 @@
-//! Exporters: JSON-lines and CSV serialization of registry snapshots,
+//! Exporters: JSON-lines serialization of registry snapshots,
 //! plus a minimal JSON parser for round-trip verification and tooling
 //! and the exact integer reader the bundle parsers share.
 
@@ -112,59 +112,6 @@ pub fn to_jsonl(records: &[Record]) -> String {
     for rec in records {
         out.push_str(&record_to_json(rec));
         out.push('\n');
-    }
-    out
-}
-
-fn csv_escape(s: &str) -> String {
-    if s.contains([',', '"', '\n']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
-/// Serializes a snapshot as CSV. Histograms flatten to one row per
-/// summary statistic (`count`, `sum`, `min`, `max`, `mean`) plus one
-/// row per bucket (`field` = `le_<edge>` / `le_inf`).
-pub fn to_csv(records: &[Record]) -> String {
-    let mut out = String::from("name,type,experiment,protocol,stage,field,value\n");
-    let mut row = |name: &str, ty: &str, rec: &Record, field: &str, value: String| {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{}",
-            csv_escape(name),
-            ty,
-            csv_escape(&rec.key.experiment),
-            csv_escape(rec.key.protocol),
-            csv_escape(rec.key.stage),
-            field,
-            value
-        );
-    };
-    for rec in records {
-        match &rec.value {
-            Value::Counter(c) => row(rec.key.name, "counter", rec, "value", c.to_string()),
-            Value::Gauge(g) => row(rec.key.name, "gauge", rec, "value", format!("{g}")),
-            Value::Histogram(h) => {
-                row(rec.key.name, "histogram", rec, "count", h.count.to_string());
-                row(rec.key.name, "histogram", rec, "sum", format!("{}", h.sum()));
-                row(rec.key.name, "histogram", rec, "min", format!("{}", h.min));
-                row(rec.key.name, "histogram", rec, "max", format!("{}", h.max));
-                row(rec.key.name, "histogram", rec, "mean", format!("{}", h.mean()));
-                row(rec.key.name, "histogram", rec, "p50", format!("{}", h.quantile(0.50)));
-                row(rec.key.name, "histogram", rec, "p90", format!("{}", h.quantile(0.90)));
-                row(rec.key.name, "histogram", rec, "p99", format!("{}", h.quantile(0.99)));
-                for (i, c) in h.counts.iter().enumerate() {
-                    let field = if i < h.edges.len() {
-                        format!("le_{}", h.edges[i])
-                    } else {
-                        "le_inf".to_string()
-                    };
-                    row(rec.key.name, "histogram", rec, &field, c.to_string());
-                }
-            }
-        }
     }
     out
 }
@@ -473,25 +420,10 @@ mod tests {
     }
 
     #[test]
-    fn csv_has_header_and_flattened_rows() {
-        let r = sample_registry();
-        let csv = to_csv(&r.snapshot());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next().unwrap(), "name,type,experiment,protocol,stage,field,value");
-        assert!(csv.contains("rx.decoded,counter,fig13,802.11b,decode,value,42"));
-        assert!(csv.contains("id.score,histogram,fig13,802.11b,decode,count,4"));
-        assert!(csv.contains("id.score,histogram,fig13,802.11b,decode,p50,"));
-        assert!(csv.contains("id.score,histogram,fig13,802.11b,decode,p99,"));
-        assert!(csv.contains("le_inf"));
-    }
-
-    #[test]
     fn escaping_survives_hostile_labels() {
         assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let parsed = parse_json("\"a\\\"b\\\\c\\nd\"").unwrap();
         assert_eq!(parsed.as_str().unwrap(), "a\"b\\c\nd");
-        assert_eq!(csv_escape("x,y"), "\"x,y\"");
-        assert_eq!(csv_escape("plain"), "plain");
     }
 
     #[test]

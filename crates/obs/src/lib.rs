@@ -6,7 +6,7 @@
 //!   fixed-bucket histograms keyed by `(experiment, protocol, stage)`.
 //!   Disabled by default; instrumented hot paths pay only an atomic
 //!   load until [`metrics::enable`] is called.
-//! * **Exporters** ([`export`]): JSON-lines and CSV serialization of a
+//! * **Exporters** ([`export`]): JSON-lines serialization of a
 //!   registry snapshot, plus a minimal JSON parser used for round-trip
 //!   verification and bundle parsing.
 //! * **Run manifests** ([`manifest`]): git revision, RNG seed, config

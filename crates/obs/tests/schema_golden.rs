@@ -23,8 +23,8 @@ fn key(name: &'static str, protocol: &'static str, stage: &'static str) -> Key {
 fn fingerprint() -> String {
     let mut out = String::new();
 
-    // metrics.jsonl / metrics.csv — a private registry with one of each
-    // metric kind, fixed values.
+    // metrics.jsonl — a private registry with one of each metric kind,
+    // fixed values.
     let reg = Registry::new();
     reg.counter_add(key("pipe.packets", "BLE", "decode"), 3);
     reg.gauge_set(key("id.accuracy", "ZigBee", "ordered"), 0.976);
@@ -32,8 +32,6 @@ fn fingerprint() -> String {
     let snap = reg.snapshot();
     out.push_str("== metrics.jsonl ==\n");
     out.push_str(&msc_obs::export::to_jsonl(&snap));
-    out.push_str("== metrics.csv ==\n");
-    out.push_str(&msc_obs::export::to_csv(&snap));
 
     // flight bundle — fixed dump.
     let dump = Dump {
@@ -94,8 +92,8 @@ fn exports_match_golden_for_this_schema_version() {
 #[test]
 fn every_export_declares_the_schema_version() {
     let fp = fingerprint();
-    // jsonl meta line (compact) + flight bundle + profile.json (csv and
-    // folded are headerless data formats).
+    // jsonl meta line (compact) + flight bundle + profile.json (folded
+    // is a headerless data format).
     let n = fp.matches(&format!("\"schema_version\": {}", msc_obs::SCHEMA_VERSION)).count()
         + fp.matches(&format!("\"schema_version\":{}", msc_obs::SCHEMA_VERSION)).count();
     assert!(n >= 3, "{n} declarations in:\n{fp}");

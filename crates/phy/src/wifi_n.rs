@@ -727,8 +727,9 @@ mod tests {
     }
 
     /// The pre-slicing sync search, kept as an oracle: it correlates the
-    /// whole buffer against a freshly built preamble and then scores
-    /// only the first `min(len − 320, 4000)` offsets.
+    /// whole buffer against a freshly built preamble on the direct
+    /// kernel and then scores only the first `min(len − 320, 4000)`
+    /// offsets.
     fn find_sync_full_buffer(samples: &[Complex64]) -> Option<usize> {
         let pre = preamble_samples(&OfdmEngine::new());
         let probe = &pre[..160];
@@ -738,7 +739,7 @@ mod tests {
         let probe_energy: f64 = probe.iter().map(|s| s.norm_sqr()).sum();
         let mut best = (0usize, 0.0f64);
         let limit = (samples.len() - pre.len()).min(4000);
-        let accs = msc_dsp::corr::complex_sliding_corr(samples, probe);
+        let accs = msc_dsp::corr::complex_sliding_corr_direct(samples, probe);
         let energies = msc_dsp::corr::sliding_energy(samples, probe.len());
         for (off, (acc, &sig_energy)) in accs.iter().zip(&energies).enumerate().take(limit) {
             let denom = (probe_energy * sig_energy).sqrt();
@@ -783,6 +784,9 @@ mod tests {
 
     #[test]
     fn sliced_sync_matches_full_buffer_search() {
+        // The oracle runs the direct kernel over the whole buffer, so
+        // each case also pins the dispatched (overlap-save) sync to the
+        // direct one.
         let demod = WifiNDemodulator::new();
         let frame = WifiNModulator::new(WifiNConfig::default())
             .modulate(&random_bits(&mut StdRng::seed_from_u64(40), 320));
@@ -799,6 +803,24 @@ mod tests {
         // The oracle comparison must not be vacuous: clean-enough frames
         // sync exactly.
         assert!(found >= 12, "only {found} of 18 exact syncs");
+
+        // Noisy frames under crystal-grade carrier offsets, whose
+        // rotation flattens the correlation peak.
+        let mut found = 0;
+        for (k, cfo) in [-48.8e3, -20e3, 20e3, 48.8e3].into_iter().enumerate() {
+            let shifted = frame.freq_shift(cfo);
+            for (j, snr_db) in [-2.0, 4.0, 10.0].into_iter().enumerate() {
+                for at in [0usize, 613] {
+                    let seed = 90 + (3 * k + j) as u64 * 1000 + at as u64;
+                    let buf = noisy_buffer(&shifted, at, at + frame.len() + 300, snr_db, seed);
+                    let got = demod.find_sync(&buf);
+                    let want = find_sync_full_buffer(&buf);
+                    assert_eq!(got, want, "CFO {cfo} Hz, snr {snr_db} dB, frame at {at}");
+                    found += usize::from(got == Some(at));
+                }
+            }
+        }
+        assert!(found >= 12, "only {found} of 24 exact syncs under CFO");
 
         // Past the searched range: a clean frame at 4500 outscores the
         // weak in-range copy at 120, yet both searches keep to the first

@@ -437,13 +437,16 @@ impl ZigBeeDemodulator {
         if buf.mean_power() < 1e-20 {
             return Err(DecodeError::SignalTooWeak);
         }
-        // Under an engine sync-window hint the carrier is known to be
-        // offset-free (the simulation pipeline applies none), so the
-        // CFO estimator — which would only chase noise, and whose
-        // noise-triggered correction clones the whole buffer — is
-        // skipped along with the full-buffer matched-filter search.
-        let hint = crate::fastsync::window();
-        let cfo = if hint.is_some() { 0.0 } else { self.estimate_cfo_hz(buf) };
+        // An engine hint that the carrier is offset-free skips the CFO
+        // estimator, which would only chase noise (and whose
+        // noise-triggered correction clones the whole buffer); its sync
+        // window replaces the full-buffer matched-filter search, after
+        // any correction.
+        let hint = crate::fastsync::hint();
+        let cfo = match hint {
+            Some(h) if h.cfo_free => 0.0,
+            _ => self.estimate_cfo_hz(buf),
+        };
         let corrected;
         let buf = if cfo.abs() > 50.0 {
             corrected = buf.freq_shift(-cfo);
@@ -453,8 +456,8 @@ impl ZigBeeDemodulator {
         };
         let samples = buf.samples();
         let (t0_coarse, _) = match hint {
-            Some(radius) => {
-                self.find_sync_windowed(samples, radius).or_else(|| self.find_sync(samples))
+            Some(h) => {
+                self.find_sync_windowed(samples, h.radius).or_else(|| self.find_sync(samples))
             }
             None => self.find_sync(samples),
         }
@@ -627,6 +630,48 @@ mod tests {
         assert_eq!(dec.psdu, psdu);
     }
 
+    /// The engine's batched-trial hint: frame at the head, no CFO.
+    const BATCH_HINT: crate::fastsync::SyncHint =
+        crate::fastsync::SyncHint { radius: 8, cfo_free: true };
+    /// The per-trial `tag_packet` hint: frame at the head, estimator kept.
+    const WINDOW_HINT: crate::fastsync::SyncHint =
+        crate::fastsync::SyncHint { radius: 8, cfo_free: false };
+
+    /// `samples` plus uniform complex noise `snr_db` below their mean
+    /// power.
+    fn add_noise(samples: &mut [Complex64], snr_db: f64, rng: &mut StdRng) {
+        let power = samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / samples.len() as f64;
+        // Uniform on (−a, a) per component has power 2a²/3.
+        let a = (1.5 * power / 10f64.powf(snr_db / 10.0)).sqrt();
+        for s in samples.iter_mut() {
+            *s += Complex64::new(rng.gen_range(-a..a), rng.gen_range(-a..a));
+        }
+    }
+
+    /// Asserts two decode results equal bit for bit: every field, the
+    /// soft values by `to_bits`.
+    fn assert_same_decode(
+        a: &Result<ZigBeeDecoded, DecodeError>,
+        b: &Result<ZigBeeDecoded, DecodeError>,
+        ctx: &str,
+    ) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.psdu, b.psdu, "{ctx}");
+                assert_eq!(a.fcs_ok, b.fcs_ok, "{ctx}");
+                assert_eq!(a.phr_start, b.phr_start, "{ctx}");
+                assert_eq!(a.raw_symbols, b.raw_symbols, "{ctx}");
+                assert_eq!(bits(&a.symbol_quality), bits(&b.symbol_quality), "{ctx}");
+                let chips =
+                    |d: &ZigBeeDecoded| d.raw_chips.iter().map(|c| bits(c)).collect::<Vec<_>>();
+                assert_eq!(chips(a), chips(b), "{ctx}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}"),
+            (a, b) => panic!("{ctx}: {a:?} vs {b:?}"),
+        }
+    }
+
     #[test]
     fn windowed_sync_matches_full_decode_on_aligned_noisy_frames() {
         let cfg = ZigBeeConfig::default();
@@ -642,7 +687,7 @@ mod tests {
             }
             let rx = IqBuf::new(noisy, tx.rate());
             let full = demod.demodulate(&rx);
-            let hinted = crate::fastsync::with_window(8, || demod.demodulate(&rx));
+            let hinted = crate::fastsync::with_hint(BATCH_HINT, || demod.demodulate(&rx));
             match (full, hinted) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.psdu, b.psdu, "seed {seed}");
@@ -655,20 +700,76 @@ mod tests {
     }
 
     #[test]
+    fn window_only_hint_decodes_bit_identically() {
+        // abl-gamma's buffers: a κ = 2γ overlay carrier of 12 productive
+        // symbols at the buffer head, whole γ-symbol groups of the
+        // payload π-flipped as a tag would, at 6 / 2 / −2 dB; then
+        // ±20 kHz carrier offsets, where the kept estimator must
+        // correct before the windowed search.
+        let cfg = ZigBeeConfig::default();
+        let modem = ZigBeeModulator::new(cfg);
+        let demod = ZigBeeDemodulator::new(cfg);
+        let sps = cfg.samples_per_symbol();
+        let payload_at = (PREAMBLE_SYMBOLS + 2 + 2) * sps;
+        let mut rng = StdRng::seed_from_u64(64);
+        let frame = |gamma: usize, rng: &mut StdRng| {
+            let productive: Vec<u8> = (0..12).map(|_| rng.gen_range(0..16u8)).collect();
+            let tx = modem.modulate_overlay_carrier(&productive, 2 * gamma);
+            let mut samples = tx.samples().to_vec();
+            for group in samples[payload_at..].chunks_mut(gamma * sps) {
+                if rng.gen_bool(0.5) {
+                    group.iter_mut().for_each(|s| *s = -*s);
+                }
+            }
+            IqBuf::new(samples, tx.rate())
+        };
+        let mut cases = Vec::new();
+        for gamma in [2usize, 4, 6] {
+            for snr_db in [6.0, 2.0, -2.0] {
+                for _ in 0..3 {
+                    cases.push((format!("γ {gamma}, {snr_db} dB"), frame(gamma, &mut rng), snr_db));
+                }
+            }
+        }
+        for cfo in [-20e3, 20e3] {
+            for snr_db in [15.0, 2.0] {
+                let tx = frame(4, &mut rng).freq_shift(cfo);
+                cases.push((format!("CFO {cfo} Hz, {snr_db} dB"), tx, snr_db));
+            }
+        }
+        let mut decoded = 0;
+        for (ctx, tx, snr_db) in cases {
+            let mut samples = tx.samples().to_vec();
+            add_noise(&mut samples, snr_db, &mut rng);
+            let rx = IqBuf::new(samples, tx.rate());
+            let full = demod.demodulate(&rx);
+            let hinted = crate::fastsync::with_hint(WINDOW_HINT, || demod.demodulate(&rx));
+            assert_same_decode(&full, &hinted, &ctx);
+            decoded += usize::from(full.is_ok());
+        }
+        // Not vacuous: most of these frames decode.
+        assert!(decoded >= 25, "only {decoded} of 31 decoded");
+    }
+
+    #[test]
     fn windowed_sync_falls_back_when_frame_is_out_of_window() {
         // Frame starts 200 samples in — far outside the 8-sample hint
-        // window — so the hinted decode must fall back to the full
-        // search and still succeed.
+        // window — so a hinted decode must fall back to the full search
+        // and decode exactly as an unhinted one.
         let mut rng = StdRng::seed_from_u64(63);
         let psdu = random_bytes(&mut rng, 20);
         let cfg = ZigBeeConfig::default();
         let tx = ZigBeeModulator::new(cfg).modulate(&psdu);
         let mut samples = vec![Complex64::ZERO; 200];
         samples.extend_from_slice(tx.samples());
+        add_noise(&mut samples, 10.0, &mut rng);
         let rx = IqBuf::new(samples, tx.rate());
-        let dec = crate::fastsync::with_window(8, || {
-            ZigBeeDemodulator::new(cfg).demodulate(&rx).expect("fallback decode")
-        });
+        let demod = ZigBeeDemodulator::new(cfg);
+        let full = demod.demodulate(&rx);
+        let hinted = crate::fastsync::with_hint(WINDOW_HINT, || demod.demodulate(&rx));
+        assert_same_decode(&full, &hinted, "window-only hint");
+        let dec = crate::fastsync::with_hint(BATCH_HINT, || demod.demodulate(&rx))
+            .expect("fallback decode");
         assert!(dec.fcs_ok);
         assert_eq!(dec.psdu, psdu);
     }

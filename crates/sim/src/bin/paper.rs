@@ -17,7 +17,7 @@
 //!
 //! `--metrics-out <dir>` enables the observability layer and writes a
 //! run manifest (`manifest.json`), the full metric registry
-//! (`metrics.jsonl`, `metrics.csv`), each experiment's table as JSON
+//! (`metrics.jsonl`), each experiment's table as JSON
 //! (`reports/<id>.json`), and — with the flight recorder armed — any
 //! failure bundles (`flight/bundle_*.json`). `--profile` collects a span
 //! profile and writes `profile.folded` (flamegraph-compatible) and
@@ -365,7 +365,6 @@ fn main() {
                 .unwrap_or_else(|e| eprintln!("failed to write {}: {e}", path.display()));
         };
         write("metrics.jsonl", msc_obs::export::to_jsonl(&snap));
-        write("metrics.csv", msc_obs::export::to_csv(&snap));
         manifest.write(dir).unwrap_or_else(|e| eprintln!("failed to write manifest: {e}"));
         eprintln!("[obs] {} metrics + manifest + reports written to {}", snap.len(), dir.display());
 

@@ -12,6 +12,7 @@ use msc_dsp::IqBuf;
 use msc_obs::flight;
 use msc_obs::metrics::{self, buckets};
 use msc_phy::bits::random_bits;
+use msc_phy::fastsync::SyncHint;
 use msc_phy::protocol::Protocol;
 use msc_rx::{
     BleOverlayLink, OverlayDecoded, WifiBOverlayLink, WifiNOverlayLink, ZigBeeOverlayLink,
@@ -33,9 +34,10 @@ pub fn tx_power_dbm(_p: Protocol) -> f64 {
 /// Per-protocol receiver implementation margin, dB — the gap between our
 /// idealized software demodulators and the commodity ICs of the paper's
 /// testbed (CFO/drift over long narrowband packets, AGC and quantization
-/// losses, tag switching harmonics in-channel). Calibrated so the LoS
-/// maximal ranges land at the paper's Fig. 13a values (28 m WiFi,
-/// 22 m ZigBee, 20 m BLE); EXPERIMENTS.md documents the calibration.
+/// losses, tag switching harmonics in-channel). Calibrated against the
+/// paper's Fig. 13a LoS maximal ranges (28 m WiFi, 22 m ZigBee, 20 m
+/// BLE): fig13 gives 28 m WiFi and 20 m ZigBee and BLE, ZigBee one 2 m
+/// distance step short; EXPERIMENTS.md documents the calibration.
 pub fn rx_impl_margin_db(p: Protocol) -> f64 {
     let base = match p {
         Protocol::WifiN => 1.0,
@@ -371,7 +373,7 @@ impl Delivery {
 /// bits (drawn from `rng` in that order), modulated by `tag`, pushed in
 /// place through `imp` and decoded. Only tag bits are scored, position
 /// by position (`!=`); an undecoded packet errs on every one.
-pub(crate) fn tag_packet<R: Rng>(
+pub fn tag_packet<R: Rng>(
     rng: &mut R,
     link: &AnyLink,
     tag: &TagOverlayModulator,
@@ -386,7 +388,10 @@ pub(crate) fn tag_packet<R: Rng>(
         let _frame = msc_obs::profile::scope("channel");
         imp.apply(rng, &mut rx);
     }
-    let decoded = link.decode(&rx, n_productive).ok();
+    // The frame sits at the buffer head, but `imp` may carry a carrier
+    // offset: hint the window only, and keep the receiver's estimator.
+    let hint = SyncHint { radius: FAST_SYNC_RADIUS, cfo_free: false };
+    let decoded = msc_phy::fastsync::with_hint(hint, || link.decode(&rx, n_productive)).ok();
     let tag_errors = decoded.as_ref().map_or(tag_bits.len(), |d| mismatches(&tag_bits, &d.tag));
     let tag_bits = tag_bits.len();
     PacketOutcome { decoded: decoded.is_some(), tag_errors, tag_bits, ..PacketOutcome::default() }
@@ -501,9 +506,10 @@ thread_local! {
 }
 
 /// Sync-window radius (samples) handed to demodulators via
-/// [`msc_phy::fastsync`] on the batched path: the engine's trial
-/// buffers carry the frame at offset zero with at most a couple of
-/// samples of matched-filter ambiguity under noise.
+/// [`msc_phy::fastsync`] by [`TrialBatch::decode_into`] and
+/// [`tag_packet`]: the engine's trial buffers carry the frame at offset
+/// zero with at most a couple of samples of matched-filter ambiguity
+/// under noise.
 const FAST_SYNC_RADIUS: usize = 8;
 
 /// One experiment cell's shared excitation: the per-cell payload and
@@ -797,7 +803,8 @@ impl TrialBatch {
                 metrics::hist_observe("pipe.snr_db", label, "uplink", snr_db, buckets::SNR_DB);
                 metrics::counter_add("pipe.packets", label, "", 1);
                 let result = metrics::time_stage(label, "decode", || {
-                    msc_phy::fastsync::with_window(FAST_SYNC_RADIUS, || {
+                    let hint = SyncHint { radius: FAST_SYNC_RADIUS, cfo_free: true };
+                    msc_phy::fastsync::with_hint(hint, || {
                         link.decode(&self.lanes[l], exc.productive.len())
                     })
                 });
