@@ -159,11 +159,12 @@ fn rescan_search(
 fn bench_fleet(c: &mut Criterion) {
     // The deployment-scale fleet engine: carrier timelines, the MAC
     // sweep with backoff/retries, and per-tag accounting — the unit of
-    // work behind one `paper fleet` scenario row. Synthetic ideal link
-    // table (no calibration cells) so the rows time the engine, not the
-    // packet pipeline.
+    // work behind one `paper fleet` scenario row — and `group3`, the
+    // three policies over one shared timeline, behind one power model's
+    // rows. Synthetic ideal link table (no calibration cells) so the
+    // rows time the engine, not the packet pipeline.
     use msc_fleet::traffic::{Arrivals, Stream};
-    use msc_fleet::{run, Backoff, FleetConfig, LinkTable, MacPolicy};
+    use msc_fleet::{run, run_many, Backoff, FleetConfig, LinkTable, MacPolicy, NoopObserver};
 
     let carriers: Vec<Stream> = Protocol::ALL
         .iter()
@@ -174,27 +175,39 @@ fn bench_fleet(c: &mut Criterion) {
             tag_bits_per_packet: 32,
         })
         .collect();
+    let cfg = |tags: usize, horizon_s: f64, policy: MacPolicy| FleetConfig {
+        tags,
+        horizon_s,
+        carriers: carriers.clone(),
+        readings: Arrivals::Periodic { rate: 1.0 },
+        reading_bits: 64,
+        policy,
+        backoff: Backoff::default(),
+        energy: None,
+        queue_cap: 4,
+        sample_every: 0,
+        seed: 42,
+    };
     let link = LinkTable::ideal();
     let mut group = c.benchmark_group("fleet");
     for (tags, horizon_s) in [(100usize, 5.0f64), (500, 5.0), (500, 20.0)] {
-        let cfg = FleetConfig {
-            tags,
-            horizon_s,
-            carriers: carriers.clone(),
-            readings: Arrivals::Periodic { rate: 1.0 },
-            reading_bits: 64,
-            policy: MacPolicy::BestGoodput,
-            backoff: Backoff::default(),
-            energy: None,
-            queue_cap: 4,
-            sample_every: 0,
-            seed: 42,
-        };
+        let cfg = cfg(tags, horizon_s, MacPolicy::BestGoodput);
         let id = format!("tags{tags}/h{horizon_s:.0}");
         group.bench_with_input(BenchmarkId::from_parameter(id), &cfg, |b, cfg| {
             b.iter(|| run(black_box(cfg), &link, |_, _| 15.0))
         });
     }
+    let cfgs: Vec<FleetConfig> = MacPolicy::ALL.iter().map(|&p| cfg(500, 20.0, p)).collect();
+    group.bench_with_input(BenchmarkId::from_parameter("group3/h20"), &cfgs, |b, cfgs| {
+        b.iter(|| {
+            run_many(
+                black_box(cfgs),
+                &link,
+                |_, _| 15.0,
+                &mut [NoopObserver, NoopObserver, NoopObserver],
+            )
+        })
+    });
     group.finish();
 }
 

@@ -6,18 +6,18 @@
 //! count (the [`msc_par`] contract):
 //!
 //! 1. **Carrier streams** — each carrier owns an RNG seeded by
-//!    `derive_seed(seed, CELL_CARRIER, carrier)` and draws its next
-//!    packet arrival from its [`Arrivals`] process only when the sweep
-//!    consumes the current one. Nothing is materialized: a carrier's
-//!    timeline costs one pending arrival, not one `f64` per packet.
+//!    `derive_seed(seed, CELL_CARRIER, carrier)` and draws its packet
+//!    arrivals from its [`Arrivals`] process a fixed block ahead of the
+//!    merge. Nothing is materialized: a carrier's timeline costs one
+//!    block of pending arrivals, not one `f64` per packet.
 //! 2. **Tag setup** — one [`par_map_indexed`] item per tag draws its
 //!    placement, energy phase, and sensor-reading times, seeded by
 //!    `derive_seed(seed, CELL_TAG, tag)`, and precomputes its
 //!    per-carrier loss probabilities and goodput ranking from the
 //!    calibrated [`LinkTable`]. The readings of
 //!    all tags are gathered into one `(time, tag)`-sorted vector.
-//! 3. **MAC resolution** — a single *sequential* sweep over a k-way
-//!    merge of the readings and the carrier streams resolves contention:
+//! 3. **MAC resolution** — a *sequential* sweep over a k-way merge of
+//!    the readings and the carrier streams resolves contention:
 //!    readings arrive, tags pick carriers through the [`MacPolicy`],
 //!    back off in carrier-packet slots, collide when two tags modulate
 //!    the same packet, and retry up to the [`Backoff`] budget. The merge
@@ -25,6 +25,12 @@
 //!    the lower tag or carrier index), and the sweep consumes one RNG
 //!    whose draw order depends only on that order, so it too is
 //!    independent of `--threads`.
+//!
+//! Scenarios that differ only in policy, energy model, backoff, queue
+//! or payload share phases 1 and 2. [`run_many`] draws them once per
+//! call and hands the merged stream, in blocks of a few thousand
+//! events, to one sweep per scenario; [`run`] and [`run_with`] are its
+//! one-scenario case, so there is one sweep loop.
 //!
 //! [`par_map_indexed`]: msc_par::par_map_indexed
 
@@ -226,10 +232,20 @@ impl FleetResult {
     }
 }
 
-/// Per-tag state computed in phase 2.
+/// Arrivals a carrier stream draws ahead of the merge, from its own RNG.
+const ARRIVAL_BLOCK: usize = 64;
+
+/// Merged events drawn per block: every sweep of a [`run_many`] call
+/// consumes a block before the next one is drawn.
+const EVENT_BLOCK: usize = 4096;
+
+/// Per-tag state computed once per [`run_many`] call in phase 2 and
+/// shared by its sweeps.
 struct TagSetup {
     place_u: f64,
-    energy_phase: f64,
+    /// The energy-phase draw in `[0, 1)`; each sweep scales it by its
+    /// own round length.
+    energy_u: f64,
     readings: Vec<f64>,
     /// Carrier indices sorted by expected goodput, best first.
     ranked: Vec<u16>,
@@ -246,37 +262,69 @@ enum Event {
     Carrier { time: f64, carrier: u16 },
 }
 
-/// One carrier's lazily drawn arrival stream: the pending arrival plus
-/// the RNG that draws the one after it.
+/// One carrier's arrival stream, drawn [`ARRIVAL_BLOCK`] arrivals ahead
+/// of the merge. The stream owns its RNG, so drawing ahead yields the
+/// same sequence as drawing one arrival at a time.
 struct CarrierStream {
     arrivals: Arrivals,
     rng: StdRng,
-    head: Option<f64>,
+    /// Drawn arrivals, `ahead[pos]` the head. An exhausted stream ends
+    /// in `+∞`, which the merge never picks.
+    ahead: Vec<f64>,
+    pos: usize,
+}
+
+impl CarrierStream {
+    /// Draws up to [`ARRIVAL_BLOCK`] arrivals after `t`.
+    fn refill(&mut self, mut t: f64, horizon: f64) {
+        self.ahead.clear();
+        self.pos = 0;
+        while self.ahead.len() < ARRIVAL_BLOCK {
+            match self.arrivals.next_after(&mut self.rng, t, horizon) {
+                Some(next) => {
+                    self.ahead.push(next);
+                    t = next;
+                }
+                None => {
+                    self.ahead.push(f64::INFINITY);
+                    return;
+                }
+            }
+        }
+    }
 }
 
 /// K-way merge of the sorted readings and the carrier streams, in
-/// [`Event`] order. A carrier draws its next arrival only when its head
-/// is consumed, so each carrier's RNG sees exactly the draw sequence of
-/// generating its whole timeline up front.
+/// [`Event`] order.
 struct EventMerge {
-    readings: std::iter::Peekable<std::vec::IntoIter<(f64, u32)>>,
+    readings: Vec<(f64, u32)>,
+    next_reading: usize,
     carriers: Vec<CarrierStream>,
+    /// Each carrier's head arrival, `+∞` once exhausted.
+    heads: Vec<f64>,
     horizon: f64,
 }
 
 impl EventMerge {
     /// `readings` must be sorted by `(time, tag)`.
     fn new(carriers: &[Stream], seed: u64, horizon: f64, readings: Vec<(f64, u32)>) -> Self {
-        let carriers = carriers
+        let carriers: Vec<CarrierStream> = carriers
             .iter()
             .enumerate()
             .map(|(c, s)| {
-                let mut rng = StdRng::seed_from_u64(derive_seed(seed, CELL_CARRIER, c as u64));
-                let head = s.arrivals.next_after(&mut rng, 0.0, horizon);
-                CarrierStream { arrivals: s.arrivals, rng, head }
+                let rng = StdRng::seed_from_u64(derive_seed(seed, CELL_CARRIER, c as u64));
+                let mut stream = CarrierStream {
+                    arrivals: s.arrivals,
+                    rng,
+                    ahead: Vec::with_capacity(ARRIVAL_BLOCK),
+                    pos: 0,
+                };
+                stream.refill(0.0, horizon);
+                stream
             })
             .collect();
-        EventMerge { readings: readings.into_iter().peekable(), carriers, horizon }
+        let heads = carriers.iter().map(|s| s.ahead[0]).collect();
+        EventMerge { readings, next_reading: 0, carriers, heads, horizon }
     }
 }
 
@@ -284,29 +332,29 @@ impl Iterator for EventMerge {
     type Item = Event;
 
     fn next(&mut self) -> Option<Event> {
-        // Earliest carrier head; strict `<` keeps the lower index on ties.
-        let mut best: Option<(f64, usize)> = None;
-        for (c, s) in self.carriers.iter().enumerate() {
-            if let Some(t) = s.head {
-                if best.is_none_or(|(bt, _)| t.total_cmp(&bt).is_lt()) {
-                    best = Some((t, c));
-                }
+        // Earliest carrier head, without a data-dependent branch:
+        // exhausted carriers read `+∞`, and the strict `<` keeps the
+        // lower index on ties.
+        let (mut time, mut c) = (f64::INFINITY, usize::MAX);
+        for (i, &head) in self.heads.iter().enumerate() {
+            let earlier = head < time;
+            time = if earlier { head } else { time };
+            c = if earlier { i } else { c };
+        }
+        if let Some(&(t, tag)) = self.readings.get(self.next_reading) {
+            if t <= time {
+                self.next_reading += 1;
+                return Some(Event::Reading { time: t, tag });
             }
         }
-        match (self.readings.peek(), best) {
-            (Some(&(time, tag)), best)
-                if best.is_none_or(|(bt, _)| time.total_cmp(&bt).is_le()) =>
-            {
-                self.readings.next();
-                Some(Event::Reading { time, tag })
-            }
-            (_, Some((time, c))) => {
-                let s = &mut self.carriers[c];
-                s.head = s.arrivals.next_after(&mut s.rng, time, self.horizon);
-                Some(Event::Carrier { time, carrier: c as u16 })
-            }
-            (_, None) => None,
+        // `c` is out of range once every carrier is exhausted.
+        let s = self.carriers.get_mut(c)?;
+        s.pos += 1;
+        if s.pos == s.ahead.len() {
+            s.refill(time, self.horizon);
         }
+        self.heads[c] = s.ahead[s.pos];
+        Some(Event::Carrier { time, carrier: c as u16 })
     }
 }
 
@@ -340,6 +388,39 @@ where
     F: Fn(f64, Protocol) -> f64 + Sync,
     O: MacObserver,
 {
+    let mut out = run_many(std::slice::from_ref(cfg), link, snr_of, std::slice::from_mut(obs));
+    out.pop().expect("one result per config")
+}
+
+/// Runs several scenarios that share one carrier timeline: their
+/// `tags`, `horizon_s`, `carriers`, `readings` and `seed` must be equal
+/// (policy, energy model, backoff, queue and payload may differ). Tag
+/// setup and the merged event stream are drawn once; each scenario's
+/// sweep (its own MAC RNG and `obs[i]`) then consumes every block of
+/// the stream in order, so result `i` is byte-identical to
+/// `run_with(&cfgs[i], …, &mut obs[i])`.
+pub fn run_many<F, O>(
+    cfgs: &[FleetConfig],
+    link: &LinkTable,
+    snr_of: F,
+    obs: &mut [O],
+) -> Vec<FleetResult>
+where
+    F: Fn(f64, Protocol) -> f64 + Sync,
+    O: MacObserver,
+{
+    assert_eq!(cfgs.len(), obs.len(), "run_many needs one observer per config");
+    let Some(cfg) = cfgs.first() else {
+        return Vec::new();
+    };
+    assert!(
+        cfgs.iter().all(|c| c.tags == cfg.tags
+            && c.horizon_s == cfg.horizon_s
+            && c.carriers == cfg.carriers
+            && c.readings == cfg.readings
+            && c.seed == cfg.seed),
+        "run_many configs must share tags, horizon_s, carriers, readings and seed"
+    );
     assert!(!cfg.carriers.is_empty(), "fleet needs at least one carrier");
     assert!(cfg.tags > 0, "fleet needs at least one tag");
     let n_carriers = cfg.carriers.len();
@@ -347,15 +428,14 @@ where
     assert!(cfg.tags <= u32::MAX as usize, "tag index is u32");
 
     // Phase 2: per-tag placement, energy phase, readings, and ranking.
-    // (Phase 1, the carrier streams, draws lazily inside the merge.)
-    let energy_period = cfg.energy.map(|e| e.period_s()).unwrap_or(1.0);
+    // (Phase 1, the carrier streams, draws inside the merge.)
     let mean_interval = 1.0 / cfg.readings.mean_rate().max(1e-12);
     let mut tags: Vec<TagSetup> = par_map_indexed(cfg.tags, |g| {
         let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_TAG, g as u64));
         let place_u: f64 = rng.gen_range(0.0..1.0);
         // Always consume the draw so adding/removing the energy model
         // does not shift the tag's reading phases.
-        let energy_phase = rng.gen_range(0.0..1.0) * energy_period;
+        let energy_u: f64 = rng.gen_range(0.0..1.0);
         let mut readings = Vec::new();
         // Independent phase offset per tag: without it a Periodic
         // process would fire every tag at the same instants and phase 3
@@ -382,7 +462,7 @@ where
             s.arrivals.mean_rate() * s.tag_bits_per_packet as f64 * (1.0 - p_loss[c as usize])
         };
         ranked.sort_by(|&a, &b| goodput(b).partial_cmp(&goodput(a)).unwrap().then(a.cmp(&b)));
-        TagSetup { place_u, energy_phase, readings, ranked, p_loss }
+        TagSetup { place_u, energy_u, readings, ranked, p_loss }
     });
 
     // Gather every tag's readings into one `(time, tag)`-ordered list;
@@ -393,228 +473,247 @@ where
         readings.extend(std::mem::take(&mut tag.readings).into_iter().map(|t| (t, g as u32)));
     }
     readings.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-    let events = EventMerge::new(&cfg.carriers, cfg.seed, cfg.horizon_s, readings);
+    let mut events = EventMerge::new(&cfg.carriers, cfg.seed, cfg.horizon_s, readings);
 
-    // Phase 3: sequential MAC sweep.
+    // Phase 3: one sequential MAC sweep per scenario over each block.
     let _sweep = msc_obs::profile::scope("fleet.sweep");
-    let mut rng = StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_MAC, 0));
-    let mut out = FleetResult {
-        per_carrier: vec![CarrierTally::default(); n_carriers],
-        per_tag_offered: vec![0; cfg.tags],
-        per_tag_delivered: vec![0; cfg.tags],
-        horizon_s: cfg.horizon_s,
-        ..FleetResult::default()
-    };
-    // Ring of future-slot buckets per carrier: bucket `k mod len` holds
-    // the tags transmitting on that carrier's k-th packet. Backoff draws
-    // stay below cw_max, so cw_max + 2 buckets cannot wrap onto a
-    // still-pending slot.
-    let ring_len = (cfg.backoff.cw_max as usize) + 2;
-    let mut rings: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); ring_len]; n_carriers];
-    // Packets already emitted per carrier (next packet gets index k).
-    let mut emitted: Vec<u64> = vec![0; n_carriers];
-    let mut state: Vec<TagState> = vec![TagState::default(); cfg.tags];
-
-    // Schedules tag `g`'s current attempt: policy pick + backoff draw.
-    let schedule = |g: u32,
-                    st: &TagState,
-                    t: f64,
-                    rng: &mut StdRng,
-                    rings: &mut [Vec<Vec<u32>>],
-                    emitted: &[u64],
-                    obs: &mut O| {
-        let setup = &tags[g as usize];
-        let c = cfg.policy.pick(g as usize, st.reading_no, st.attempt, &setup.ranked);
-        let b = cfg.backoff.draw(rng, st.attempt) as u64;
-        let slot = emitted[c] + 1 + b;
-        obs.on_event(MacEvent::Backoff { t, tag: g, carrier: c as u16, attempt: st.attempt, slot });
-        rings[c][(slot % ring_len as u64) as usize].push(g);
-    };
-
-    let mut drained: Vec<u32> = Vec::new();
-    for ev in events {
-        match ev {
-            Event::Reading { time, tag } => {
-                out.offered += 1;
-                out.per_tag_offered[tag as usize] += 1;
-                obs.on_event(MacEvent::Reading { t: time, tag });
-                let setup = &tags[tag as usize];
-                if let Some(e) = cfg.energy {
-                    if !e.powered(time, setup.energy_phase) {
-                        out.starved += 1;
-                        obs.on_event(MacEvent::Starved { t: time, tag });
-                        continue;
-                    }
-                }
-                let st = &mut state[tag as usize];
-                if st.busy {
-                    if (st.queued as usize) < cfg.queue_cap {
-                        st.queued += 1;
-                        obs.on_event(MacEvent::Enqueue { t: time, tag, depth: st.queued });
-                    } else {
-                        out.queue_drops += 1;
-                        obs.on_event(MacEvent::QueueDrop { t: time, tag });
-                    }
-                    continue;
-                }
-                st.busy = true;
-                st.attempt = 0;
-                st.reading_no += 1;
-                let st = state[tag as usize];
-                schedule(tag, &st, time, &mut rng, &mut rings, &emitted, obs);
-            }
-            Event::Carrier { time, carrier } => {
-                let c = carrier as usize;
-                let k = emitted[c];
-                emitted[c] += 1;
-                out.carrier_packets += 1;
-                out.per_carrier[c].packets += 1;
-                drained.clear();
-                drained.append(&mut rings[c][(k % ring_len as u64) as usize]);
-                obs.on_event(MacEvent::Packet { t: time, carrier, mods: drained.len() as u32 });
-                match drained.len() {
-                    0 => {
-                        out.idle_packets += 1;
-                        out.per_carrier[c].idle += 1;
-                    }
-                    1 => {
-                        let g = drained[0];
-                        out.attempts += 1;
-                        out.per_carrier[c].attempts += 1;
-                        obs.on_event(MacEvent::Attempt {
-                            t: time,
-                            tag: g,
-                            carrier,
-                            attempt: state[g as usize].attempt,
-                        });
-                        let setup = &tags[g as usize];
-                        // A tag that hit its charge interval mid-backoff
-                        // cannot modulate: the attempt fails like a
-                        // channel loss and re-enters backoff.
-                        let powered =
-                            cfg.energy.map(|e| e.powered(time, setup.energy_phase)).unwrap_or(true);
-                        let lost = !powered || rng.gen_bool(setup.p_loss[c].clamp(0.0, 1.0));
-                        if cfg.sample_every > 0
-                            && powered
-                            && out.attempts.is_multiple_of(cfg.sample_every as u64)
-                        {
-                            out.samples.push(AttemptSample {
-                                protocol: cfg.carriers[c].protocol,
-                                tag: g,
-                                place_u: setup.place_u,
-                                success: !lost,
-                            });
-                        }
-                        if lost {
-                            out.channel_losses += 1;
-                            out.per_carrier[c].channel_losses += 1;
-                            obs.on_event(MacEvent::ChannelLoss { t: time, tag: g, carrier });
-                            retry(
-                                g, time, cfg, &mut state, &mut out, &mut rng, &mut rings, &emitted,
-                                &schedule, obs,
-                            );
-                        } else {
-                            out.delivered += 1;
-                            out.delivered_bits += cfg.reading_bits as u64;
-                            out.per_tag_delivered[g as usize] += 1;
-                            out.per_carrier[c].delivered += 1;
-                            obs.on_event(MacEvent::Delivery { t: time, tag: g, carrier });
-                            finish(
-                                g, time, &mut state, &mut rng, &mut rings, &emitted, &schedule, obs,
-                            );
-                        }
-                    }
-                    _ => {
-                        // ≥ 2 tags modulated the same carrier packet:
-                        // their overlay waveforms interfere and all lose.
-                        out.collision_slots += 1;
-                        out.attempts += drained.len() as u64;
-                        out.collided_attempts += drained.len() as u64;
-                        out.per_carrier[c].collision_slots += 1;
-                        out.per_carrier[c].attempts += drained.len() as u64;
-                        out.per_carrier[c].collided_attempts += drained.len() as u64;
-                        for i in 0..drained.len() {
-                            obs.on_event(MacEvent::Attempt {
-                                t: time,
-                                tag: drained[i],
-                                carrier,
-                                attempt: state[drained[i] as usize].attempt,
-                            });
-                        }
-                        obs.on_event(MacEvent::Collision {
-                            t: time,
-                            carrier,
-                            tags: drained.len() as u32,
-                        });
-                        for i in 0..drained.len() {
-                            let g = drained[i];
-                            retry(
-                                g, time, cfg, &mut state, &mut out, &mut rng, &mut rings, &emitted,
-                                &schedule, obs,
-                            );
-                        }
-                    }
-                }
+    let mut sweeps: Vec<Sweep<'_, O>> =
+        cfgs.iter().zip(obs).map(|(cfg, obs)| Sweep::new(cfg, &tags, obs)).collect();
+    let mut block: Vec<Event> = Vec::with_capacity(EVENT_BLOCK);
+    loop {
+        block.clear();
+        block.extend(events.by_ref().take(EVENT_BLOCK));
+        if block.is_empty() {
+            break;
+        }
+        for sweep in &mut sweeps {
+            for &ev in &block {
+                sweep.step(ev);
             }
         }
     }
-    out
+    sweeps.into_iter().map(Sweep::into_result).collect()
 }
 
-/// Advances tag `g` past a failed attempt: rescheduled with a doubled
-/// window, or dropped once the retry budget is spent.
-#[allow(clippy::too_many_arguments)]
-fn retry<S, O>(
-    g: u32,
-    t: f64,
-    cfg: &FleetConfig,
-    state: &mut [TagState],
-    out: &mut FleetResult,
-    rng: &mut StdRng,
-    rings: &mut [Vec<Vec<u32>>],
-    emitted: &[u64],
-    schedule: &S,
-    obs: &mut O,
-) where
-    S: Fn(u32, &TagState, f64, &mut StdRng, &mut [Vec<Vec<u32>>], &[u64], &mut O),
-    O: MacObserver,
-{
-    state[g as usize].attempt += 1;
-    if state[g as usize].attempt > cfg.backoff.max_retries {
-        out.retry_drops += 1;
-        obs.on_event(MacEvent::RetryDrop { t, tag: g });
-        finish(g, t, state, rng, rings, emitted, schedule, obs);
-    } else {
-        let st = state[g as usize];
-        schedule(g, &st, t, rng, rings, emitted, obs);
+/// One scenario's phase-3 state: its own MAC RNG, slot rings, tag
+/// state, tallies and observer over the shared [`TagSetup`]s.
+struct Sweep<'a, O> {
+    cfg: &'a FleetConfig,
+    tags: &'a [TagSetup],
+    obs: &'a mut O,
+    rng: StdRng,
+    /// Future-slot buckets, `ring_len` per carrier: bucket
+    /// `c * ring_len + (k & mask)` holds the tags transmitting on
+    /// carrier `c`'s k-th packet.
+    rings: Vec<Vec<u32>>,
+    ring_len: usize,
+    mask: u64,
+    /// Packets already emitted per carrier (next packet gets index k).
+    emitted: Vec<u64>,
+    state: Vec<TagState>,
+    /// Each tag's round offset under this scenario's energy model.
+    energy_phase: Vec<f64>,
+    drained: Vec<u32>,
+    out: FleetResult,
+}
+
+impl<'a, O: MacObserver> Sweep<'a, O> {
+    fn new(cfg: &'a FleetConfig, tags: &'a [TagSetup], obs: &'a mut O) -> Self {
+        let n_carriers = cfg.carriers.len();
+        // Backoff draws stay below cw_max, so cw_max + 2 buckets cannot
+        // wrap onto a still-pending slot; a power of two indexes by mask.
+        let ring_len = (cfg.backoff.cw_max as usize + 2).next_power_of_two();
+        let energy_period = cfg.energy.map(|e| e.period_s()).unwrap_or(1.0);
+        Sweep {
+            cfg,
+            tags,
+            obs,
+            rng: StdRng::seed_from_u64(derive_seed(cfg.seed, CELL_MAC, 0)),
+            rings: vec![Vec::new(); n_carriers * ring_len],
+            ring_len,
+            mask: ring_len as u64 - 1,
+            emitted: vec![0; n_carriers],
+            state: vec![TagState::default(); cfg.tags],
+            energy_phase: tags.iter().map(|t| t.energy_u * energy_period).collect(),
+            drained: Vec::new(),
+            out: FleetResult {
+                per_carrier: vec![CarrierTally::default(); n_carriers],
+                per_tag_offered: vec![0; cfg.tags],
+                per_tag_delivered: vec![0; cfg.tags],
+                horizon_s: cfg.horizon_s,
+                ..FleetResult::default()
+            },
+        }
     }
-}
 
-/// Completes tag `g`'s current reading (delivered or abandoned) and
-/// starts the next queued one, if any.
-#[allow(clippy::too_many_arguments)]
-fn finish<S, O>(
-    g: u32,
-    t: f64,
-    state: &mut [TagState],
-    rng: &mut StdRng,
-    rings: &mut [Vec<Vec<u32>>],
-    emitted: &[u64],
-    schedule: &S,
-    obs: &mut O,
-) where
-    S: Fn(u32, &TagState, f64, &mut StdRng, &mut [Vec<Vec<u32>>], &[u64], &mut O),
-    O: MacObserver,
-{
-    let st = &mut state[g as usize];
-    if st.queued > 0 {
-        st.queued -= 1;
+    fn step(&mut self, ev: Event) {
+        match ev {
+            Event::Reading { time, tag } => self.reading(time, tag),
+            Event::Carrier { time, carrier } => self.packet(time, carrier),
+        }
+    }
+
+    fn reading(&mut self, time: f64, tag: u32) {
+        self.out.offered += 1;
+        self.out.per_tag_offered[tag as usize] += 1;
+        self.obs.on_event(MacEvent::Reading { t: time, tag });
+        if let Some(e) = self.cfg.energy {
+            if !e.powered(time, self.energy_phase[tag as usize]) {
+                self.out.starved += 1;
+                self.obs.on_event(MacEvent::Starved { t: time, tag });
+                return;
+            }
+        }
+        let st = &mut self.state[tag as usize];
+        if st.busy {
+            if (st.queued as usize) < self.cfg.queue_cap {
+                st.queued += 1;
+                self.obs.on_event(MacEvent::Enqueue { t: time, tag, depth: st.queued });
+            } else {
+                self.out.queue_drops += 1;
+                self.obs.on_event(MacEvent::QueueDrop { t: time, tag });
+            }
+            return;
+        }
+        st.busy = true;
         st.attempt = 0;
         st.reading_no += 1;
-        let st = state[g as usize];
-        schedule(g, &st, t, rng, rings, emitted, obs);
-    } else {
-        st.busy = false;
+        self.schedule(tag, time);
+    }
+
+    fn packet(&mut self, time: f64, carrier: u16) {
+        let c = carrier as usize;
+        let k = self.emitted[c];
+        self.emitted[c] += 1;
+        let bucket = &mut self.rings[c * self.ring_len + (k & self.mask) as usize];
+        if bucket.is_empty() {
+            self.obs.on_event(MacEvent::Packet { t: time, carrier, mods: 0 });
+            return;
+        }
+        let mut drained = std::mem::take(&mut self.drained);
+        drained.append(bucket);
+        let n = drained.len() as u64;
+        self.obs.on_event(MacEvent::Packet { t: time, carrier, mods: n as u32 });
+        self.out.attempts += n;
+        self.out.per_carrier[c].attempts += n;
+        if let [g] = drained[..] {
+            self.obs.on_event(MacEvent::Attempt {
+                t: time,
+                tag: g,
+                carrier,
+                attempt: self.state[g as usize].attempt,
+            });
+            let setup = &self.tags[g as usize];
+            // A tag that hit its charge interval mid-backoff cannot
+            // modulate: the attempt fails like a channel loss and
+            // re-enters backoff.
+            let powered = self
+                .cfg
+                .energy
+                .map(|e| e.powered(time, self.energy_phase[g as usize]))
+                .unwrap_or(true);
+            let lost = !powered || self.rng.gen_bool(setup.p_loss[c].clamp(0.0, 1.0));
+            if self.cfg.sample_every > 0
+                && powered
+                && self.out.attempts.is_multiple_of(self.cfg.sample_every as u64)
+            {
+                self.out.samples.push(AttemptSample {
+                    protocol: self.cfg.carriers[c].protocol,
+                    tag: g,
+                    place_u: setup.place_u,
+                    success: !lost,
+                });
+            }
+            if lost {
+                self.out.per_carrier[c].channel_losses += 1;
+                self.obs.on_event(MacEvent::ChannelLoss { t: time, tag: g, carrier });
+                self.retry(g, time);
+            } else {
+                self.out.per_tag_delivered[g as usize] += 1;
+                self.out.per_carrier[c].delivered += 1;
+                self.obs.on_event(MacEvent::Delivery { t: time, tag: g, carrier });
+                self.complete(g, time);
+            }
+        } else {
+            // ≥ 2 tags modulated the same carrier packet: their overlay
+            // waveforms interfere and all lose.
+            let tally = &mut self.out.per_carrier[c];
+            tally.collision_slots += 1;
+            tally.collided_attempts += n;
+            for &g in &drained {
+                let attempt = self.state[g as usize].attempt;
+                self.obs.on_event(MacEvent::Attempt { t: time, tag: g, carrier, attempt });
+            }
+            self.obs.on_event(MacEvent::Collision { t: time, carrier, tags: n as u32 });
+            for &g in &drained {
+                self.retry(g, time);
+            }
+        }
+        drained.clear();
+        self.drained = drained;
+    }
+
+    /// Schedules tag `g`'s current attempt: policy pick + backoff draw.
+    fn schedule(&mut self, g: u32, t: f64) {
+        let st = self.state[g as usize];
+        let ranked = &self.tags[g as usize].ranked;
+        let c = self.cfg.policy.pick(g as usize, st.reading_no, st.attempt, ranked);
+        let b = self.cfg.backoff.draw(&mut self.rng, st.attempt) as u64;
+        let slot = self.emitted[c] + 1 + b;
+        self.obs.on_event(MacEvent::Backoff {
+            t,
+            tag: g,
+            carrier: c as u16,
+            attempt: st.attempt,
+            slot,
+        });
+        self.rings[c * self.ring_len + (slot & self.mask) as usize].push(g);
+    }
+
+    /// Advances tag `g` past a failed attempt: rescheduled with a
+    /// doubled window, or dropped once the retry budget is spent.
+    fn retry(&mut self, g: u32, t: f64) {
+        self.state[g as usize].attempt += 1;
+        if self.state[g as usize].attempt > self.cfg.backoff.max_retries {
+            self.out.retry_drops += 1;
+            self.obs.on_event(MacEvent::RetryDrop { t, tag: g });
+            self.complete(g, t);
+        } else {
+            self.schedule(g, t);
+        }
+    }
+
+    /// Completes tag `g`'s current reading (delivered or abandoned) and
+    /// starts the next queued one, if any.
+    fn complete(&mut self, g: u32, t: f64) {
+        let st = &mut self.state[g as usize];
+        if st.queued > 0 {
+            st.queued -= 1;
+            st.attempt = 0;
+            st.reading_no += 1;
+            self.schedule(g, t);
+        } else {
+            st.busy = false;
+        }
+    }
+
+    /// Derives the packet counts and run totals from the emitted counts
+    /// and the per-carrier tallies: every packet that was not idle
+    /// carried one lone attempt or was one collision slot.
+    fn into_result(self) -> FleetResult {
+        let mut out = self.out;
+        for (t, &packets) in out.per_carrier.iter_mut().zip(&self.emitted) {
+            t.packets = packets;
+            t.idle = packets - (t.attempts - t.collided_attempts + t.collision_slots);
+            out.carrier_packets += t.packets;
+            out.idle_packets += t.idle;
+            out.delivered += t.delivered;
+            out.collided_attempts += t.collided_attempts;
+            out.collision_slots += t.collision_slots;
+            out.channel_losses += t.channel_losses;
+        }
+        out.delivered_bits = out.delivered * self.cfg.reading_bits as u64;
+        out
     }
 }
 
@@ -866,6 +965,72 @@ mod tests {
             .count();
         assert!(ties > 10, "expected reading/carrier/carrier ties, found {ties}");
         assert!(!got.iter().any(|e| matches!(e, Event::Carrier { carrier: 3, .. })));
+    }
+
+    /// Three policies × {mains, harvest-limited} over one timeline whose
+    /// carriers include a duty-cycled one and one that never emits
+    /// inside the horizon.
+    fn group_cfgs() -> Vec<FleetConfig> {
+        let mut carriers = carriers();
+        carriers.push(stream(
+            Protocol::WifiB,
+            Arrivals::DutyCycled { rate: 1500.0, on_s: 0.3, period_s: 0.7, phase_s: 0.1 },
+        ));
+        carriers.push(stream(Protocol::ZigBee, Arrivals::Periodic { rate: 0.1 }));
+        let harvest = EnergyModel { charge_s: 1.5, run_s: 1.0 };
+        MacPolicy::ALL
+            .iter()
+            .flat_map(|&policy| {
+                [None, Some(harvest)].map(|energy| FleetConfig {
+                    tags: 60,
+                    horizon_s: 6.0,
+                    carriers: carriers.clone(),
+                    policy,
+                    energy,
+                    ..base_cfg()
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn run_many_equals_separate_runs() {
+        use crate::obs::{Detectors, MacTrace};
+        let cfgs = group_cfgs();
+        let mut link = LinkTable::ideal();
+        link.insert(Protocol::WifiN, 10.0, 0.3);
+        let snr = |u: f64, _p: Protocol| 5.0 + 20.0 * u;
+        let detectors = Detectors { starve_s: 2.0, ..Detectors::default() };
+        let new_trace =
+            |cfg: &FleetConfig| MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, detectors);
+        let mut traces: Vec<MacTrace> = cfgs.iter().map(new_trace).collect();
+        let many = run_many(&cfgs, &link, snr, &mut traces);
+        // The shared stream spans several event blocks and ends inside
+        // one, so refills and a partial last block are both crossed.
+        let events = many[0].offered + many[0].carrier_packets;
+        let block = EVENT_BLOCK as u64;
+        assert!(events > 4 * block && events % block != 0, "{events} events");
+        assert!(many[0].per_carrier[2].packets > 0, "the duty-cycled carrier emits");
+        assert_eq!(many[0].per_carrier[3].packets, 0, "the last carrier never emits");
+        assert!(many.iter().any(|r| r.starved > 0), "the harvest model starves readings");
+        assert!(traces.iter().any(|t| !t.incidents.is_empty()), "a detector fires");
+        for ((cfg, r), tr) in cfgs.iter().zip(&many).zip(&mut traces) {
+            tr.finish();
+            assert_eq!(format!("{r:?}"), format!("{:?}", run(cfg, &link, snr)), "{cfg:?}");
+            let mut alone = new_trace(cfg);
+            run_with(cfg, &link, snr, &mut alone);
+            alone.finish();
+            assert_eq!(format!("{:?}", tr.windows), format!("{:?}", alone.windows));
+            assert_eq!(tr.log, alone.log);
+            assert_eq!(format!("{:?}", tr.incidents), format!("{:?}", alone.incidents));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must share")]
+    fn run_many_rejects_configs_on_different_timelines() {
+        let cfgs = [base_cfg(), FleetConfig { seed: 43, ..base_cfg() }];
+        run_many(&cfgs, &LinkTable::ideal(), |_, _| 20.0, &mut [NoopObserver, NoopObserver]);
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!   PER-vs-SNR curves sampled from the full waveform pipeline once,
 //!   interpolated per packet so the engine can resolve millions of
 //!   outcomes per second.
-//! - [`engine`] — the event-driven fleet engine ([`engine::run`]):
-//!   tag setup fans out through `msc-par` with per-item derived seeds,
-//!   carriers draw their arrivals lazily from their own derived seeds,
-//!   a sequential MAC sweep over the merged stream resolves contention,
-//!   and the result is byte-identical at any `--threads`.
+//! - [`engine`] — the event-driven fleet engine ([`engine::run`],
+//!   [`engine::run_many`]): tag setup fans out through `msc-par` with
+//!   per-item derived seeds, carriers draw their arrivals a block ahead
+//!   from their own derived seeds, and the merged stream is drawn once
+//!   per `run_many` call, in blocks, for every scenario that shares it;
+//!   each scenario's sequential MAC sweep resolves contention over those
+//!   blocks, and the result is byte-identical at any `--threads`.
 //! - [`obs`] — MAC event tracing: [`engine::run_with`] feeds every
 //!   sweep event to a [`obs::MacObserver`]; [`obs::MacTrace`]
 //!   aggregates ~1 s windows, keeps a bounded event log, and flags
@@ -41,7 +43,7 @@ pub mod obs;
 pub mod traffic;
 
 pub use engine::{
-    run, run_with, AttemptSample, CarrierTally, EnergyModel, FleetConfig, FleetResult,
+    run, run_many, run_with, AttemptSample, CarrierTally, EnergyModel, FleetConfig, FleetResult,
 };
 pub use link::LinkTable;
 pub use mac::{slot_ranges, Backoff, MacPolicy};

@@ -5,7 +5,7 @@ use msc_phy::protocol::Protocol;
 use rand::Rng;
 
 /// A packet arrival process.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Arrivals {
     /// Fixed inter-arrival time (a saturated or clocked transmitter).
     Periodic {
@@ -74,7 +74,7 @@ impl Arrivals {
 }
 
 /// One excitation stream on the timeline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Stream {
     /// The protocol carried.
     pub protocol: Protocol,

@@ -28,10 +28,10 @@ use crate::pipeline::{run_cells, AnyLink, CellSpec, Geometry, Overlay};
 use crate::report::{f1, f3, pct, Report};
 use crate::throughput::ExcitationProfile;
 use msc_core::overlay::{params_for, Mode};
-use msc_fleet::engine::{run_with, EnergyModel, FleetConfig, FleetResult};
+use msc_fleet::engine::{run_many, run_with, EnergyModel, FleetConfig, FleetResult};
 use msc_fleet::link::LinkTable;
 use msc_fleet::mac::{Backoff, MacPolicy};
-use msc_fleet::obs::{Detectors, MacTrace};
+use msc_fleet::obs::{Detectors, MacTrace, NoopObserver};
 use msc_fleet::traffic::{Arrivals, Stream};
 use msc_obs::export::{int_field, json_escape, Json};
 use msc_phy::protocol::Protocol;
@@ -393,37 +393,45 @@ pub fn run(n: usize, seed: u64) -> Report {
         &["policy", "power", "offered", "delivered", "collisions", "starved", "Jain", "kbps"],
     );
     let outdoor = EnergyModel::from_harvest(msc_analog::harvester::Light::paper_outdoor(), LOAD_W);
-    let scenarios: Vec<(MacPolicy, &'static str, Option<EnergyModel>)> = MacPolicy::ALL
-        .iter()
-        .flat_map(|&policy| [(policy, "mains", None), (policy, "outdoor-harvest", Some(outdoor))])
-        .collect();
-    // The scenarios are independent, so they fan out across the pool;
-    // everything that emits (rows, gauges, window events, incident
-    // slugs) then runs on this thread in scenario order. MAC tracing is
-    // observational only (the report is byte-identical either way), so
-    // it runs whenever something consumes it: the event sink or the
-    // flight recorder's bundle chain.
+    let powers: [(&'static str, Option<EnergyModel>); 2] =
+        [("mains", None), ("outdoor-harvest", Some(outdoor))];
+    // The three policies of one power model share a carrier timeline,
+    // so each power model is one `run_many` group, and the two groups
+    // fan out across the pool. Everything that emits (rows, gauges,
+    // window events, incident slugs) then runs on this thread in
+    // scenario order, policy by policy. MAC tracing is observational
+    // only (the report is byte-identical either way), so it runs
+    // whenever something consumes it: the event sink or the flight
+    // recorder's bundle chain.
     let traced = msc_obs::events::enabled() || msc_obs::flight::armed();
-    let runs = msc_par::par_map(&scenarios, |&(policy, _, energy)| {
-        let cfg = paper_cfg(policy, energy, seed);
-        let (r, tr) = if traced {
-            let mut tr = MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default());
-            let r = run_with(&cfg, &table, place_snr_db, &mut tr);
-            tr.finish();
-            (r, Some(tr))
+    let groups = msc_par::par_map(&powers, |&(_, energy)| {
+        let cfgs: Vec<FleetConfig> =
+            MacPolicy::ALL.iter().map(|&policy| paper_cfg(policy, energy, seed)).collect();
+        let (results, traces) = if traced {
+            let mut traces: Vec<MacTrace> = cfgs
+                .iter()
+                .map(|cfg| MacTrace::new(cfg.tags, cfg.carriers.len(), 1.0, Detectors::default()))
+                .collect();
+            let results = run_many(&cfgs, &table, place_snr_db, &mut traces);
+            traces.iter_mut().for_each(MacTrace::finish);
+            (results, Some(traces))
         } else {
-            (msc_fleet::engine::run(&cfg, &table, place_snr_db), None)
+            let mut obs = [NoopObserver, NoopObserver, NoopObserver];
+            (run_many(&cfgs, &table, place_snr_db, &mut obs), None)
         };
-        (cfg, r, tr)
+        (cfgs, results, traces)
     });
     let mut total_packets = 0u64;
-    for (&(policy, energy_label, _), (cfg, r, tr)) in scenarios.iter().zip(runs) {
-        total_packets += r.carrier_packets;
-        push_row(&mut report, policy, energy_label, &cfg.carriers, &r);
-        if let Some(tr) = &tr {
-            let key = format!("fleet/paper/{}/{}", policy.label(), energy_label);
-            export_windows(&key, &cfg.carriers, tr);
-            record_incidents(&key, &cfg, n, tr);
+    for (i, &policy) in MacPolicy::ALL.iter().enumerate() {
+        for (&(energy_label, _), (cfgs, results, traces)) in powers.iter().zip(&groups) {
+            let (cfg, r) = (&cfgs[i], &results[i]);
+            total_packets += r.carrier_packets;
+            push_row(&mut report, policy, energy_label, &cfg.carriers, r);
+            if let Some(traces) = traces {
+                let key = format!("fleet/paper/{}/{}", policy.label(), energy_label);
+                export_windows(&key, &cfg.carriers, &traces[i]);
+                record_incidents(&key, cfg, n, &traces[i]);
+            }
         }
     }
     report.note(format!(

@@ -252,12 +252,12 @@ fn assert_fleet_runner_thread_invariant(id: &str, title: &str) {
 
 #[test]
 fn fleet_report_identical_at_1_4_8_threads() {
-    // The fleet runner fans its six scenarios across the pool; each
-    // scenario fans tag setup out with per-tag derived seeds and
-    // resolves the MAC in one sequential sweep over lazily drawn
-    // carrier streams. Rows are emitted in scenario order on the
-    // caller, so the report — calibration cells included — must be
-    // byte-identical at every thread count.
+    // The fleet runner fans its two power-model groups across the
+    // pool; each group fans tag setup out with per-tag derived seeds
+    // and resolves each policy's MAC in its own sequential sweep over
+    // the group's one merge of carrier streams. Rows are emitted in
+    // scenario order on the caller, so the report — calibration cells
+    // included — must be byte-identical at every thread count.
     assert_fleet_runner_thread_invariant("fleet", "fleet —");
 }
 
