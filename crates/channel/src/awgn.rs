@@ -1,4 +1,6 @@
-//! Additive white Gaussian noise and thermal-noise bookkeeping.
+//! Additive white Gaussian noise, alone or fused with the uplink's
+//! unit-power scale and flat fading gain in one pass, and thermal-noise
+//! bookkeeping.
 
 use msc_dsp::units::{db_to_lin, dbm_to_watts, watts_to_dbm};
 use msc_dsp::{simd, Complex64, IqBuf};
@@ -27,13 +29,36 @@ pub fn complex_gaussian<R: Rng>(rng: &mut R, sigma2: f64) -> Complex64 {
 
 /// Adds AWGN of total power `noise_power` (linear, same units as the
 /// signal's `mean_power`) to a buffer: the RNG stream of [`complex_gaussian`]
-/// per sample, within `1e-12` of it ([`msc_dsp::simd::add_box_muller`]).
+/// per sample, within `1e-12` of it ([`scale_fade_add_noise`] with
+/// neither scale nor gain).
 pub fn add_noise<R: Rng>(rng: &mut R, buf: &mut IqBuf, noise_power: f64) {
+    scale_fade_add_noise(rng, buf, None, None, noise_power);
+}
+
+/// Scales a buffer by `k`, multiplies it by a flat gain `h` and adds
+/// AWGN of total power `noise_power`, in one pass
+/// ([`msc_dsp::simd::scale_fade_box_muller`]); `None` skips that step.
+/// The noise is [`add_noise`]'s, on the same RNG stream. Without noise
+/// (`noise_power ≤ 0`) nothing is drawn, and the scale and gain run as
+/// plain passes.
+pub fn scale_fade_add_noise<R: Rng>(
+    rng: &mut R,
+    buf: &mut IqBuf,
+    k: Option<f64>,
+    h: Option<Complex64>,
+    noise_power: f64,
+) {
     if noise_power <= 0.0 {
+        if let Some(k) = k {
+            buf.scale(k);
+        }
+        if let Some(h) = h {
+            simd::mul_by_gain(buf.samples_mut(), h);
+        }
         return;
     }
     let amp = (noise_power / 2.0).sqrt();
-    simd::add_box_muller(buf.samples_mut(), amp, || box_muller_uniforms(rng));
+    simd::scale_fade_box_muller(buf.samples_mut(), k, h, amp, || box_muller_uniforms(rng));
 }
 
 /// Adds noise at a target SNR (dB) relative to the buffer's own mean

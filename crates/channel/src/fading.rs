@@ -44,17 +44,6 @@ impl Fading {
             }
         }
     }
-
-    /// Draws one flat gain and applies it to `samples` in place,
-    /// returning the gain. Bit-identical to mapping `s * h` into a fresh
-    /// buffer ([`msc_dsp::simd::mul_by_gain`]).
-    pub fn apply_flat<R: Rng>(self, rng: &mut R, samples: &mut [Complex64]) -> Complex64 {
-        let h = self.sample(rng);
-        if h != Complex64::ONE {
-            msc_dsp::simd::mul_by_gain(samples, h);
-        }
-        h
-    }
 }
 
 #[cfg(test)]

@@ -5,15 +5,19 @@
 //! kernels here) gates on the two probes below, each a `OnceLock`ed
 //! `is_x86_feature_detected!` — one relaxed load per call. On non-x86
 //! targets both return `false` and every kernel takes its scalar path.
+//! The uplink noise kernel alone also has an eight-wide AVX-512F/DQ
+//! form behind a third, private probe, `to_bits`-equal to its AVX2
+//! form.
 //!
 //! This is the one home for vector transcendentals (a four-wide `ln`,
 //! `sin`/`cos` and `atan2`). They back [`rotate`], the mixer behind
 //! every CFO (the channel's offset and each receiver's correction),
-//! [`add_box_muller`], the AWGN kernel, and [`fm_am_envelope`], the
-//! tag's slope detector; all three stay within `1e-12` of their
-//! `*_scalar` twins. [`mul_by_gain`] is bit-identical to
-//! `Complex64: Mul`, and [`resample_quantize`], the tag's ADC, to its
-//! scalar twin.
+//! [`scale_fade_box_muller`], the uplink channel's one fused pass of
+//! unit-power scale, flat gain and AWGN (and, with neither scale nor
+//! gain, [`add_box_muller`]), and [`fm_am_envelope`], the tag's slope
+//! detector; all three stay within `1e-12` of their `*_scalar` twins.
+//! [`mul_by_gain`] is bit-identical to `Complex64: Mul`, and
+//! [`resample_quantize`], the tag's ADC, to its scalar twin.
 
 use crate::complex::Complex64;
 
@@ -38,6 +42,19 @@ pub fn avx2_available() -> bool {
     static AVX2: OnceLock<bool> = OnceLock::new();
     *AVX2.get_or_init(|| {
         std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    })
+}
+
+/// True when the AVX-512F/DQ noise kernel is usable: the AVX2 + FMA
+/// probe plus both AVX-512 features. Probed once per process.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn avx512_available() -> bool {
+    static AVX512: OnceLock<bool> = OnceLock::new();
+    *AVX512.get_or_init(|| {
+        avx2_available()
+            && std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
     })
 }
 
@@ -89,27 +106,15 @@ pub fn mul_by_gain(samples: &mut [Complex64], h: Complex64) {
     }
 }
 
+/// Uniform pairs the AVX2 noise path draws ahead per block: two
+/// 2 KiB stack arrays.
+const NOISE_BLOCK: usize = 256;
+
 /// Adds `amp·√(−2 ln u₁)·e^{j2πu₂}` to every sample, drawing `(u₁, u₂)`
-/// from `draw` once per sample, in order. The AVX2 path buffers four
-/// draws and vectorizes only the transcendentals, so it consumes the
-/// caller's RNG exactly as [`add_box_muller_scalar`] does and lands
-/// within `1e-12` of it.
-pub fn add_box_muller(samples: &mut [Complex64], amp: f64, mut draw: impl FnMut() -> (f64, f64)) {
-    #[cfg(target_arch = "x86_64")]
-    if avx2_available() {
-        let mut quads = samples.chunks_exact_mut(4);
-        for quad in &mut quads {
-            let (mut u1, mut u2) = ([0.0f64; 4], [0.0f64; 4]);
-            for k in 0..4 {
-                (u1[k], u2[k]) = draw();
-            }
-            // SAFETY: AVX2+FMA support was just probed at runtime.
-            unsafe { avx::noise_quad(&u1, &u2, amp, quad) };
-        }
-        add_box_muller_scalar(quads.into_remainder(), amp, draw);
-        return;
-    }
-    add_box_muller_scalar(samples, amp, draw);
+/// from `draw` once per sample, in order: [`scale_fade_box_muller`]
+/// with neither scale nor gain.
+pub fn add_box_muller(samples: &mut [Complex64], amp: f64, draw: impl FnMut() -> (f64, f64)) {
+    scale_fade_box_muller(samples, None, None, amp, draw);
 }
 
 /// [`add_box_muller`]'s scalar reference, `to_bits`-equal to adding
@@ -117,9 +122,70 @@ pub fn add_box_muller(samples: &mut [Complex64], amp: f64, mut draw: impl FnMut(
 pub fn add_box_muller_scalar(
     samples: &mut [Complex64],
     amp: f64,
+    draw: impl FnMut() -> (f64, f64),
+) {
+    scale_fade_box_muller_scalar(samples, None, None, amp, draw);
+}
+
+/// The uplink channel's one fused pass: each sample becomes
+/// `(s·k)·h + amp·√(−2 ln u₁)·e^{j2πu₂}`, the scale skipped when `k` is
+/// `None` and the gain when `h` is, drawing `(u₁, u₂)` from `draw` once
+/// per sample, in order. The AVX2 path draws up to 256
+/// pairs ahead into two stack arrays and then runs one vector loop over
+/// the block, four samples per step. Where AVX-512F/DQ is present the
+/// loop runs eight samples per step, every lane the same IEEE
+/// operations in the same order (the two widths agree `to_bits`), and
+/// draws the next block's pairs while it runs. The `len % 4` tail
+/// takes the scalar twin after every full quad. The scale and the `addsub` gain
+/// are the same IEEE operations as `Complex64::scale` and `Mul`, so
+/// only the vector `ln`/`sincos` separate it from
+/// [`scale_fade_box_muller_scalar`] (within `1e-12`), and both consume
+/// the caller's RNG identically.
+pub fn scale_fade_box_muller(
+    samples: &mut [Complex64],
+    k: Option<f64>,
+    h: Option<Complex64>,
+    amp: f64,
+    mut draw: impl FnMut() -> (f64, f64),
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        let (quads, tail) = samples.split_at_mut(samples.len() / 4 * 4);
+        if avx512_available() {
+            // SAFETY: AVX-512F/DQ and AVX2+FMA support were just probed.
+            unsafe { avx::scale_fade_box_muller_x8(quads, &mut draw, k, h, amp) };
+        } else {
+            let (mut u1, mut u2) = ([0.0f64; NOISE_BLOCK], [0.0f64; NOISE_BLOCK]);
+            for block in quads.chunks_mut(NOISE_BLOCK) {
+                for (a, b) in u1.iter_mut().zip(&mut u2).take(block.len()) {
+                    (*a, *b) = draw();
+                }
+                // SAFETY: AVX2+FMA support was just probed at runtime.
+                unsafe { avx::scale_fade_box_muller(block, &u1, &u2, k, h, amp) };
+            }
+        }
+        scale_fade_box_muller_scalar(tail, k, h, amp, draw);
+        return;
+    }
+    scale_fade_box_muller_scalar(samples, k, h, amp, draw);
+}
+
+/// [`scale_fade_box_muller`]'s scalar reference: per sample
+/// `Complex64::scale`, `Complex64: Mul` and libm Box–Muller.
+pub fn scale_fade_box_muller_scalar(
+    samples: &mut [Complex64],
+    k: Option<f64>,
+    h: Option<Complex64>,
+    amp: f64,
     mut draw: impl FnMut() -> (f64, f64),
 ) {
     for s in samples {
+        if let Some(k) = k {
+            *s = s.scale(k);
+        }
+        if let Some(h) = h {
+            *s *= h;
+        }
         let (u1, u2) = draw();
         let r = (-2.0 * u1.ln()).sqrt() * amp;
         let theta = std::f64::consts::TAU * u2;
@@ -357,30 +423,242 @@ mod avx {
         (_mm256_xor_pd(sin_base, sin_sign), _mm256_xor_pd(cos_base, cos_sign))
     }
 
-    /// Adds four Box–Muller samples (uniforms pre-drawn in RNG order)
-    /// to four consecutive complex samples.
+    /// [`super::scale_fade_box_muller`] over one block of whole quads,
+    /// its uniforms drawn ahead into `u1` and `u2`: per quad the Box–Muller
+    /// transcendentals, the scale, the `addsub` gain and the noise
+    /// addition, each the same IEEE operation on every lane.
     /// # Safety
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn noise_quad(u1: &[f64; 4], u2: &[f64; 4], amp: f64, out: &mut [Complex64]) {
-        assert_eq!(out.len(), 4, "the stores below write exactly four samples");
-        let u1v = _mm256_loadu_pd(u1.as_ptr());
-        let u2v = _mm256_loadu_pd(u2.as_ptr());
-        let r = _mm256_mul_pd(
-            _mm256_sqrt_pd(_mm256_mul_pd(_mm256_set1_pd(-2.0), ln_pd(u1v))),
-            _mm256_set1_pd(amp),
-        );
-        let (s, c) = sincos_pd(_mm256_mul_pd(_mm256_set1_pd(std::f64::consts::TAU), u2v));
-        let re = _mm256_mul_pd(r, c);
-        let im = _mm256_mul_pd(r, s);
-        // Interleave [re_k] / [im_k] into (re, im) pair order.
-        let lo = _mm256_unpacklo_pd(re, im); // [re0, im0, re2, im2]
-        let hi = _mm256_unpackhi_pd(re, im); // [re1, im1, re3, im3]
-        let ab = _mm256_permute2f128_pd::<0x20>(lo, hi);
-        let cd = _mm256_permute2f128_pd::<0x31>(lo, hi);
+    pub unsafe fn scale_fade_box_muller(
+        out: &mut [Complex64],
+        u1: &[f64],
+        u2: &[f64],
+        k: Option<f64>,
+        h: Option<Complex64>,
+        amp: f64,
+    ) {
+        assert!(out.len().is_multiple_of(4) && u1.len() >= out.len() && u2.len() >= out.len());
+        let (neg_two, tau, ampv) =
+            (_mm256_set1_pd(-2.0), _mm256_set1_pd(std::f64::consts::TAU), _mm256_set1_pd(amp));
+        let kv = _mm256_set1_pd(k.unwrap_or(1.0));
+        let hv = h.unwrap_or(Complex64::ONE);
+        let (wr, wi) = (_mm256_set1_pd(hv.re), _mm256_set1_pd(hv.im));
         let p = out.as_mut_ptr() as *mut f64;
-        _mm256_storeu_pd(p, _mm256_add_pd(_mm256_loadu_pd(p), ab));
-        _mm256_storeu_pd(p.add(4), _mm256_add_pd(_mm256_loadu_pd(p.add(4)), cd));
+        for q in (0..out.len()).step_by(4) {
+            // SAFETY: q + 3 < out.len() ≤ u1.len(), u2.len() (asserted).
+            let u1v = _mm256_loadu_pd(u1.as_ptr().add(q));
+            let u2v = _mm256_loadu_pd(u2.as_ptr().add(q));
+            let r = _mm256_mul_pd(_mm256_sqrt_pd(_mm256_mul_pd(neg_two, ln_pd(u1v))), ampv);
+            let (s, c) = sincos_pd(_mm256_mul_pd(tau, u2v));
+            let re = _mm256_mul_pd(r, c);
+            let im = _mm256_mul_pd(r, s);
+            // Interleave [re_k] / [im_k] into (re, im) pair order.
+            let lo = _mm256_unpacklo_pd(re, im); // [re0, im0, re2, im2]
+            let hi = _mm256_unpackhi_pd(re, im); // [re1, im1, re3, im3]
+            let noise =
+                [_mm256_permute2f128_pd::<0x20>(lo, hi), _mm256_permute2f128_pd::<0x31>(lo, hi)];
+            for (off, n) in [0usize, 4].into_iter().zip(noise) {
+                let mut b = _mm256_loadu_pd(p.add(2 * q + off));
+                if k.is_some() {
+                    b = _mm256_mul_pd(b, kv);
+                }
+                if h.is_some() {
+                    let bs = _mm256_permute_pd(b, 0b0101); // [im0, re0, im1, re1]
+                    b = _mm256_addsub_pd(_mm256_mul_pd(b, wr), _mm256_mul_pd(bs, wi));
+                }
+                _mm256_storeu_pd(p.add(2 * q + off), _mm256_add_pd(b, n));
+            }
+        }
+    }
+
+    /// [`ln_pd`] eight lanes wide, each lane the same IEEE operations
+    /// (the `√2` fold as a masked blend and a masked add of 1).
+    /// # Safety
+    /// The CPU must support AVX-512F and AVX-512DQ.
+    #[allow(clippy::excessive_precision)]
+    #[target_feature(enable = "avx512f", enable = "avx512dq")]
+    unsafe fn ln_pd8(x: __m512d) -> __m512d {
+        const LN2_HI: f64 = 6.931_471_803_691_238_164_90e-01;
+        const LN2_LO: f64 = 1.908_214_929_270_587_700_02e-10;
+        let one = _mm512_set1_pd(1.0);
+        let xi = _mm512_castpd_si512(x);
+        let exp_raw = _mm512_srli_epi64::<52>(xi);
+        let magic = _mm512_set1_epi64(0x4330_0000_0000_0000u64 as i64);
+        let e = _mm512_sub_pd(
+            _mm512_castsi512_pd(_mm512_or_si512(exp_raw, magic)),
+            _mm512_set1_pd(4_503_599_627_370_496.0 + 1023.0),
+        );
+        let mant = _mm512_set1_epi64(0x000F_FFFF_FFFF_FFFFu64 as i64);
+        let m = _mm512_castsi512_pd(_mm512_or_si512(
+            _mm512_and_si512(xi, mant),
+            _mm512_set1_epi64(0x3FF0_0000_0000_0000u64 as i64),
+        ));
+        let gt = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(m, _mm512_set1_pd(std::f64::consts::SQRT_2));
+        let m = _mm512_mask_blend_pd(gt, m, _mm512_mul_pd(m, _mm512_set1_pd(0.5)));
+        // `ln_pd` adds 1 or +0 (its `and`); e is never −0, so adding
+        // nothing in the lanes that fail is the same value.
+        let e = _mm512_mask_add_pd(e, gt, e, one);
+        let t = _mm512_div_pd(_mm512_sub_pd(m, one), _mm512_add_pd(m, one));
+        let w = _mm512_mul_pd(t, t);
+        let mut poly = _mm512_set1_pd(1.0 / 15.0);
+        for c in [1.0 / 13.0, 1.0 / 11.0, 1.0 / 9.0, 1.0 / 7.0, 1.0 / 5.0, 1.0 / 3.0] {
+            poly = _mm512_fmadd_pd(poly, w, _mm512_set1_pd(c));
+        }
+        let two_t = _mm512_add_pd(t, t);
+        let ln_m = _mm512_fmadd_pd(_mm512_mul_pd(two_t, w), poly, two_t);
+        let r = _mm512_fmadd_pd(e, _mm512_set1_pd(LN2_LO), ln_m);
+        _mm512_fmadd_pd(e, _mm512_set1_pd(LN2_HI), r)
+    }
+
+    /// [`sincos_pd`] eight lanes wide, each lane the same IEEE
+    /// operations (the quadrant swap as a mask).
+    /// # Safety
+    /// The CPU must support AVX-512F and AVX-512DQ.
+    #[allow(clippy::approx_constant, clippy::excessive_precision)]
+    #[target_feature(enable = "avx512f", enable = "avx512dq")]
+    unsafe fn sincos_pd8(theta: __m512d) -> (__m512d, __m512d) {
+        const PIO2_HI: f64 = 1.570_796_326_794_896_558_00e+00;
+        const PIO2_LO: f64 = 6.123_233_995_736_766_036e-17;
+        const S: [f64; 6] = [
+            -1.666_666_666_666_663_243_48e-01,
+            8.333_333_333_322_489_461_24e-03,
+            -1.984_126_982_985_794_931_34e-04,
+            2.755_731_370_707_006_767_89e-06,
+            -2.505_076_025_340_686_341_95e-08,
+            1.589_690_995_211_550_102_21e-10,
+        ];
+        const C: [f64; 6] = [
+            4.166_666_666_666_660_190_37e-02,
+            -1.388_888_888_887_410_957_49e-03,
+            2.480_158_728_947_672_941_78e-05,
+            -2.755_731_435_139_066_330_35e-07,
+            2.087_572_321_298_174_827_90e-09,
+            -1.135_964_755_778_819_482_65e-11,
+        ];
+        let k = _mm512_roundscale_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(
+            _mm512_mul_pd(theta, _mm512_set1_pd(std::f64::consts::FRAC_2_PI)),
+        );
+        let x = _mm512_fnmadd_pd(k, _mm512_set1_pd(PIO2_HI), theta);
+        let x = _mm512_fnmadd_pd(k, _mm512_set1_pd(PIO2_LO), x);
+        let q = _mm512_castpd_si512(_mm512_add_pd(k, _mm512_set1_pd(6_755_399_441_055_744.0)));
+        let swap = _mm512_test_epi64_mask(q, _mm512_set1_epi64(1));
+        let two = _mm512_set1_epi64(2);
+        let sin_sign = _mm512_castsi512_pd(_mm512_slli_epi64::<62>(_mm512_and_si512(q, two)));
+        let cos_sign = _mm512_castsi512_pd(_mm512_slli_epi64::<62>(_mm512_and_si512(
+            _mm512_add_epi64(q, _mm512_set1_epi64(1)),
+            two,
+        )));
+        let z = _mm512_mul_pd(x, x);
+        let mut sp = _mm512_set1_pd(S[5]);
+        for c in [S[4], S[3], S[2], S[1], S[0]] {
+            sp = _mm512_fmadd_pd(sp, z, _mm512_set1_pd(c));
+        }
+        let sin_x = _mm512_fmadd_pd(_mm512_mul_pd(x, z), sp, x);
+        let mut cp = _mm512_set1_pd(C[5]);
+        for c in [C[4], C[3], C[2], C[1], C[0]] {
+            cp = _mm512_fmadd_pd(cp, z, _mm512_set1_pd(c));
+        }
+        let cos_x = _mm512_fmadd_pd(
+            _mm512_mul_pd(z, z),
+            cp,
+            _mm512_fnmadd_pd(z, _mm512_set1_pd(0.5), _mm512_set1_pd(1.0)),
+        );
+        let sin_base = _mm512_mask_blend_pd(swap, sin_x, cos_x);
+        let cos_base = _mm512_mask_blend_pd(swap, cos_x, sin_x);
+        (_mm512_xor_pd(sin_base, sin_sign), _mm512_xor_pd(cos_base, cos_sign))
+    }
+
+    /// [`super::scale_fade_box_muller`] over whole quads, eight samples
+    /// per step, `to_bits`-equal to the AVX2 kernel: [`ln_pd8`] and
+    /// [`sincos_pd8`], and the `addsub` gain as `re·h.re + (−im·h.im)`,
+    /// `im·h.re + re·h.im` (IEEE subtraction is addition of the
+    /// negation). The uniforms are drawn a block ahead in the same
+    /// order: the first block's before any math, each next block's
+    /// pairs step by step while this block's math runs, so the scalar
+    /// draws overlap the vector work. A trailing quad takes the AVX2
+    /// kernel.
+    /// # Safety
+    /// The CPU must support AVX-512F, AVX-512DQ, AVX2 and FMA.
+    #[target_feature(enable = "avx512f", enable = "avx512dq", enable = "avx2", enable = "fma")]
+    pub unsafe fn scale_fade_box_muller_x8(
+        out: &mut [Complex64],
+        draw: &mut impl FnMut() -> (f64, f64),
+        k: Option<f64>,
+        h: Option<Complex64>,
+        amp: f64,
+    ) {
+        const BLOCK: usize = super::NOISE_BLOCK;
+        assert!(out.len().is_multiple_of(4));
+        let (neg_two, tau, ampv) =
+            (_mm512_set1_pd(-2.0), _mm512_set1_pd(std::f64::consts::TAU), _mm512_set1_pd(amp));
+        let kv = _mm512_set1_pd(k.unwrap_or(1.0));
+        let hv = h.unwrap_or(Complex64::ONE);
+        let (wr, wi) = (_mm512_set1_pd(hv.re), _mm512_set1_pd(hv.im));
+        // The sign bit in every real (even) lane.
+        let re_sign = _mm512_castsi512_pd(_mm512_set_epi64(
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+            0,
+            i64::MIN,
+        ));
+        // Pair order from the unpacked [re, im] lanes of two quads.
+        let (first, second) = (
+            _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0),
+            _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4),
+        );
+        // Two blocks of (u₁, u₂): the one in use and the one being drawn.
+        let mut uniforms = [[[0.0f64; BLOCK]; 2]; 2];
+        let len = out.len();
+        for j in 0..len.min(BLOCK) {
+            (uniforms[0][0][j], uniforms[0][1][j]) = draw();
+        }
+        for (b, block) in out.chunks_mut(BLOCK).enumerate() {
+            // Pairs of the next block, drawn while this one runs.
+            let (m, ahead) = (block.len(), len.saturating_sub((b + 1) * BLOCK).min(BLOCK));
+            let [even, odd] = &mut uniforms;
+            let (now, next) = if b % 2 == 0 { (&*even, odd) } else { (&*odd, even) };
+            let p = block.as_mut_ptr() as *mut f64;
+            let mut q = 0;
+            while q < m {
+                let step = if q + 8 <= m { 8 } else { 4 };
+                for j in q..(q + step).min(ahead) {
+                    (next[0][j], next[1][j]) = draw();
+                }
+                if step == 4 {
+                    scale_fade_box_muller(&mut block[q..], &now[0][q..], &now[1][q..], k, h, amp);
+                    break;
+                }
+                // SAFETY: q + 7 < m ≤ BLOCK, the length of both rows.
+                let u1v = _mm512_loadu_pd(now[0].as_ptr().add(q));
+                let u2v = _mm512_loadu_pd(now[1].as_ptr().add(q));
+                let r = _mm512_mul_pd(_mm512_sqrt_pd(_mm512_mul_pd(neg_two, ln_pd8(u1v))), ampv);
+                let (s, c) = sincos_pd8(_mm512_mul_pd(tau, u2v));
+                let (re, im) = (_mm512_mul_pd(r, c), _mm512_mul_pd(r, s));
+                let lo = _mm512_unpacklo_pd(re, im); // [re0, im0, re2, im2, re4, …]
+                let hi = _mm512_unpackhi_pd(re, im); // [re1, im1, re3, im3, re5, …]
+                let noise =
+                    [_mm512_permutex2var_pd(lo, first, hi), _mm512_permutex2var_pd(lo, second, hi)];
+                for (off, n) in [0usize, 8].into_iter().zip(noise) {
+                    // SAFETY: samples q ..= q + 7 of `block` (q + 7 < m).
+                    let mut v = _mm512_loadu_pd(p.add(2 * q + off));
+                    if k.is_some() {
+                        v = _mm512_mul_pd(v, kv);
+                    }
+                    if h.is_some() {
+                        let vs = _mm512_permute_pd::<0b0101_0101>(v); // [im0, re0, …]
+                        let cross = _mm512_xor_pd(_mm512_mul_pd(vs, wi), re_sign);
+                        v = _mm512_add_pd(_mm512_mul_pd(v, wr), cross);
+                    }
+                    _mm512_storeu_pd(p.add(2 * q + off), _mm512_add_pd(v, n));
+                }
+                q += 8;
+            }
+        }
     }
 
     /// In-place rotation: per-sample phase `step·n` (the same product
@@ -788,22 +1066,22 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_noise_quad_matches_complex_gaussian_within_1e12() {
+    fn avx2_box_muller_block_matches_complex_gaussian_within_1e12() {
         if !avx2_available() {
             return;
         }
         // Compare the vector transcendentals against libm across many
         // uniform pairs, including u1 near both ends of (0, 1).
         let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..2_000 {
-            let mut u1 = [0.0f64; 4];
-            let mut u2 = [0.0f64; 4];
-            for k in 0..4 {
+        for _ in 0..250 {
+            let (mut u1, mut u2) = ([0.0f64; 32], [0.0f64; 32]);
+            for k in 0..32 {
                 (u1[k], u2[k]) = uniforms(&mut rng);
             }
-            let mut out = [Complex64::new(0.0, 0.0); 4];
-            unsafe { avx::noise_quad(&u1, &u2, 0.7, &mut out) };
-            for k in 0..4 {
+            let mut out = [Complex64::new(0.0, 0.0); 32];
+            // SAFETY: AVX2+FMA support was just probed.
+            unsafe { avx::scale_fade_box_muller(&mut out, &u1, &u2, None, None, 0.7) };
+            for k in 0..32 {
                 let r = (-2.0 * u1[k].ln()).sqrt() * 0.7;
                 let theta = std::f64::consts::TAU * u2[k];
                 let want = Complex64::new(r * theta.cos(), r * theta.sin());
@@ -815,6 +1093,72 @@ mod tests {
                     out[k],
                     want
                 );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_box_muller_matches_avx2_blocks_bitwise() {
+        if !avx512_available() {
+            return;
+        }
+        // Whole quads around the block size, so the draw-ahead crosses
+        // blocks and a trailing quad takes the AVX2 kernel; with and
+        // without scale and gain. Signed zeros and a zero gain part
+        // exercise the `addsub` recipe.
+        let gains =
+            [Complex64::new(0.83, -0.41), Complex64::new(-1.7, 0.0), Complex64::new(0.0, -0.0)];
+        for n in [4usize, 8, 12, 252, 256, 260, 516, 1028] {
+            let mut input = samples(n as u64, n);
+            input[0] = Complex64::new(-0.0, 0.0);
+            input[n - 1] = Complex64::new(0.0, -0.0);
+            for k in [None, Some(0.7)] {
+                for h in [None, Some(gains[0]), Some(gains[1]), Some(gains[2])] {
+                    let (mut r1, mut r2) = (StdRng::seed_from_u64(17), StdRng::seed_from_u64(17));
+                    let (mut wide, mut quad) = (input.clone(), input.clone());
+                    // SAFETY: AVX-512F/DQ (and with it AVX2+FMA) was just probed.
+                    unsafe {
+                        avx::scale_fade_box_muller_x8(
+                            &mut wide,
+                            &mut || uniforms(&mut r1),
+                            k,
+                            h,
+                            0.4,
+                        );
+                        for block in quad.chunks_mut(NOISE_BLOCK) {
+                            let (mut u1, mut u2) = ([0.0f64; NOISE_BLOCK], [0.0f64; NOISE_BLOCK]);
+                            for j in 0..block.len() {
+                                (u1[j], u2[j]) = uniforms(&mut r2);
+                            }
+                            avx::scale_fade_box_muller(block, &u1, &u2, k, h, 0.4);
+                        }
+                    }
+                    for (i, (a, b)) in wide.iter().zip(&quad).enumerate() {
+                        assert!(
+                            a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                            "n {n} k {k:?} h {h:?} sample {i}: {a:?} vs {b:?}"
+                        );
+                    }
+                    assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "n {n}: RNG position");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scale_fade_box_muller_tracks_scalar_within_1e12_same_rng_stream() {
+        // Lengths around the draw-ahead block, with and without the
+        // scale and the gain.
+        let h = Complex64::new(0.83, -0.41);
+        for n in [0usize, 3, 4, 255, 256, 257, 1029] {
+            for (k, g) in [(None, None), (Some(1.7), None), (None, Some(h)), (Some(0.3), Some(h))] {
+                let (mut fast, mut want) = (samples(9, n), samples(9, n));
+                let (mut r1, mut r2) = (StdRng::seed_from_u64(0xde), StdRng::seed_from_u64(0xde));
+                scale_fade_box_muller(&mut fast, k, g, 0.43, || uniforms(&mut r1));
+                scale_fade_box_muller_scalar(&mut want, k, g, 0.43, || uniforms(&mut r2));
+                assert!(max_err(&fast, &want) <= 1e-12, "n {n}: err {}", max_err(&fast, &want));
+                assert_eq!(r1.gen::<u64>(), r2.gen::<u64>(), "n {n}");
             }
         }
     }

@@ -2,13 +2,13 @@
 //! uplink → single commodity receiver, with the link budget turning
 //! geometry into SNR.
 
-use msc_channel::awgn::add_noise;
+use msc_channel::awgn;
 use msc_channel::{Fading, LinkBudget};
 use msc_core::overlay::{params_for, Mode};
 use msc_core::tag::payload_start_seconds;
 use msc_core::TagOverlayModulator;
 use msc_dsp::units::db_to_lin;
-use msc_dsp::IqBuf;
+use msc_dsp::{Complex64, IqBuf};
 use msc_obs::flight;
 use msc_obs::metrics::{self, buckets};
 use msc_phy::bits::random_bits;
@@ -142,20 +142,27 @@ impl Impairments {
 
     /// The one uplink channel, in place on one trial's samples: unit
     /// power, carrier offset, one flat fading gain, then AWGN at the
-    /// target SNR, all on the [`msc_dsp::simd`] kernels. Fading and
-    /// noise draw from `rng` in that order. Allocation-free.
+    /// target SNR. Fading and noise draw from `rng` in that order, the
+    /// gain before any noise. After [`IqBuf::mean_power`] one fused pass
+    /// ([`awgn::scale_fade_add_noise`]) scales by `1/√p` (skipped when
+    /// `p ≤ 0`), multiplies by the gain (skipped when it is exactly 1)
+    /// and adds the noise; a carrier offset keeps the scale and its
+    /// rotation as passes of their own, and fuses only the gain and the
+    /// noise. Allocation-free.
     pub fn apply<R: Rng>(&self, rng: &mut R, wave: &mut IqBuf) {
         let p = wave.mean_power();
-        if p > 0.0 {
-            wave.scale(1.0 / p.sqrt());
-        }
+        let mut k = (p > 0.0).then(|| 1.0 / p.sqrt());
         if self.cfo_hz != 0.0 {
+            if let Some(k) = k.take() {
+                wave.scale(k);
+            }
             wave.freq_shift_in_place(self.cfo_hz);
         }
-        self.fading.apply_flat(rng, wave.samples_mut());
+        let h = self.fading.sample(rng);
         // Signal mean power |h|^2; noise set against the *average* signal
         // power so fading dips genuinely hurt.
-        add_noise(rng, wave, 1.0 / db_to_lin(self.snr_db));
+        let noise = 1.0 / db_to_lin(self.snr_db);
+        awgn::scale_fade_add_noise(rng, wave, k, (h != Complex64::ONE).then_some(h), noise);
     }
 }
 
@@ -372,7 +379,9 @@ impl Delivery {
 /// One overlay packet of `n_productive` units and a full load of tag
 /// bits (drawn from `rng` in that order), modulated by `tag`, pushed in
 /// place through `imp` and decoded. Only tag bits are scored, position
-/// by position (`!=`); an undecoded packet errs on every one.
+/// by position (`!=`); an undecoded packet errs on every one. Carrier
+/// synthesis, modulation and the channel run in `carrier`, `modulate`
+/// and `channel` profiler frames (frames only, no metric).
 pub fn tag_packet<R: Rng>(
     rng: &mut R,
     link: &AnyLink,
@@ -380,10 +389,16 @@ pub fn tag_packet<R: Rng>(
     n_productive: usize,
     imp: Impairments,
 ) -> PacketOutcome {
-    let (_, carrier) = link.make_carrier(rng, n_productive);
+    let (_, carrier) = {
+        let _frame = msc_obs::profile::scope("carrier");
+        link.make_carrier(rng, n_productive)
+    };
     let tag_bits = random_bits(rng, link.tag_capacity(n_productive));
     let start = (payload_start_seconds(link.protocol()) * carrier.rate().as_hz()).round() as usize;
-    let mut rx = tag.modulate(&carrier, start, &tag_bits);
+    let mut rx = {
+        let _frame = msc_obs::profile::scope("modulate");
+        tag.modulate(&carrier, start, &tag_bits)
+    };
     {
         let _frame = msc_obs::profile::scope("channel");
         imp.apply(rng, &mut rx);

@@ -1,28 +1,22 @@
 //! The fleet runners' reports at `24 42` must equal the seed-42
 //! references of `paper all 24 42` in `benchmark/reference/`, byte for
-//! byte. The references are read only: a difference means the code
-//! moved a report, and the code is what gets fixed.
+//! byte (`common::reference_mismatch`); `paper_reference.rs` checks
+//! the other runners.
 //!
 //! This is its own test binary because the fleet horizon
 //! (`MSC_FLEET_HORIZON_S`) is read once per process, and these reports
 //! need the default.
+
+mod common;
 
 use msc_sim::experiments::fleet;
 use msc_sim::Report;
 
 fn assert_matches_reference(id: &str, report: Report) {
     assert_eq!(fleet::horizon_s(), 180.0, "the references use the default fleet horizon");
-    let path = format!(
-        "{}/../../benchmark/reference/seed42/paper-all/{id}.json",
-        env!("CARGO_MANIFEST_DIR")
-    );
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    let got = report.to_json();
-    if let Some((i, (g, w))) = got.lines().zip(want.lines()).enumerate().find(|(_, (g, w))| g != w)
-    {
-        panic!("{id} differs from {path} at line {}:\n  got  {g}\n  want {w}", i + 1);
+    if let Some(mismatch) = common::reference_mismatch(id, &report) {
+        panic!("{mismatch}");
     }
-    assert_eq!(got.len(), want.len(), "{id} differs from {path} in length");
 }
 
 #[test]
